@@ -404,7 +404,7 @@ func BenchmarkRoundFusedTraced(b *testing.B) {
 // BenchmarkRoundBatch is the serve-path variant: B concurrent sessions'
 // rounds executed either as B independent unfused rounds (what serving
 // cost before cross-session batching) or as one fused batched round
-// (kernels.RoundBatch, what the serve scheduler issues).
+// (kernels.Batcher.Round, what the serve scheduler issues).
 func BenchmarkRoundBatch(b *testing.B) {
 	const sessions, subFilters, particlesPer = 8, 16, 128
 	mk := func(b *testing.B, dev *device.Device) []*kernels.Pipeline {

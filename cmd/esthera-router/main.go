@@ -20,7 +20,8 @@
 //	POST /v1/sessions/{id}/migrate  {"target": "b"}   live migration ("" = least loaded)
 //	POST /v1/rebalance                                level load across live shards
 //	GET  /v1/shards                                   per-shard liveness and placement
-//	GET  /metrics                                     router counters + every replica's stats
+//	GET  /metrics                                     router counters and per-shard gauges (Prometheus text;
+//	                                                  replicas serve their own /metrics)
 //
 // -snapshot periodically refreshes every session's failover-insurance
 // checkpoint over the transport, bounding how far a crash-failover can

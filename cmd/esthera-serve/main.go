@@ -18,7 +18,7 @@
 //	GET    /v1/sessions/{id}/checkpoint
 //	POST   /v1/restore
 //	DELETE /v1/sessions/{id}
-//	GET    /metrics                     JSON stats; Prometheus text with ?format=prometheus
+//	GET    /metrics                     Prometheus text exposition of the server's stats
 //	GET    /trace                       drain recorded spans as Chrome trace JSON
 //	POST   /trace                       {"enabled": bool} toggles span recording
 //	GET    /healthz                     liveness (200 while the process is up)

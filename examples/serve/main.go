@@ -90,12 +90,10 @@ func main() {
 	}
 	fmt.Println("restored session replays bit-identically")
 
-	// Introspection: per-session latency, the device kernel breakdown,
-	// and the robustness-layer health counters.
-	st, err := client.Stats(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Introspection, in-process: per-session latency, the device kernel
+	// breakdown, and the robustness-layer health counters. Over HTTP the
+	// same snapshot is the Prometheus text at /metrics.
+	st := s.Stats()
 	fmt.Printf("sessions=%d mean batch=%.1f rejected=%d\n", len(st.Sessions), st.MeanBatch, st.Rejected)
 	fmt.Printf("health: ready=%v in-flight=%d cancelled=%d retry-after=%.2fms batch-latency=%.0fµs\n",
 		st.Health.Ready, st.Health.InFlight, st.Health.Cancelled, st.Health.RetryAfterMS, st.Health.BatchLatencyUS)

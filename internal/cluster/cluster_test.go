@@ -1,11 +1,12 @@
 package cluster_test
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"esthera/internal/cluster"
@@ -350,22 +351,26 @@ func TestMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d err %v", resp.StatusCode, err)
 	}
-	var h cluster.HealthSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
+	body := string(raw)
+	for name, want := range map[string]float64{
+		"esthera_cluster_failed_nodes":          1,
+		"esthera_cluster_live_nodes":            3,
+		"esthera_cluster_nodes":                 4,
+		"esthera_cluster_degraded_rounds_total": 10,
+	} {
+		if got := promValue(t, body, name); got != want {
+			t.Fatalf("%s over the wire = %v, want %v", name, got, want)
+		}
 	}
-	if h.FailedNodes != 1 || h.LiveNodes != 3 || h.Nodes != 4 {
-		t.Fatalf("node counters over the wire: %+v", h)
-	}
-	if h.DegradedRounds != 10 || h.ReroutedEdges == 0 {
-		t.Fatalf("degradation counters over the wire: %+v", h)
-	}
-	if h.CommMessages == 0 {
-		t.Fatalf("comm counters over the wire: %+v", h)
+	for _, name := range []string{"esthera_cluster_rerouted_edges_total", "esthera_cluster_comm_messages_total"} {
+		if promValue(t, body, name) == 0 {
+			t.Fatalf("%s over the wire is 0", name)
+		}
 	}
 
 	if code := getStatus(t, ts.URL+"/healthz"); code != http.StatusOK {
@@ -380,6 +385,23 @@ func TestMetricsHandler(t *testing.T) {
 	if code := getStatus(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with all nodes down: status %d, want 503", code)
 	}
+}
+
+// promValue returns the value of one unlabelled series in a Prometheus
+// text body.
+func promValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no series %s in:\n%s", name, body)
+	return 0
 }
 
 func getStatus(t *testing.T, url string) int {

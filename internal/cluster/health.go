@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -11,9 +10,9 @@ import (
 // HealthSnapshot is the cluster's degraded-mode introspection record:
 // how many nodes are up, how often rounds ran degraded, and what the
 // rerouting machinery did about it. All counters accumulate since New
-// or the last Reset. Fields carry explicit json wire names (enforced by
-// esthera-vet's checkpointcompat analyzer) so the /metrics payload only
-// ever changes deliberately.
+// or the last Reset. It is an in-process view; Collect renders it into
+// /metrics. Fields carry explicit json wire names (enforced by
+// esthera-vet's checkpointcompat analyzer for every *Snapshot struct).
 type HealthSnapshot struct {
 	// Nodes, FailedNodes and LiveNodes describe the cluster right now.
 	Nodes       int `json:"nodes"`
@@ -96,25 +95,14 @@ func (c *Cluster) Collect(e *telemetry.Emitter) {
 // NewMetricsHandler exposes a cluster's health and degradation counters
 // over HTTP, the same introspection shape the serving layer uses:
 //
-//	GET /metrics  → HealthSnapshot (JSON); Prometheus text exposition
-//	                with ?format=prometheus or an Accept header
-//	                preferring text/plain (see telemetry.WantsPrometheus)
+//	GET /metrics  → Prometheus text exposition of Health (esthera_cluster_*)
 //	GET /healthz  → 200 while the process is up
 //	GET /readyz   → 200 while any node is live, else 503
 func NewMetricsHandler(c *Cluster) http.Handler {
 	reg := telemetry.NewRegistry()
 	reg.RegisterCollector(c.Collect)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if telemetry.WantsPrometheus(r) {
-			reg.ServePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetEscapeHTML(false)
-		_ = enc.Encode(c.Health())
-	})
+	mux.Handle("GET /metrics", reg)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte("{\"status\":\"ok\"}\n"))

@@ -15,10 +15,11 @@ import (
 )
 
 // TestClusterScrapeDuringFailures steps a cluster while a fault
-// injector fails and restores nodes and two scrapers hammer /metrics in
-// both formats — run under -race, this is the exposition-path race test
-// for the cluster layer. Every Prometheus body must pass the
-// exposition-format lint, including mid-degradation ones.
+// injector fails and restores nodes and two scrapers hammer /metrics,
+// alternating a JSON Accept header that must not change the format —
+// run under -race, this is the exposition-path race test for the
+// cluster layer. Every body must pass the exposition-format lint,
+// including mid-degradation ones.
 func TestClusterScrapeDuringFailures(t *testing.T) {
 	m, sc := armScenario(t)
 	c := newCluster(t, m, 4)
@@ -54,11 +55,15 @@ func TestClusterScrapeDuringFailures(t *testing.T) {
 					return
 				default:
 				}
-				url := ts.URL + "/metrics"
-				if (i+w)%2 == 0 {
-					url += "?format=prometheus"
+				req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+				if err != nil {
+					t.Errorf("scrape: %v", err)
+					return
 				}
-				resp, err := http.Get(url)
+				if (i+w)%2 == 0 {
+					req.Header.Set("Accept", "application/json")
+				}
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					t.Errorf("scrape: %v", err)
 					return
@@ -69,11 +74,9 @@ func TestClusterScrapeDuringFailures(t *testing.T) {
 					t.Errorf("scrape: status %d err %v", resp.StatusCode, err)
 					return
 				}
-				if strings.Contains(url, "prometheus") {
-					if err := telemetry.LintPrometheus(strings.NewReader(string(body))); err != nil {
-						t.Errorf("prometheus lint mid-failure: %v", err)
-						return
-					}
+				if err := telemetry.LintPrometheus(strings.NewReader(string(body))); err != nil {
+					t.Errorf("prometheus lint mid-failure: %v", err)
+					return
 				}
 			}
 		}(w)
@@ -108,7 +111,7 @@ func TestClusterScrapeDuringFailures(t *testing.T) {
 	}
 
 	// The final scrape must expose the per-node contribution series.
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ type Profiler struct {
 }
 
 // KernelStats is the accumulated record for one kernel name. It is plain
-// copyable data and marshals to JSON (Elapsed as integer nanoseconds),
-// so snapshots can be published by introspection endpoints.
+// copyable data (JSON: Elapsed as integer nanoseconds), so snapshots can
+// be handed out without sharing profiler state.
 type KernelStats struct {
 	Name     string        `json:"name"`
 	Launches int64         `json:"launches"`
@@ -68,9 +68,10 @@ func (p *Profiler) Snapshot() []KernelStats {
 	return out
 }
 
-// Stats is the copyable, JSON-marshalable export of a profiler: every
-// kernel's accumulated record plus the totals, taken atomically. This is
-// the struct the serve introspection endpoint publishes.
+// Stats is the copyable export of a profiler: every kernel's
+// accumulated record plus the totals, taken atomically. The serve
+// layer carries it in its in-process Stats snapshot and renders it
+// into /metrics with Collect.
 type Stats struct {
 	// TotalElapsed is the summed kernel time (integer nanoseconds in
 	// JSON).
@@ -93,12 +94,10 @@ func (p *Profiler) Stats() Stats {
 	return st
 }
 
-// Collect emits the profiler's accumulated state into a telemetry
-// registry gather: per-kernel elapsed time and launch counts under the
-// esthera_kernel_* names, so device profiling joins the unified
-// /metrics exposition.
-func (p *Profiler) Collect(e *telemetry.Emitter) {
-	st := p.Stats()
+// Collect emits the snapshot into a telemetry registry gather:
+// per-kernel elapsed time and launch counts under the esthera_kernel_*
+// names, so device profiling joins the unified /metrics exposition.
+func (st Stats) Collect(e *telemetry.Emitter) {
 	e.Counter("esthera_kernel_launches_total", "Kernel launches by kernel name.",
 		float64(st.TotalLaunches))
 	e.Counter("esthera_kernel_elapsed_seconds_total", "Accumulated kernel wall time.",

@@ -145,16 +145,6 @@ func (f *Parallel) RestoreSnapshot(s *ParallelSnapshot) error {
 	return nil
 }
 
-// StepBatch steps every filter in fs through one round with its own
-// (u, z) inputs, coalescing the per-sub-filter kernels of all filters
-// into shared launches on dev. Every filter must have been built on dev.
-// Results are returned in input order. Long-lived callers (the serve
-// scheduler) should hold a BatchStepper instead: this convenience
-// wrapper rebuilds the batch scratch on every call.
-func StepBatch(dev *device.Device, fs []*Parallel, us, zs [][]float64) ([]Estimate, error) {
-	return NewBatchStepper(dev).StepBatch(fs, us, zs)
-}
-
 // BatchStepper carries the reusable scratch of the batched stepping
 // path: the kernels.Batcher (merged-launch tables and closures) and the
 // BatchRound entries with their estimate buffers. Steady-state batches
@@ -170,8 +160,10 @@ func NewBatchStepper(dev *device.Device) *BatchStepper {
 	return &BatchStepper{batcher: kernels.NewBatcher(dev)}
 }
 
-// StepBatch implements the package-level StepBatch contract with the
-// stepper's reusable scratch.
+// StepBatch steps every filter in fs through one round with its own
+// (u, z) inputs, coalescing the per-sub-filter kernels of all filters
+// into shared launches on the stepper's device. Every filter must have
+// been built on that device. Results are returned in input order.
 func (bs *BatchStepper) StepBatch(fs []*Parallel, us, zs [][]float64) ([]Estimate, error) {
 	if len(fs) != len(us) || len(fs) != len(zs) {
 		return nil, fmt.Errorf("filter: batch length mismatch: %d filters, %d controls, %d measurements",

@@ -7,7 +7,7 @@ import (
 )
 
 // BatchRound couples one pipeline with the inputs of one filtering round.
-// After RoundBatch returns, State and LogW hold the round's global
+// After Batcher.Round returns, State and LogW hold the round's global
 // estimate (the same values Pipeline.Round would have returned).
 type BatchRound struct {
 	P *Pipeline
@@ -20,38 +20,26 @@ type BatchRound struct {
 	LogW  float64
 }
 
-// RoundBatch runs one filtering round for every entry, coalescing the
-// per-sub-filter kernels (rand, sampling, local sort, resampling) of all
-// pipelines into shared launches on dev. This is the mechanism the serve
-// scheduler uses to keep a shared device saturated: B sessions of N
-// sub-filters each become launches of B·N work-groups, so the device's
-// workers drain one large grid instead of B small ones with B launch
-// barriers per kernel. The group-local kernels additionally run fused
-// (see Pipeline.RoundFused), so one round of B sessions costs a single
-// shared launch for rand+sampling+local sort plus one shared resampling
-// launch, instead of 4·B.
+// Batcher runs one filtering round for many pipelines at once,
+// coalescing the per-sub-filter kernels (rand, sampling, local sort,
+// resampling) of all of them into shared launches on dev. This is the
+// mechanism the serve scheduler uses to keep a shared device saturated:
+// B sessions of N sub-filters each become launches of B·N work-groups,
+// so the device's workers drain one large grid instead of B small ones
+// with B launch barriers per kernel. The group-local kernels
+// additionally run fused (see Pipeline.RoundFused), so one round of B
+// sessions costs a single shared launch for rand+sampling+local sort
+// plus one shared resampling launch, instead of 4·B.
 //
 // The estimate and exchange kernels involve pipeline-global reductions
 // (a single-group reduction launch, and topology-dependent neighbor
 // pulls), so they remain per-pipeline launches between the shared ones.
 //
-// Every pipeline must have been created on dev. Pipelines with different
-// work-group sizes (the largest per-sub-filter window — ParticlesPer
-// under uniform allocation) cannot share a grid; RoundBatch partitions
-// the batch by group size and merges within each partition.
-// A pipeline must appear at most once per batch (a session's steps are
-// ordered; coalescing two rounds of the same filter would reorder its
-// kernels).
-func RoundBatch(dev *device.Device, batch []*BatchRound) error {
-	return NewBatcher(dev).Round(batch)
-}
-
-// Batcher executes RoundBatch rounds with reusable scratch: the
-// duplicate-detection map, the per-group-size partitions, the merged
-// group tables, and the launch closures all persist across rounds, so a
-// steady-state round performs no heap allocations. The serve scheduler
-// holds one Batcher per device for the lifetime of the server; the
-// one-shot RoundBatch wrapper builds a throwaway one.
+// Its scratch — the duplicate-detection map, the per-group-size
+// partitions, the merged group tables, and the launch closures —
+// persists across rounds, so a steady-state round performs no heap
+// allocations. The serve scheduler holds one Batcher per device for
+// the lifetime of the server.
 //
 // A Batcher is not safe for concurrent use; like the pipelines it
 // steps, it belongs to a single scheduling goroutine.
@@ -87,9 +75,14 @@ func NewBatcher(dev *device.Device) *Batcher {
 	}
 }
 
-// Round runs one filtering round for every entry; see RoundBatch for
-// the coalescing contract. A failed validation leaves every pipeline
-// unstepped.
+// Round runs one filtering round for every entry. Every pipeline must
+// have been created on the Batcher's device. Pipelines with different
+// work-group sizes (the largest per-sub-filter window — ParticlesPer
+// under uniform allocation) cannot share a grid; Round partitions the
+// batch by group size and merges within each partition. A pipeline
+// must appear at most once per batch (a session's steps are ordered;
+// coalescing two rounds of the same filter would reorder its kernels).
+// A failed validation leaves every pipeline unstepped.
 //
 //esthera:hotpath noalloc bce
 func (b *Batcher) Round(batch []*BatchRound) error {

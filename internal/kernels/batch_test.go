@@ -28,10 +28,12 @@ func newPipe(t testing.TB, dev *device.Device, sub, per int, seed uint64) *kerne
 	return p
 }
 
-// TestRoundBatchMatchesSequential steps identical pipelines through a
-// merged batch launch and through plain sequential rounds and requires
-// bit-identical estimates and particle populations: batching is a
-// scheduling optimization, never an algorithmic change.
+// TestRoundBatchMatchesSequential steps identical pipelines through
+// merged batch launches — one persistent Batcher reused across rounds,
+// as the serve scheduler drives it — and through plain sequential
+// rounds, and requires bit-identical estimates and particle
+// populations: batching is a scheduling optimization, never an
+// algorithmic change.
 func TestRoundBatchMatchesSequential(t *testing.T) {
 	dev := device.New(device.Config{Workers: 4, LocalMemBytes: -1})
 	const sessions = 5
@@ -42,6 +44,7 @@ func TestRoundBatchMatchesSequential(t *testing.T) {
 		seq[i] = newPipe(t, dev, 8, 16, seed)
 		bat[i] = newPipe(t, dev, 8, 16, seed)
 	}
+	batcher := kernels.NewBatcher(dev)
 	u := []float64{}
 	for k := 1; k <= 10; k++ {
 		z := []float64{float64(k) * 0.3}
@@ -49,7 +52,7 @@ func TestRoundBatchMatchesSequential(t *testing.T) {
 		for i := range batch {
 			batch[i] = &kernels.BatchRound{P: bat[i], U: u, Z: z, K: k}
 		}
-		if err := kernels.RoundBatch(dev, batch); err != nil {
+		if err := batcher.Round(batch); err != nil {
 			t.Fatal(err)
 		}
 		for i := range seq {
@@ -81,6 +84,7 @@ func TestRoundBatchMixedGroupSizes(t *testing.T) {
 	a := newPipe(t, dev, 8, 16, 1)
 	b := newPipe(t, dev, 4, 32, 2)
 	ref := newPipe(t, dev, 4, 32, 2)
+	batcher := kernels.NewBatcher(dev)
 	u := []float64{}
 	for k := 1; k <= 5; k++ {
 		z := []float64{0.7}
@@ -88,7 +92,7 @@ func TestRoundBatchMixedGroupSizes(t *testing.T) {
 			{P: a, U: u, Z: z, K: k},
 			{P: b, U: u, Z: z, K: k},
 		}
-		if err := kernels.RoundBatch(dev, batch); err != nil {
+		if err := batcher.Round(batch); err != nil {
 			t.Fatal(err)
 		}
 		state, lw := ref.Round(u, z, k)
@@ -99,16 +103,21 @@ func TestRoundBatchMixedGroupSizes(t *testing.T) {
 }
 
 // TestRoundBatchRejectsDuplicates ensures one session cannot have two
-// rounds coalesced into a single batch.
+// rounds coalesced into a single batch, and that the rejection leaves
+// the Batcher usable for the next, valid round.
 func TestRoundBatchRejectsDuplicates(t *testing.T) {
 	dev := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
 	p := newPipe(t, dev, 4, 16, 1)
+	batcher := kernels.NewBatcher(dev)
 	batch := []*kernels.BatchRound{
 		{P: p, Z: []float64{0}, K: 1},
 		{P: p, Z: []float64{0}, K: 2},
 	}
-	if err := kernels.RoundBatch(dev, batch); err == nil {
+	if err := batcher.Round(batch); err == nil {
 		t.Fatal("duplicate pipeline accepted")
+	}
+	if err := batcher.Round(batch[:1]); err != nil {
+		t.Fatalf("batcher unusable after a rejected round: %v", err)
 	}
 }
 
@@ -156,11 +165,10 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 
 // TestRoundBatchSteadyStateAllocs pins the batched serving path's fixed
 // steady-state cost: a persistent Batcher driving reused BatchRound
-// entries performs zero heap allocations per round. This is the
-// regression the Batcher refactor removed — the one-shot RoundBatch
-// wrapper rebuilt its partition maps, group tables, and launch closures
-// on every round, which is pure overhead next to the sequential path
-// (whose rounds are allocation-free) and erased the batched path's win.
+// entries performs zero heap allocations per round. Rebuilding the
+// partition maps, group tables, and launch closures on every round is
+// pure overhead next to the sequential path (whose rounds are
+// allocation-free) and erases the batched path's win.
 func TestRoundBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on allocation-free paths")

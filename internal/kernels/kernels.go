@@ -18,7 +18,7 @@ func (p *Pipeline) KernelRand() {
 
 // randGroup is KernelRand's work-group body for sub-filter s. The group
 // bodies are factored out of the launches so the cross-session batch
-// scheduler (RoundBatch) can coalesce the groups of many pipelines into a
+// scheduler (Batcher) can coalesce the groups of many pipelines into a
 // single shared launch.
 //
 //esthera:hotpath noalloc bce

@@ -93,7 +93,7 @@ func (c *Client) Create(ctx context.Context, spec FilterSpec) (string, error) {
 // Step advances session id by one observation, retrying backpressure
 // rejections with the server's own hints.
 func (c *Client) Step(ctx context.Context, id string, u, z []float64) (StepResult, error) {
-	var reply stepReply
+	var reply StepReply
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/step", map[string]any{"u": u, "z": z}, &reply)
 	if err != nil {
 		return StepResult{}, err
@@ -103,7 +103,7 @@ func (c *Client) Step(ctx context.Context, id string, u, z []float64) (StepResul
 
 // Estimate returns the session's latest estimate without stepping.
 func (c *Client) Estimate(ctx context.Context, id string) (StepResult, error) {
-	var reply stepReply
+	var reply StepReply
 	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id, nil, &reply)
 	if err != nil {
 		return StepResult{}, err
@@ -116,13 +116,6 @@ func (c *Client) Close(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, nil)
 }
 
-// Stats fetches the /metrics introspection snapshot.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, &st)
-	return st, err
-}
-
 // Ready probes /readyz: nil while the server admits new steps.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
@@ -130,7 +123,7 @@ func (c *Client) Ready(ctx context.Context) error {
 
 // result converts the wire reply to a StepResult; the bits field is the
 // exact value (±Inf round-trips through it, which plain JSON forbids).
-func (r stepReply) result() StepResult {
+func (r StepReply) result() StepResult {
 	return StepResult{Step: r.Step, State: r.State, LogWeight: math.Float64frombits(r.LogWeightBits)}
 }
 

@@ -26,7 +26,7 @@ func TestClientHonorsRetryAfterMs(t *testing.T) {
 			fmt.Fprint(w, `{"error":"saturated"}`)
 			return
 		}
-		json.NewEncoder(w).Encode(stepReply{
+		json.NewEncoder(w).Encode(StepReply{
 			Step: 7, State: []float64{1.5}, LogWeightBits: math.Float64bits(-2.25),
 		})
 	}))
@@ -188,11 +188,7 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Error(err)
 	}
 
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BatchedSteps != sessions*steps {
+	if st := s.Stats(); st.BatchedSteps != sessions*steps {
 		t.Fatalf("batched steps %d, want %d", st.BatchedSteps, sessions*steps)
 	}
 	if s.rejected.Load() > 0 {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"esthera/internal/telemetry"
 	tlog "esthera/internal/telemetry/log"
@@ -22,9 +23,7 @@ import (
 //	DELETE /v1/sessions/{id}                                        → 204
 //	GET    /v1/sessions/{id}/checkpoint                             → Checkpoint
 //	POST   /v1/restore                  Checkpoint                  → {"id": ...}
-//	GET    /metrics                                                 → Stats (JSON); Prometheus text with
-//	                                                                  ?format=prometheus or an Accept header
-//	                                                                  preferring text/plain
+//	GET    /metrics                                                 → Prometheus text exposition of Stats
 //	GET    /trace                                                   → drain recorded spans (Chrome trace JSON;
 //	                                                                  ?format=raw for the wire format)
 //	POST   /trace                       {"enabled": bool}           → toggle span recording
@@ -52,7 +51,7 @@ func NewHandler(s *Server) http.Handler {
 		var body struct {
 			Spec FilterSpec `json:"spec"`
 		}
-		if !readJSON(w, r, &body) {
+		if !ReadJSON(w, r, &body) {
 			return
 		}
 		id, err := s.Create(body.Spec)
@@ -60,10 +59,10 @@ func NewHandler(s *Server) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
+		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"sessions": s.Sessions()})
+		WriteJSON(w, http.StatusOK, map[string]any{"sessions": s.Sessions()})
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		res, err := s.Estimate(r.PathValue("id"))
@@ -71,14 +70,14 @@ func NewHandler(s *Server) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sanitizeResult(res))
+		WriteJSON(w, http.StatusOK, SanitizeResult(res))
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/step", func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			U []float64 `json:"u"`
 			Z []float64 `json:"z"`
 		}
-		if !readJSON(w, r, &body) {
+		if !ReadJSON(w, r, &body) {
 			return
 		}
 		ctx := r.Context()
@@ -90,7 +89,7 @@ func NewHandler(s *Server) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sanitizeResult(res))
+		WriteJSON(w, http.StatusOK, SanitizeResult(res))
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Close(r.PathValue("id")); err != nil {
@@ -105,11 +104,11 @@ func NewHandler(s *Server) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, cp)
+		WriteJSON(w, http.StatusOK, cp)
 	})
 	mux.HandleFunc("POST /v1/restore", func(w http.ResponseWriter, r *http.Request) {
 		var cp Checkpoint
-		if !readJSON(w, r, &cp) {
+		if !ReadJSON(w, r, &cp) {
 			return
 		}
 		id, err := s.Restore(&cp)
@@ -117,19 +116,13 @@ func NewHandler(s *Server) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
+		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if telemetry.WantsPrometheus(r) {
-			s.reg.ServePrometheus(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
+	mux.Handle("GET /metrics", s.reg)
 	mux.Handle("/trace", telemetry.TraceHandler(s.tracer))
 	mux.Handle("/logz", tlog.Handler(s.log))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Ready() {
@@ -140,26 +133,31 @@ func NewHandler(s *Server) http.Handler {
 			if s.Draining() && !s.stopped() {
 				status = "draining"
 			}
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": status})
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": status})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux
 }
 
-// stepReply is StepResult with the log-weight JSON-safe: encoding/json
+// The wire helpers below are shared with the shard router, which
+// speaks the identical dialect: same step reply, same body limits,
+// same error and back-off headers.
+
+// StepReply is StepResult with the log-weight JSON-safe: encoding/json
 // rejects ±Inf/NaN, and a just-created or fully degenerate session has
 // LogWeight == -Inf. The bits field is always exact.
-type stepReply struct {
+type StepReply struct {
 	Step          int       `json:"step"`
 	State         []float64 `json:"state"`
 	LogWeight     *float64  `json:"log_weight,omitempty"`
 	LogWeightBits uint64    `json:"log_weight_bits"`
 }
 
-func sanitizeResult(res StepResult) stepReply {
-	out := stepReply{
+// SanitizeResult converts a StepResult into its wire reply.
+func SanitizeResult(res StepResult) StepReply {
+	out := StepReply{
 		Step:          res.Step,
 		State:         res.State,
 		LogWeightBits: math.Float64bits(res.LogWeight),
@@ -171,16 +169,19 @@ func sanitizeResult(res StepResult) stepReply {
 	return out
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// ReadJSON decodes a request body into dst, answering 400 itself (and
+// returning false) when the body is malformed or over 64 MiB.
+func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -188,39 +189,46 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// statusClientClosedRequest is nginx's non-standard 499: the client
+// StatusClientClosedRequest is nginx's non-standard 499: the client
 // disconnected before the step was delivered. The response body is
 // unlikely to be read; the code exists for access logs and middleware.
-const statusClientClosedRequest = 499
+const StatusClientClosedRequest = 499
+
+// SetRetryAfter attaches a back-off hint to a retryable reply: whole
+// seconds in Retry-After and milliseconds in Retry-After-Ms, each
+// clamped to ≥ 1.
+func SetRetryAfter(w http.ResponseWriter, hint time.Duration) {
+	secs := int64(hint.Seconds())
+	if secs < 1 {
+		secs = 1
+	}
+	ms := hint.Milliseconds()
+	if ms < 1 {
+		// A sub-millisecond hint truncates to 0, which tells
+		// clients to retry immediately in a hot loop.
+		ms = 1
+	}
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
+}
 
 func httpError(w http.ResponseWriter, err error) {
 	var sat *SaturatedError
 	switch {
 	case errors.As(err, &sat):
-		secs := int64(sat.RetryAfter.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		ms := sat.RetryAfter.Milliseconds()
-		if ms < 1 {
-			// A sub-millisecond hint truncates to 0, which tells
-			// clients to retry immediately in a hot loop.
-			ms = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+		SetRetryAfter(w, sat.RetryAfter)
+		WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrNotFound):
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, statusClientClosedRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, StatusClientClosedRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrTooManySessions):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	}
 }

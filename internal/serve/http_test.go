@@ -10,9 +10,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"esthera/internal/telemetry"
 )
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -100,7 +103,7 @@ func TestHTTPConcurrentSessions(t *testing.T) {
 			ref := refFilter(t, FilterSpec{Model: "ungm", SubFilters: 8, ParticlesPer: 32, Seed: uint64(100 + i)})
 			for k := 1; k <= steps; k++ {
 				z := obs(i, k)
-				var reply stepReply
+				var reply StepReply
 				for {
 					buf, _ := json.Marshal(map[string]any{"z": z})
 					resp, err := http.Post(ts.URL+"/v1/sessions/"+ids[i]+"/step", "application/json", bytes.NewReader(buf))
@@ -153,29 +156,36 @@ func TestHTTPConcurrentSessions(t *testing.T) {
 
 	// Introspection: /metrics must report every session with its latency
 	// histogram, the batching counters, and the device kernel breakdown.
-	var st Stats
-	if code := getJSON(t, ts.URL+"/metrics", &st); code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", code)
+	body, ctype := scrape(t, ts.URL+"/metrics", "")
+	if ctype != telemetry.PrometheusContentType {
+		t.Fatalf("/metrics content type %q", ctype)
 	}
-	if len(st.Sessions) != sessions {
-		t.Fatalf("/metrics reports %d sessions, want %d", len(st.Sessions), sessions)
+	if err := telemetry.LintPrometheus(strings.NewReader(body)); err != nil {
+		t.Fatalf("/metrics lint: %v", err)
 	}
-	for _, sess := range st.Sessions {
-		if sess.Steps != steps || sess.Latency.Count != steps {
-			t.Fatalf("session %s: steps=%d latency.count=%d, want %d", sess.ID, sess.Steps, sess.Latency.Count, steps)
+	if v, _ := promValue(body, "esthera_serve_sessions"); v != sessions {
+		t.Fatalf("/metrics reports %v sessions, want %d", v, sessions)
+	}
+	for _, id := range ids {
+		label := fmt.Sprintf("{session=%q}", id)
+		n, _ := promValue(body, "esthera_session_steps_total"+label)
+		count, _ := promValue(body, "esthera_step_latency_seconds_count"+label)
+		inf, _ := promValue(body, fmt.Sprintf(`esthera_step_latency_seconds_bucket{session=%q,le="+Inf"}`, id))
+		if n != steps || count != steps || inf != steps {
+			t.Fatalf("session %s: steps=%v latency count=%v +Inf bucket=%v, want %d", id, n, count, inf, steps)
 		}
-		if len(sess.Latency.Buckets) == 0 || sess.Latency.MeanUS <= 0 {
-			t.Fatalf("session %s: empty latency histogram: %+v", sess.ID, sess.Latency)
-		}
-		if sess.Shape != "8×32" {
-			t.Fatalf("session %s: shape %q", sess.ID, sess.Shape)
+		if sum, _ := promValue(body, "esthera_step_latency_seconds_sum"+label); sum <= 0 {
+			t.Fatalf("session %s: latency sum %v, want > 0", id, sum)
 		}
 	}
-	if st.BatchedSteps != sessions*steps {
-		t.Fatalf("batched steps %d, want %d", st.BatchedSteps, sessions*steps)
+	if v, _ := promValue(body, "esthera_serve_batched_steps_total"); v != sessions*steps {
+		t.Fatalf("batched steps %v, want %d", v, sessions*steps)
 	}
-	if len(st.Device.Kernels) == 0 || st.Device.TotalLaunches == 0 {
-		t.Fatalf("device stats missing kernel breakdown: %+v", st.Device)
+	if v, _ := promValue(body, "esthera_kernel_launches_total"); v <= 0 {
+		t.Fatalf("device kernel launches %v, want > 0", v)
+	}
+	if _, ok := promValue(body, `esthera_kernel_runs_total{kernel="resampling"}`); !ok {
+		t.Fatal("/metrics missing the per-kernel breakdown")
 	}
 }
 
@@ -211,7 +221,7 @@ func TestHTTPLifecycleAndErrors(t *testing.T) {
 	}
 
 	// Estimate before any step: -Inf log-weight omitted, bits exact.
-	var est stepReply
+	var est StepReply
 	if code := getJSON(t, ts.URL+"/v1/sessions/"+id, &est); code != http.StatusOK {
 		t.Fatalf("estimate: status %d", code)
 	}
@@ -227,7 +237,7 @@ func TestHTTPLifecycleAndErrors(t *testing.T) {
 		t.Fatalf("bad measurement: status %d, want 400", code)
 	}
 	// Good step → 200 with finite estimate.
-	var stepped stepReply
+	var stepped StepReply
 	if code := postJSON(t, ts.URL+"/v1/sessions/"+id+"/step", map[string]any{"z": []float64{0.5}}, &stepped); code != http.StatusOK {
 		t.Fatalf("step: status %d", code)
 	}
@@ -281,7 +291,7 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 
 	for k := 11; k <= 25; k++ {
 		z := obs(0, k)
-		var ra, rb stepReply
+		var ra, rb StepReply
 		if code := postJSON(t, tsA.URL+"/v1/sessions/"+id+"/step", map[string]any{"z": z}, &ra); code != http.StatusOK {
 			t.Fatalf("server A step %d: status %d", k, code)
 		}
@@ -362,12 +372,9 @@ func TestHTTPSaturation(t *testing.T) {
 	if saw429 == 0 {
 		t.Fatal("depth-1 queue under 10 concurrent slow sessions never returned 429")
 	}
-	var st Stats
-	if code := getJSON(t, ts.URL+"/metrics", &st); code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", code)
-	}
-	if st.Rejected < int64(saw429) {
-		t.Fatalf("metrics count %d rejects, clients saw %d", st.Rejected, saw429)
+	body, _ := scrape(t, ts.URL+"/metrics", "")
+	if rejected, _ := promValue(body, "esthera_serve_rejected_total"); rejected < float64(saw429) {
+		t.Fatalf("metrics count %v rejects, clients saw %d", rejected, saw429)
 	}
 	t.Logf("%d requests shed with 429", saw429)
 }
@@ -471,7 +478,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("1.5s hint headers: Retry-After=%q Retry-After-Ms=%q, want 1/1500", ra, ms)
 	}
 
-	check(fmt.Errorf("step: %w", context.Canceled), statusClientClosedRequest)
+	check(fmt.Errorf("step: %w", context.Canceled), StatusClientClosedRequest)
 	check(fmt.Errorf("step: %w", context.DeadlineExceeded), http.StatusGatewayTimeout)
 	check(ErrDraining, http.StatusServiceUnavailable)
 	check(ErrClosed, http.StatusServiceUnavailable)

@@ -12,18 +12,19 @@
 //     (carrying a retry-after hint) instead of growing without bound —
 //     load sheds at the edge, latency stays bounded.
 //   - Cross-session batching: a scheduler goroutine coalesces queued
-//     steps from different sessions into shared kernel launches
-//     (kernels.RoundBatch), so B sessions of N sub-filters each drive the
-//     device with B·N-group grids instead of B separate small launches.
-//     Batching is a pure scheduling optimization: estimates are
-//     bit-identical to unbatched stepping.
+//     steps from different sessions into shared kernel launches (one
+//     persistent kernels.Batcher), so B sessions of N sub-filters each
+//     drive the device with B·N-group grids instead of B separate small
+//     launches. Batching is a pure scheduling optimization: estimates
+//     are bit-identical to unbatched stepping.
 //   - Checkpoint/restore: a session's full state — particles, weights
 //     and the exact position of every random stream — serializes to a
 //     deterministic Checkpoint; restored sessions replay bit-identically
 //     under the same seed (see checkpoint.go).
-//   - Introspection: Stats publishes per-session step counts and latency
+//   - Introspection: Stats snapshots per-session step counts and latency
 //     histograms, queue depth, batching effectiveness and the shared
-//     device's kernel-breakdown profile (device.Profiler.Stats).
+//     device's kernel-breakdown profile (device.Profiler.Stats); the
+//     metrics registry renders that one snapshot as /metrics.
 package serve
 
 import (

@@ -330,12 +330,16 @@ func TestStatsIntrospection(t *testing.T) {
 	if sess.Steps != 5 || sess.Latency.Count != 5 {
 		t.Fatalf("session stats: %+v", sess)
 	}
-	var bucketTotal int64
-	for _, b := range sess.Latency.Buckets {
-		bucketTotal += b.Count
+	// Buckets are cumulative: non-decreasing, ending in +Inf at the
+	// total step count.
+	buckets := sess.Latency.Buckets
+	for i := 1; i < len(buckets); i++ {
+		if buckets[i].Count < buckets[i-1].Count {
+			t.Fatalf("histogram buckets not cumulative: %+v", buckets)
+		}
 	}
-	if bucketTotal != 5 {
-		t.Fatalf("histogram buckets sum to %d, want 5", bucketTotal)
+	if last := buckets[len(buckets)-1]; !math.IsInf(last.UpperBound, 1) || last.Count != 5 {
+		t.Fatalf("histogram ends at le=%v count %d, want +Inf count 5", last.UpperBound, last.Count)
 	}
 	if st.QueueCap != 128 {
 		t.Fatalf("queue cap %d, want default 128", st.QueueCap)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -34,10 +33,12 @@ type Session struct {
 	// scheduler is stepping other sessions).
 	mu      sync.Mutex
 	closed  bool
-	created time.Time
 	steps   int64
 	lastEst filter.Estimate
-	lat     latencyHist
+	// lat is the end-to-end step latency histogram, in seconds over
+	// latBoundsSeconds; it is updated under mu so a Stats snapshot sees
+	// it agree with steps.
+	lat *telemetry.Histogram
 	// health is the pipeline's most recent stride-gated filter-health
 	// sample, copied out after each step so Stats and the Prometheus
 	// collector can read it without touching the filter.
@@ -46,7 +47,7 @@ type Session struct {
 
 func newSession(id string, sp FilterSpec, f *filter.Parallel, mdl model.Model) *Session {
 	return &Session{
-		id: id, spec: sp, f: f, mdl: mdl, created: time.Now(),
+		id: id, spec: sp, f: f, mdl: mdl, lat: telemetry.NewHistogram(latBoundsSeconds),
 		cost: platform.EstimateRoundLaneOps(platform.RoundShape{
 			SubFilters:    sp.SubFilters,
 			ParticlesPer:  sp.ParticlesPer,
@@ -74,7 +75,7 @@ func (sess *Session) recordStep(est filter.Estimate, d time.Duration) {
 	sess.mu.Lock()
 	sess.steps++
 	sess.lastEst = est
-	sess.lat.observe(d)
+	sess.lat.Observe(d.Seconds())
 	sess.mu.Unlock()
 }
 
@@ -109,84 +110,15 @@ func (sess *Session) lastResult() StepResult {
 	return StepResult{Step: int(sess.steps), State: state, LogWeight: sess.lastEst.LogWeight}
 }
 
-// latBuckets is the histogram resolution: bucket i counts steps whose
-// end-to-end latency was < 2^i µs, so the histogram spans 1µs ..
-// ~4s in powers of two — wide enough for an 8-byte-state session on a
-// loaded box and cheap enough to publish on every introspection poll.
-const latBuckets = 23
-
-// latencyHist is a power-of-two latency histogram. Guarded by the
-// session's mu.
-type latencyHist struct {
-	counts [latBuckets]int64
-	n      int64
-	sum    time.Duration
-	max    time.Duration
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	b := bits.Len64(uint64(us)) // 0µs → bucket 0, 1µs → 1, 2-3µs → 2, ...
-	if b >= latBuckets {
-		b = latBuckets - 1
-	}
-	h.counts[b]++
-	h.n++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// LatencyBucket is one histogram bin: Count steps took < UpperUS µs
-// (and at least the previous bucket's bound).
-type LatencyBucket struct {
-	UpperUS int64 `json:"le_us"`
-	Count   int64 `json:"count"`
-}
-
-// LatencyStats is the publishable snapshot of a latency histogram.
-type LatencyStats struct {
-	Count   int64           `json:"count"`
-	MeanUS  float64         `json:"mean_us"`
-	MaxUS   int64           `json:"max_us"`
-	Buckets []LatencyBucket `json:"buckets,omitempty"`
-}
-
-func (h *latencyHist) snapshot() LatencyStats {
-	st := LatencyStats{Count: h.n, MaxUS: h.max.Microseconds()}
-	if h.n > 0 {
-		st.MeanUS = float64(h.sum.Microseconds()) / float64(h.n)
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		st.Buckets = append(st.Buckets, LatencyBucket{UpperUS: 1 << i, Count: c})
-	}
-	return st
-}
-
-// latBoundsSeconds are the histogram bounds in seconds (2^i µs), shared
-// by every session's Prometheus exposition so series stay comparable.
+// latBoundsSeconds are the step-latency histogram bounds: 2^i µs for
+// i = 0..22, so the finite buckets span 1µs .. ~4s in powers of two —
+// wide enough for an 8-byte-state session on a loaded box — and slower
+// steps land in +Inf. Every session shares them, so series stay
+// comparable.
 var latBoundsSeconds = func() []float64 {
-	b := make([]float64, latBuckets)
+	b := make([]float64, 23)
 	for i := range b {
 		b[i] = float64(int64(1)<<i) / 1e6
 	}
 	return b
 }()
-
-// promSnapshot renders the histogram in Prometheus shape: cumulative
-// counts over latBoundsSeconds plus a +Inf bucket, the observation sum
-// in seconds, and the count. Caller holds the session's mu.
-func (h *latencyHist) promSnapshot() (cum []int64, sum float64, n int64) {
-	cum = make([]int64, latBuckets+1)
-	var running int64
-	for i, c := range h.counts {
-		running += c
-		cum[i] = running
-	}
-	cum[latBuckets] = h.n // +Inf
-	return cum, h.sum.Seconds(), h.n
-}

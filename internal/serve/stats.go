@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"esthera/internal/device"
 	"esthera/internal/telemetry"
@@ -11,23 +9,21 @@ import (
 
 // SessionStats is one session's introspection record.
 type SessionStats struct {
-	ID      string       `json:"id"`
-	Model   string       `json:"model"`
-	Shape   string       `json:"shape"` // "N×m"
-	Steps   int64        `json:"steps"`
-	AgeMS   int64        `json:"age_ms"`
-	Latency LatencyStats `json:"latency"`
+	ID    string
+	Steps int64
+	// Latency is the end-to-end step latency histogram (seconds, over
+	// the shared power-of-two-microsecond bounds).
+	Latency telemetry.Sample
 	// Health is the most recent stride-gated filter-health sample (ESS,
-	// weight degeneracy, resample acceptance); omitted until the first
+	// weight degeneracy, resample acceptance); nil until the first
 	// sample is taken.
-	Health *telemetry.FilterHealth `json:"health,omitempty"`
+	Health *telemetry.FilterHealth
 }
 
 // HealthSnapshot is the server's robustness-layer introspection record:
 // readiness, drain state, and the cancellation/backpressure counters.
 // Fields carry explicit json wire names (enforced by esthera-vet's
-// checkpointcompat analyzer) so the /metrics payload only ever changes
-// deliberately.
+// checkpointcompat analyzer for every *Snapshot struct).
 type HealthSnapshot struct {
 	// Ready and Draining mirror the /readyz state.
 	Ready    bool `json:"ready"`
@@ -47,26 +43,28 @@ type HealthSnapshot struct {
 	BatchLatencyUS float64 `json:"batch_latency_us"`
 }
 
-// Stats is the server's introspection snapshot: the /metrics payload.
+// Stats is the server's in-process introspection snapshot. It is the
+// one read of serve state: /metrics renders it (collectMetrics), the
+// shard agent's health pong summarizes it.
 type Stats struct {
 	// Sessions lists per-session step counts and latency histograms,
 	// sorted by id.
-	Sessions []SessionStats `json:"sessions"`
+	Sessions []SessionStats
 	// QueueDepth/QueueCap describe the admission queue right now.
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
+	QueueDepth int
+	QueueCap   int
 	// Rejected counts steps shed by admission control since start.
-	Rejected int64 `json:"rejected"`
+	Rejected int64
 	// Batches and BatchedSteps measure scheduler coalescing:
 	// BatchedSteps/Batches is the mean batch size the device saw.
-	Batches      int64   `json:"batches"`
-	BatchedSteps int64   `json:"batched_steps"`
-	MeanBatch    float64 `json:"mean_batch"`
+	Batches      int64
+	BatchedSteps int64
+	MeanBatch    float64
 	// Health is the robustness-layer state: readiness, drain,
 	// cancellation counters, and the adaptive backpressure hint.
-	Health HealthSnapshot `json:"health"`
+	Health HealthSnapshot
 	// Device is the shared device's kernel-breakdown profile.
-	Device device.Stats `json:"device"`
+	Device device.Stats
 }
 
 // Stats returns the introspection snapshot.
@@ -98,17 +96,9 @@ func (s *Server) Stats() Stats {
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.BatchedSteps) / float64(st.Batches)
 	}
-	now := time.Now()
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		rec := SessionStats{
-			ID:      sess.id,
-			Model:   sess.spec.Model,
-			Shape:   shape(sess.spec),
-			Steps:   sess.steps,
-			AgeMS:   now.Sub(sess.created).Milliseconds(),
-			Latency: sess.lat.snapshot(),
-		}
+		rec := SessionStats{ID: sess.id, Steps: sess.steps, Latency: sess.lat.Snapshot()}
 		if sess.health.Round > 0 {
 			h := sess.health
 			rec.Health = &h
@@ -118,8 +108,4 @@ func (s *Server) Stats() Stats {
 	}
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
-}
-
-func shape(sp FilterSpec) string {
-	return fmt.Sprintf("%d×%d", sp.SubFilters, sp.ParticlesPer)
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-
 	"esthera/internal/telemetry"
 	tlog "esthera/internal/telemetry/log"
 )
@@ -17,78 +15,69 @@ import (
 // cross-layer picture of a serving window.
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
-// Registry returns the server's metrics registry; a gather renders the
-// same state as Stats() in Prometheus shape.
+// Registry returns the server's metrics registry, served as /metrics;
+// a gather renders one Stats() snapshot in Prometheus shape.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Logger returns the server's structured logger (ring-buffered,
 // drained over /logz). Never nil.
 func (s *Server) Logger() *tlog.Logger { return s.log }
 
-// collectMetrics is the registry collector: it walks the same state Stats()
-// publishes as JSON and emits it under stable esthera_* names.
+// collectMetrics is the registry collector: it renders one Stats()
+// snapshot — the only read of serve state for exposition — under
+// stable esthera_* names, next to the SLO tracker, the tracer's drop
+// counter and the build info.
 func (s *Server) collectMetrics(e *telemetry.Emitter) {
+	st := s.Stats()
 	telemetry.CollectBuildInfo(e)
 	s.sloStep.Collect(e, "step")
-	e.Gauge("esthera_serve_ready", "1 while the server accepts steps.", b2f(s.Ready()))
-	e.Gauge("esthera_serve_draining", "1 while a graceful drain is in progress.", b2f(s.draining.Load()))
-	e.Gauge("esthera_serve_queue_depth", "Steps waiting in the admission queue.", float64(len(s.queue)))
-	e.Gauge("esthera_serve_queue_cap", "Admission queue capacity.", float64(s.cfg.QueueDepth))
-	e.Gauge("esthera_serve_inflight", "Admitted steps not yet delivered.", float64(s.inflight.Load()))
-	e.Counter("esthera_serve_rejected_total", "Steps shed by admission control.", float64(s.rejected.Load()))
-	e.Counter("esthera_serve_cancelled_total", "Steps abandoned by caller context while queued.", float64(s.cancelled.Load()))
-	e.Counter("esthera_serve_skipped_total", "Abandoned steps dropped at delivery time.", float64(s.skipped.Load()))
-	e.Counter("esthera_serve_batches_total", "Scheduler batches executed.", float64(s.batches.Load()))
-	e.Counter("esthera_serve_batched_steps_total", "Steps executed across all batches.", float64(s.batchedSteps.Load()))
-	e.Gauge("esthera_serve_batch_latency_seconds", "EWMA of batch execution latency.", float64(s.batchLatNS.Load())/1e9)
-	e.Gauge("esthera_serve_retry_hint_seconds", "Back-off hint a saturated step would receive now.", s.retryHint().Seconds())
 	e.Counter("esthera_trace_dropped_events_total", "Span events overwritten by tracer ring overflow.", float64(s.tracer.Dropped()))
+	e.Gauge("esthera_serve_ready", "1 while the server accepts steps.", b2f(st.Health.Ready))
+	e.Gauge("esthera_serve_draining", "1 while a graceful drain is in progress.", b2f(st.Health.Draining))
+	e.Gauge("esthera_serve_queue_depth", "Steps waiting in the admission queue.", float64(st.QueueDepth))
+	e.Gauge("esthera_serve_queue_cap", "Admission queue capacity.", float64(st.QueueCap))
+	e.Gauge("esthera_serve_inflight", "Admitted steps not yet delivered.", float64(st.Health.InFlight))
+	e.Counter("esthera_serve_rejected_total", "Steps shed by admission control.", float64(st.Rejected))
+	e.Counter("esthera_serve_cancelled_total", "Steps abandoned by caller context while queued.", float64(st.Health.Cancelled))
+	e.Counter("esthera_serve_skipped_total", "Abandoned steps dropped at delivery time.", float64(st.Health.Skipped))
+	e.Counter("esthera_serve_batches_total", "Scheduler batches executed.", float64(st.Batches))
+	e.Counter("esthera_serve_batched_steps_total", "Steps executed across all batches.", float64(st.BatchedSteps))
+	e.Gauge("esthera_serve_batch_latency_seconds", "EWMA of batch execution latency.", st.Health.BatchLatencyUS/1e6)
+	e.Gauge("esthera_serve_retry_hint_seconds", "Back-off hint a saturated step would receive now.", st.Health.RetryAfterMS/1e3)
+	e.Gauge("esthera_serve_sessions", "Open sessions.", float64(len(st.Sessions)))
 
-	s.mu.RLock()
-	sessions := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.RUnlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-	e.Gauge("esthera_serve_sessions", "Open sessions.", float64(len(sessions)))
-
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		steps := sess.steps
-		cum, sum, n := sess.lat.promSnapshot()
-		h := sess.health
-		sess.mu.Unlock()
-
+	for _, sess := range st.Sessions {
 		e.Counter("esthera_session_steps_total", "Filtering steps executed, by session.",
-			float64(steps), "session", sess.id)
+			float64(sess.Steps), "session", sess.ID)
 		e.Histogram("esthera_step_latency_seconds", "End-to-end step latency (admission to delivery), by session.",
-			latBoundsSeconds, cum, sum, n, "session", sess.id)
-		if h.Round > 0 {
-			e.Gauge("esthera_filter_ess", "Effective sample size at the last health sample.",
-				h.ESS, "session", sess.id)
-			e.Gauge("esthera_filter_ess_frac", "ESS as a fraction of the particle count.",
-				h.ESSFrac, "session", sess.id)
-			e.Gauge("esthera_filter_max_weight_ratio", "Largest normalized weight times N (1 = uniform, N = degenerate).",
-				h.MaxWeightRatio, "session", sess.id)
-			e.Gauge("esthera_filter_resample_accept_ratio", "Fraction of groups the resampling policy fired for last round.",
-				h.ResampleAccept, "session", sess.id)
-			e.Gauge("esthera_filter_health_round", "Round the health sample was taken at.",
-				float64(h.Round), "session", sess.id)
-			e.Gauge("esthera_filter_non_finite_weights", "NaN/+Inf log-weights at the last health sample (poisoned filter indicator).",
-				float64(h.NonFiniteWeights), "session", sess.id)
-			if h.MaxWindow > 0 {
-				e.Gauge("esthera_filter_min_window", "Smallest per-sub-filter particle window.",
-					float64(h.MinWindow), "session", sess.id)
-				e.Gauge("esthera_filter_max_window", "Largest per-sub-filter particle window.",
-					float64(h.MaxWindow), "session", sess.id)
-				e.Counter("esthera_filter_reallocations_total", "Adaptive-allocator window resizes applied.",
-					float64(h.Reallocations), "session", sess.id)
-			}
+			sess.Latency, "session", sess.ID)
+		h := sess.Health
+		if h == nil {
+			continue
+		}
+		e.Gauge("esthera_filter_ess", "Effective sample size at the last health sample.",
+			h.ESS, "session", sess.ID)
+		e.Gauge("esthera_filter_ess_frac", "ESS as a fraction of the particle count.",
+			h.ESSFrac, "session", sess.ID)
+		e.Gauge("esthera_filter_max_weight_ratio", "Largest normalized weight times N (1 = uniform, N = degenerate).",
+			h.MaxWeightRatio, "session", sess.ID)
+		e.Gauge("esthera_filter_resample_accept_ratio", "Fraction of groups the resampling policy fired for last round.",
+			h.ResampleAccept, "session", sess.ID)
+		e.Gauge("esthera_filter_health_round", "Round the health sample was taken at.",
+			float64(h.Round), "session", sess.ID)
+		e.Gauge("esthera_filter_non_finite_weights", "NaN/+Inf log-weights at the last health sample (poisoned filter indicator).",
+			float64(h.NonFiniteWeights), "session", sess.ID)
+		if h.MaxWindow > 0 {
+			e.Gauge("esthera_filter_min_window", "Smallest per-sub-filter particle window.",
+				float64(h.MinWindow), "session", sess.ID)
+			e.Gauge("esthera_filter_max_window", "Largest per-sub-filter particle window.",
+				float64(h.MaxWindow), "session", sess.ID)
+			e.Counter("esthera_filter_reallocations_total", "Adaptive-allocator window resizes applied.",
+				float64(h.Reallocations), "session", sess.ID)
 		}
 	}
 
-	s.dev.Profiler().Collect(e)
+	st.Device.Collect(e)
 }
 
 func b2f(v bool) float64 {

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"esthera/internal/filter"
 	"esthera/internal/telemetry"
 )
 
@@ -43,48 +47,64 @@ func scrape(t *testing.T, url, accept string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
-// TestMetricsContentNegotiation pins the /metrics format selection: the
-// default stays the JSON Stats payload (backward compatible), the query
-// parameter and Accept header select Prometheus text, and the
-// Prometheus body passes the exposition-format lint.
-func TestMetricsContentNegotiation(t *testing.T) {
-	s, ts := newHTTPServer(t, Config{Workers: 2})
-	id, err := s.Create(FilterSpec{Model: "ungm", SubFilters: 4, ParticlesPer: 16, Seed: 1})
+// promValue returns the value of one exposed series, named exactly as
+// rendered: metric name plus label set, e.g.
+// esthera_session_steps_total{session="s-1"}.
+func promValue(body, series string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestStepLatencyBuckets pins the step-latency histogram to Prometheus
+// less-or-equal bucket semantics: a step of exactly 1024 µs counts in
+// le=0.001024, not the next bucket up, and a 10 s step — slower than
+// the last finite bound (2^22 µs) — counts only in +Inf.
+func TestStepLatencyBuckets(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	id, err := s.Create(FilterSpec{Model: "ungm", SubFilters: 2, ParticlesPer: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 3; k++ {
-		if _, err := s.Step(id, nil, obs(0, k)); err != nil {
-			t.Fatal(err)
+	sess, err := s.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.recordStep(filter.Estimate{}, 1024*time.Microsecond)
+	sess.recordStep(filter.Estimate{}, 10*time.Second)
+
+	var hist *telemetry.Sample
+	for _, f := range s.Registry().Gather() {
+		if f.Name == "esthera_step_latency_seconds" && len(f.Samples) == 1 {
+			hist = &f.Samples[0]
 		}
 	}
-
-	body, ctype := scrape(t, ts.URL+"/metrics", "")
-	if !strings.Contains(ctype, "application/json") || !strings.Contains(body, "\"sessions\"") {
-		t.Fatalf("default scrape not JSON Stats: %s %q", ctype, body[:min(len(body), 120)])
+	if hist == nil {
+		t.Fatal("no esthera_step_latency_seconds sample gathered")
 	}
-
-	for _, variant := range []struct{ url, accept string }{
-		{ts.URL + "/metrics?format=prometheus", ""},
-		{ts.URL + "/metrics", "text/plain"},
-	} {
-		body, ctype := scrape(t, variant.url, variant.accept)
-		if ctype != telemetry.PrometheusContentType {
-			t.Fatalf("prometheus scrape content type %q", ctype)
-		}
-		if err := telemetry.LintPrometheus(strings.NewReader(body)); err != nil {
-			t.Fatalf("prometheus lint: %v\n%s", err, body)
-		}
-		for _, want := range []string{
-			"esthera_serve_batches_total",
-			"esthera_session_steps_total{session=\"" + id + "\"}",
-			"esthera_step_latency_seconds_bucket",
-			"esthera_kernel_launches_total",
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("prometheus scrape missing %s", want)
+	want := map[float64]int64{
+		latBoundsSeconds[9]:  0, // le=0.000512
+		latBoundsSeconds[10]: 1, // le=0.001024: the exact-1024µs step
+		latBoundsSeconds[22]: 1, // le=4.194304: not the 10 s step
+		math.Inf(1):          2,
+	}
+	for _, b := range hist.Buckets {
+		if w, ok := want[b.UpperBound]; ok {
+			if b.Count != w {
+				t.Errorf("bucket le=%g counts %d, want %d", b.UpperBound, b.Count, w)
 			}
+			delete(want, b.UpperBound)
 		}
+	}
+	if len(want) != 0 {
+		t.Errorf("buckets missing: %v", want)
+	}
+	if hist.Count != 2 {
+		t.Errorf("count %d, want 2", hist.Count)
 	}
 }
 
@@ -111,23 +131,13 @@ func TestESSGaugePerSessionUpdates(t *testing.T) {
 		}
 	}
 	gauge := func(body, name, id string) (float64, bool) {
-		prefix := fmt.Sprintf("%s{session=%q} ", name, id)
-		for _, line := range strings.Split(body, "\n") {
-			if strings.HasPrefix(line, prefix) {
-				var v float64
-				if _, err := fmt.Sscanf(line[len(prefix):], "%g", &v); err != nil {
-					t.Fatalf("parsing %q: %v", line, err)
-				}
-				return v, true
-			}
-		}
-		return 0, false
+		return promValue(body, fmt.Sprintf("%s{session=%q}", name, id))
 	}
 
 	step(4)
-	body1, _ := scrape(t, ts.URL+"/metrics?format=prometheus", "")
+	body1, _ := scrape(t, ts.URL+"/metrics", "")
 	step(3)
-	body2, _ := scrape(t, ts.URL+"/metrics?format=prometheus", "")
+	body2, _ := scrape(t, ts.URL+"/metrics", "")
 
 	for _, id := range ids {
 		ess, ok := gauge(body1, "esthera_filter_ess", id)
@@ -151,9 +161,10 @@ func TestESSGaugePerSessionUpdates(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeUnderLoad hammers /metrics (both formats) and
-// /trace while sessions step concurrently — run under -race, this is
-// the data-race acceptance test for the whole exposition path.
+// TestConcurrentScrapeUnderLoad hammers /metrics (with and without a
+// JSON Accept header, which must not change the format) and /trace
+// while sessions step concurrently — run under -race, this is the
+// data-race acceptance test for the whole exposition path.
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{Workers: 4, Trace: true})
 	ids := make([]string, 3)
@@ -192,14 +203,16 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 			default:
 			}
 			switch n % 4 {
-			case 0:
-				body, _ := scrape(t, ts.URL+"/metrics?format=prometheus", "")
+			case 0, 1:
+				accept := ""
+				if n%4 == 1 {
+					accept = "application/json"
+				}
+				body, _ := scrape(t, ts.URL+"/metrics", accept)
 				if err := telemetry.LintPrometheus(strings.NewReader(body)); err != nil {
 					t.Errorf("prometheus lint under load: %v", err)
 					return
 				}
-			case 1:
-				scrape(t, ts.URL+"/metrics", "")
 			case 2:
 				scrape(t, ts.URL+"/trace", "")
 			case 3:

@@ -2,11 +2,8 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
 
 	"esthera/internal/serve"
 	"esthera/internal/telemetry"
@@ -26,8 +23,8 @@ import (
 //	POST   /v1/sessions/{id}/migrate     {"target": "name"}     → {"shard": ...} ("" = least-loaded)
 //	POST   /v1/rebalance                                        → {"moved": n}
 //	GET    /v1/shards                                           → per-shard liveness/placement
-//	GET    /metrics                                             → {"router": ..., "shards": {...}} (JSON);
-//	                                                              Prometheus text with ?format=prometheus
+//	GET    /metrics                                             → Prometheus text: router counters and
+//	                                                              per-shard gauges (replicas serve their own)
 //	GET    /trace                                               → drain router spans (Chrome JSON; ?format=raw)
 //	POST   /trace                        {"enabled": bool}      → toggle span recording
 //	GET    /logz                                                → drain structured log ring (JSON lines)
@@ -55,7 +52,7 @@ func NewRouterHandler(r *Router) http.Handler {
 		var body struct {
 			Spec serve.FilterSpec `json:"spec"`
 		}
-		if !readJSON(w, req, &body) {
+		if !serve.ReadJSON(w, req, &body) {
 			return
 		}
 		id, err := r.Create(req.Context(), body.Spec)
@@ -63,10 +60,10 @@ func NewRouterHandler(r *Router) http.Handler {
 			routerError(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
+		serve.WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"sessions": r.Sessions()})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"sessions": r.Sessions()})
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, req *http.Request) {
 		res, err := r.Estimate(req.Context(), req.PathValue("id"))
@@ -74,14 +71,14 @@ func NewRouterHandler(r *Router) http.Handler {
 			routerError(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sanitizeResult(res))
+		serve.WriteJSON(w, http.StatusOK, serve.SanitizeResult(res))
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/step", func(w http.ResponseWriter, req *http.Request) {
 		var body struct {
 			U []float64 `json:"u"`
 			Z []float64 `json:"z"`
 		}
-		if !readJSON(w, req, &body) {
+		if !serve.ReadJSON(w, req, &body) {
 			return
 		}
 		ctx := req.Context()
@@ -93,7 +90,7 @@ func NewRouterHandler(r *Router) http.Handler {
 			routerError(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sanitizeResult(res))
+		serve.WriteJSON(w, http.StatusOK, serve.SanitizeResult(res))
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, req *http.Request) {
 		if err := r.CloseSession(req.Context(), req.PathValue("id")); err != nil {
@@ -108,13 +105,13 @@ func NewRouterHandler(r *Router) http.Handler {
 			routerError(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, cp)
+		serve.WriteJSON(w, http.StatusOK, cp)
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/migrate", func(w http.ResponseWriter, req *http.Request) {
 		var body struct {
 			Target string `json:"target"`
 		}
-		if !readJSON(w, req, &body) {
+		if !serve.ReadJSON(w, req, &body) {
 			return
 		}
 		id := req.PathValue("id")
@@ -123,58 +120,34 @@ func NewRouterHandler(r *Router) http.Handler {
 			return
 		}
 		shard, _ := r.ShardOf(id)
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "shard": shard})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"id": id, "shard": shard})
 	})
 	mux.HandleFunc("POST /v1/rebalance", func(w http.ResponseWriter, req *http.Request) {
 		moved := r.Rebalance(req.Context())
-		writeJSON(w, http.StatusOK, map[string]int{"moved": moved})
+		serve.WriteJSON(w, http.StatusOK, map[string]int{"moved": moved})
 	})
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"shards": r.Stats().Shards})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"shards": r.Stats().Shards})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
-		if telemetry.WantsPrometheus(req) {
-			reg.ServePrometheus(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, aggregateStats(req.Context(), r))
-	})
+	mux.Handle("GET /metrics", reg)
 	mux.Handle("/trace", telemetry.TraceHandler(r.Tracer()))
 	mux.Handle("/logz", tlog.Handler(r.Logger()))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, req *http.Request) {
 		if !r.Ready() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no live shards"})
+			serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no live shards"})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux
 }
 
-// AggregatedStats is the router /metrics JSON shape: the router's own
-// counters plus each reachable replica's full Stats snapshot.
-type AggregatedStats struct {
-	Router RouterStats            `json:"router"`
-	Shards map[string]serve.Stats `json:"shards"`
-}
-
-func aggregateStats(ctx context.Context, r *Router) AggregatedStats {
-	out := AggregatedStats{Router: r.Stats(), Shards: make(map[string]serve.Stats)}
-	for _, name := range r.ShardNames() {
-		st, err := r.ShardStats(ctx, name)
-		if err != nil {
-			continue // down shard: its liveness shows in Router.Shards
-		}
-		out.Shards[name] = st
-	}
-	return out
-}
-
-// routerCollector emits the router's counters as esthera_router_*
-// Prometheus samples, with per-shard liveness labeled by shard name.
+// routerCollector renders one Router.Stats snapshot as esthera_router_*
+// Prometheus samples, with per-shard liveness labeled by shard name. It
+// reads only router state: a scrape never calls a replica.
 func routerCollector(r *Router) telemetry.Collector {
 	return func(e *telemetry.Emitter) {
 		telemetry.CollectBuildInfo(e)
@@ -215,77 +188,23 @@ func routerError(w http.ResponseWriter, r *Router, err error) {
 	var api *serve.APIError
 	switch {
 	case errors.Is(err, ErrMigrating), errors.Is(err, ErrShardDown), errors.Is(err, ErrNoLiveShards):
-		hint := r.RetryAfter()
-		secs := int64(hint.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		ms := hint.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		serve.SetRetryAfter(w, r.RetryAfter())
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrMigrationInFlight):
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrUnknownShard):
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 	case errors.Is(err, serve.ErrNotFound):
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, statusClientClosedRequest, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, serve.StatusClientClosedRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
 	case errors.As(err, &api):
 		// A replica's own reply (after the forwarding client's retries):
 		// relay its status so the caller sees what the shard said.
-		writeJSON(w, api.Status, map[string]string{"error": api.Message})
+		serve.WriteJSON(w, api.Status, map[string]string{"error": api.Message})
 	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	}
-}
-
-// statusClientClosedRequest mirrors serve's non-standard 499.
-const statusClientClosedRequest = 499
-
-// readJSON / writeJSON / sanitizeResult mirror the serve package's
-// helpers (unexported there); the router speaks the identical wire
-// dialect, including the IEEE-754-bits log-weight field.
-
-type stepReply struct {
-	Step          int       `json:"step"`
-	State         []float64 `json:"state"`
-	LogWeight     *float64  `json:"log_weight,omitempty"`
-	LogWeightBits uint64    `json:"log_weight_bits"`
-}
-
-func sanitizeResult(res serve.StepResult) stepReply {
-	out := stepReply{
-		Step:          res.Step,
-		State:         res.State,
-		LogWeightBits: math.Float64bits(res.LogWeight),
-	}
-	if !math.IsInf(res.LogWeight, 0) && !math.IsNaN(res.LogWeight) {
-		lw := res.LogWeight
-		out.LogWeight = &lw
-	}
-	return out
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }

@@ -1027,7 +1027,7 @@ func (r *Router) probe(sh *shardState, seq int64) {
 func (r *Router) RetryAfter() time.Duration { return r.cfg.RetryAfter }
 
 // ShardHealth is one shard's router-side view for /v1/shards and the
-// aggregated metrics.
+// per-shard /metrics gauges.
 type ShardHealth struct {
 	Name          string   `json:"name"`
 	BaseURL       string   `json:"base_url"`
@@ -1043,24 +1043,25 @@ type ShardHealth struct {
 	RTTNS         int64 `json:"rtt_ns"`
 }
 
-// RouterStats is the router's introspection record.
+// RouterStats is the router's in-process introspection snapshot;
+// /metrics renders it (routerCollector).
 type RouterStats struct {
-	Sessions        int           `json:"sessions"`
-	Parked          int           `json:"parked_now"`
-	Migrating       int           `json:"migrating_now"`
-	StepsForwarded  int64         `json:"steps_forwarded"`
-	StepsHeld       int64         `json:"steps_held"`
-	StepsRerouted   int64         `json:"steps_rerouted"`
-	Migrations      int64         `json:"migrations"`
-	MigrationErrors int64         `json:"migration_errors"`
-	Failovers       int64         `json:"failovers"`
-	Restored        int64         `json:"sessions_restored"`
-	Recreated       int64         `json:"sessions_recreated"`
-	ParkEvents      int64         `json:"park_events"`
-	Rebalanced      int64         `json:"sessions_rebalanced"`
-	Probes          int64         `json:"probes"`
-	ProbeFailures   int64         `json:"probe_failures"`
-	Shards          []ShardHealth `json:"shards"`
+	Sessions        int
+	Parked          int
+	Migrating       int
+	StepsForwarded  int64
+	StepsHeld       int64
+	StepsRerouted   int64
+	Migrations      int64
+	MigrationErrors int64
+	Failovers       int64
+	Restored        int64
+	Recreated       int64
+	ParkEvents      int64
+	Rebalanced      int64
+	Probes          int64
+	ProbeFailures   int64
+	Shards          []ShardHealth
 }
 
 // Stats snapshots the router's counters and per-shard liveness.
@@ -1107,21 +1108,6 @@ func (r *Router) Stats() RouterStats {
 		})
 	}
 	return st
-}
-
-// ShardNames returns the configured shard names, sorted.
-func (r *Router) ShardNames() []string {
-	return append([]string(nil), r.names...)
-}
-
-// ShardStats fetches one replica's own /metrics snapshot through its
-// client.
-func (r *Router) ShardStats(ctx context.Context, name string) (serve.Stats, error) {
-	sh, ok := r.shards[name]
-	if !ok {
-		return serve.Stats{}, fmt.Errorf("%w: %q", ErrUnknownShard, name)
-	}
-	return sh.client.Stats(ctx)
 }
 
 // Tracer returns the router's span tracer (drained over /trace).

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,30 +25,30 @@ func testModels() map[string]serve.ModelFactory {
 }
 
 // replica is one in-process esthera-serve stand-in: a serve.Server, its
-// HTTP front-end, and its shard transport endpoint.
+// HTTP front-end, and its shard transport endpoint. hits counts the
+// HTTP requests the front-end received.
 type replica struct {
 	name string
 	srv  *serve.Server
 	web  *httptest.Server
 	tl   *Listener
 	spec ShardSpec
+	hits atomic.Int64
 }
 
 func startReplica(t *testing.T, name string) *replica {
 	t.Helper()
 	srv := serve.NewServer(serve.Config{Workers: 2}, testModels())
-	web := httptest.NewServer(serve.NewHandler(srv))
-	tl := NewListener(name, NewAgent(name, srv))
-	if err := tl.ListenAndServe("127.0.0.1:0"); err != nil {
+	r := &replica{name: name, srv: srv, tl: NewListener(name, NewAgent(name, srv))}
+	api := serve.NewHandler(srv)
+	r.web = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.hits.Add(1)
+		api.ServeHTTP(w, req)
+	}))
+	if err := r.tl.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	r := &replica{
-		name: name,
-		srv:  srv,
-		web:  web,
-		tl:   tl,
-		spec: ShardSpec{Name: name, BaseURL: web.URL, TransportAddr: tl.Addr().String()},
-	}
+	r.spec = ShardSpec{Name: name, BaseURL: r.web.URL, TransportAddr: r.tl.Addr().String()}
 	t.Cleanup(r.kill)
 	return r
 }
@@ -620,7 +621,11 @@ func TestCreateSpreadsByHash(t *testing.T) {
 	if counts["a"] == 0 || counts["b"] == 0 {
 		t.Fatalf("all 12 sessions landed on one shard: %v", counts)
 	}
-	if fmt.Sprint(router.ShardNames()) != "[a b]" {
-		t.Fatalf("shard names %v", router.ShardNames())
+	var names []string
+	for _, sh := range router.Stats().Shards {
+		names = append(names, sh.Name)
+	}
+	if fmt.Sprint(names) != "[a b]" {
+		t.Fatalf("shard names %v", names)
 	}
 }

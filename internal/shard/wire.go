@@ -15,8 +15,9 @@
 //     instead of creating a second session.
 //   - A Router (ring.go, router.go, http.go) fronts N replicas:
 //     session ids consistent-hash onto shards, step/estimate requests
-//     forward through the retrying serve.Client, /metrics aggregates
-//     every shard, and live sessions migrate between replicas — drain
+//     forward through the retrying serve.Client, /metrics exposes the
+//     router's own counters and per-shard gauges (each replica serves
+//     its own), and live sessions migrate between replicas — drain
 //     at the source, checkpoint over the transport, restore at the
 //     target, repoint atomically — driven by health probes (failover)
 //     and per-shard load (rebalance).

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 )
 
 func decodeJSONBody(r *http.Request, v any) error {
@@ -12,34 +11,10 @@ func decodeJSONBody(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// WantsPrometheus decides the /metrics response format for a request.
-// The explicit ?format= query parameter wins ("prometheus" or "json");
-// otherwise an Accept header preferring text/plain or OpenMetrics
-// selects the Prometheus text exposition. The default stays JSON so
-// existing scrapers keep working.
-func WantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "prom", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
-		switch mt {
-		case "text/plain", "application/openmetrics-text":
-			return true
-		case "application/json":
-			return false
-		}
-	}
-	return false
-}
-
-// ServePrometheus writes the registry as a Prometheus text exposition
-// HTTP response.
-func (r *Registry) ServePrometheus(w http.ResponseWriter) {
+// ServeHTTP serves the registry as a Prometheus text exposition: the
+// one /metrics format of every esthera endpoint, whatever the request's
+// Accept header or query string.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", PrometheusContentType)
 	_ = r.WritePrometheus(w)
 }

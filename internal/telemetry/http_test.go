@@ -9,15 +9,6 @@ import (
 	"time"
 )
 
-func newRequest(t *testing.T, target, accept string) *http.Request {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, target, nil)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	return req
-}
-
 func TestTraceHandler(t *testing.T) {
 	tr := New(Config{Shards: 1, ShardCap: 64})
 	h := TraceHandler(tr)
@@ -71,7 +62,7 @@ func TestServePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewCounter("esthera_demo_total", "demo").Add(2)
 	rec := httptest.NewRecorder()
-	reg.ServePrometheus(rec)
+	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != PrometheusContentType {
 		t.Fatalf("content type = %q", ct)
 	}

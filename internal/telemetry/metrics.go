@@ -9,13 +9,13 @@ import (
 	"sync/atomic"
 )
 
-// Metrics registry: a dependency-free unification layer over the
-// repo's existing introspection sources (device Profiler.Stats, serve
-// latency histograms, cluster HealthSnapshot). Long-lived counters,
-// gauges and histograms are owned by the registry; snapshot-style
-// sources plug in as Collectors that emit samples at gather time.
-// Gather produces one merged, sorted family list that both the JSON
-// and the Prometheus text exposition render from.
+// Metrics registry: the one metrics model behind every /metrics
+// endpoint. Long-lived counters, gauges and histograms are owned by the
+// registry; snapshot-style sources (serve Stats, router Stats, cluster
+// HealthSnapshot, device Profiler stats) plug in as Collectors that
+// render the one in-process snapshot their source builds at gather
+// time. Gather produces one merged, sorted family list, and the
+// Prometheus text exposition (prom.go) is its only wire format.
 
 // Metric family types, matching Prometheus exposition TYPE values.
 const (
@@ -60,20 +60,22 @@ type Histogram struct {
 	count  int64
 }
 
-// NewHistogramBuckets validates and copies a bound list: strictly
-// increasing, finite.
-func newHistogramBounds(bounds []float64) []float64 {
-	out := make([]float64, len(bounds))
-	copy(out, bounds)
-	for i, b := range out {
-		if math.IsInf(b, 0) || math.IsNaN(b) {
+// NewHistogram builds a standalone histogram over the given finite,
+// strictly increasing bucket bounds. The bounds are shared, not copied,
+// so many histograms can use one slice; it must not change afterwards.
+// A source that keeps one histogram per entity, such as serve's
+// per-session step latency, holds these and emits their Snapshot from
+// its collector; Registry.NewHistogram registers one directly.
+func NewHistogram(bounds []float64) *Histogram {
+	for i, v := range bounds {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
 			panic(fmt.Sprintf("telemetry: histogram bound %d not finite", i))
 		}
-		if i > 0 && out[i-1] >= b {
+		if i > 0 && bounds[i-1] >= v {
 			panic(fmt.Sprintf("telemetry: histogram bounds not increasing at %d", i))
 		}
 	}
-	return out
+	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
 }
 
 // Observe records one value.
@@ -86,48 +88,53 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// snapshot returns cumulative bucket counts (per finite bound, then
-// +Inf), sum and count.
-func (h *Histogram) snapshot() (cum []int64, sum float64, count int64) {
+// Snapshot returns the histogram's state as an unlabelled gathered
+// sample: cumulative bucket counts per finite bound, then the +Inf
+// bucket, plus the observation sum and count.
+func (h *Histogram) Snapshot() Sample {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	cum = make([]int64, len(h.counts))
+	s := Sample{Buckets: make([]HistBucket, len(h.counts)), Sum: h.sum, Count: h.count}
 	var run int64
 	for i, c := range h.counts {
 		run += c
-		cum[i] = run
+		le := math.Inf(1)
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		s.Buckets[i] = HistBucket{UpperBound: le, Count: run}
 	}
-	return cum, h.sum, h.count
+	return s
 }
 
 // HistBucket is one cumulative histogram bucket in a gathered Family.
 type HistBucket struct {
-	UpperBound float64 `json:"le"`
-	Count      int64   `json:"count"`
+	UpperBound float64
+	Count      int64
 }
 
 // Sample is one exposed series: a label set plus either a scalar value
 // or a histogram snapshot.
 type Sample struct {
-	Labels  []Label      `json:"labels,omitempty"`
-	Value   float64      `json:"value"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-	Sum     float64      `json:"sum,omitempty"`
-	Count   int64        `json:"count,omitempty"`
+	Labels  []Label
+	Value   float64
+	Buckets []HistBucket
+	Sum     float64
+	Count   int64
 }
 
 // Label is one name/value pair on a Sample.
 type Label struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
+	Name  string
+	Value string
 }
 
 // Family is every sample sharing one metric name.
 type Family struct {
-	Name    string   `json:"name"`
-	Help    string   `json:"help"`
-	Type    string   `json:"type"`
-	Samples []Sample `json:"samples"`
+	Name    string
+	Help    string
+	Type    string
+	Samples []Sample
 }
 
 // Collector emits point-in-time samples into an Emitter at gather
@@ -192,9 +199,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	if f, ok := r.ownedByKey[name]; ok {
 		return f.hist
 	}
-	b := newHistogramBounds(bounds)
-	f := &ownedFamily{name: name, help: help, typ: TypeHistogram,
-		hist: &Histogram{bounds: b, counts: make([]int64, len(b)+1)}}
+	f := &ownedFamily{name: name, help: help, typ: TypeHistogram, hist: NewHistogram(bounds)}
 	r.owned = append(r.owned, f)
 	r.ownedByKey[name] = f
 	return f.hist
@@ -251,20 +256,12 @@ func (e *Emitter) Gauge(name, help string, v float64, labels ...string) {
 	f.Samples = append(f.Samples, Sample{Labels: labelPairs(labels), Value: v})
 }
 
-// Histogram emits one histogram sample from cumulative bucket counts.
-// bounds are the finite upper edges; cum must have len(bounds)+1
-// entries, the last being the +Inf (total) count.
-func (e *Emitter) Histogram(name, help string, bounds []float64, cum []int64, sum float64, count int64, labels ...string) {
-	if len(cum) != len(bounds)+1 {
-		panic("telemetry: histogram cum/bounds length mismatch")
-	}
+// Histogram emits one histogram sample, a Histogram.Snapshot, under
+// the given labels.
+func (e *Emitter) Histogram(name, help string, s Sample, labels ...string) {
 	f := e.family(name, help, TypeHistogram)
-	buckets := make([]HistBucket, 0, len(cum))
-	for i, b := range bounds {
-		buckets = append(buckets, HistBucket{UpperBound: b, Count: cum[i]})
-	}
-	buckets = append(buckets, HistBucket{UpperBound: math.Inf(1), Count: cum[len(cum)-1]})
-	f.Samples = append(f.Samples, Sample{Labels: labelPairs(labels), Buckets: buckets, Sum: sum, Count: count})
+	s.Labels = labelPairs(labels)
+	f.Samples = append(f.Samples, s)
 }
 
 // Gather snapshots every owned instrument, runs every collector, and
@@ -285,8 +282,7 @@ func (r *Registry) Gather() []Family {
 		case TypeGauge:
 			e.Gauge(f.name, f.help, f.gauge.Value())
 		case TypeHistogram:
-			cum, sum, count := f.hist.snapshot()
-			e.Histogram(f.name, f.help, f.hist.bounds, cum, sum, count)
+			e.Histogram(f.name, f.help, f.hist.Snapshot())
 		}
 	}
 	for _, c := range collectors {

@@ -357,24 +357,3 @@ func TestHealthFromLogWeightsNonFinite(t *testing.T) {
 		t.Fatalf("-Inf underflow miscounted as poisoning: %+v", h)
 	}
 }
-
-func TestWantsPrometheus(t *testing.T) {
-	cases := []struct {
-		target, accept string
-		want           bool
-	}{
-		{"/metrics", "", false},
-		{"/metrics?format=prometheus", "", true},
-		{"/metrics?format=json", "text/plain", false},
-		{"/metrics", "text/plain", true},
-		{"/metrics", "application/openmetrics-text; version=1.0.0", true},
-		{"/metrics", "application/json", false},
-		{"/metrics", "application/json, text/plain", false},
-	}
-	for _, tc := range cases {
-		req := newRequest(t, tc.target, tc.accept)
-		if got := WantsPrometheus(req); got != tc.want {
-			t.Errorf("WantsPrometheus(%q, Accept=%q) = %v, want %v", tc.target, tc.accept, got, tc.want)
-		}
-	}
-}

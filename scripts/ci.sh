@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The benchmark is its own module (perfbench/go.mod, with esthera
+# replaced by this checkout): compile and vet it, so a change to the
+# API it drives (Server.Stats, Router.Stats, Profiler().Stats) fails
+# here rather than at benchmark time. Vet only: its tests check the
+# benchmark definition, which changes only with the benchmark.
+(cd perfbench && GOWORK=off go vet .)
 # Same -require coverage guard as verify.sh: the sweep must include the
 # telemetry/wire packages and the //esthera:hotpath-annotated core.
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The benchmark is its own module (perfbench/go.mod, with esthera
+# replaced by this checkout): compile and vet it, so a change to the
+# API it drives (Server.Stats, Router.Stats, Profiler().Stats) fails
+# here rather than at benchmark time. Vet only: its tests check the
+# benchmark definition, which changes only with the benchmark.
+(cd perfbench && GOWORK=off go vet .)
 go run ./cmd/esthera-vet -list
 # -require makes the sweep fail loudly if a module-path change ever
 # silently drops a load-bearing package from ./... coverage: telemetry

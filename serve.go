@@ -29,7 +29,8 @@ type (
 	StepResult = serve.StepResult
 	// Checkpoint is the deterministic serialization of one session.
 	Checkpoint = serve.Checkpoint
-	// ServerStats is the introspection snapshot (the /metrics payload).
+	// ServerStats is the in-process introspection snapshot; /metrics
+	// serves the same state as Prometheus text.
 	ServerStats = serve.Stats
 	// ServerHealth is the robustness-layer slice of ServerStats:
 	// readiness, drain state, cancellation and backpressure counters.
