@@ -10,6 +10,9 @@
 //	esthera-serve -addr :9000 -workers 8
 //	esthera-serve -queue 64 -batch 16 -sessions 128
 //
+// -batch caps how many queued steps share one launch; the scheduler
+// never waits to fill a batch, so a lone step runs at once.
+//
 // API (JSON over HTTP; see internal/serve):
 //
 //	POST   /v1/sessions                 {"spec": {"model": "ungm", ...}}
@@ -64,7 +67,6 @@ func main() {
 		sessions = flag.Int("sessions", 0, "max concurrent sessions (0 = 256)")
 		queue    = flag.Int("queue", 0, "admission queue depth (0 = 128)")
 		batch    = flag.Int("batch", 0, "max steps coalesced per launch (0 = 32)")
-		window   = flag.Duration("window", 0, "batching window (0 = 200µs)")
 		retry    = flag.Duration("retry", 0, "retry-after hint before batch latency is measured (0 = 5ms)")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight steps on shutdown")
 		trace    = flag.Bool("trace", false, "start with span recording enabled (toggle at runtime via POST /trace)")
@@ -96,7 +98,6 @@ func main() {
 		MaxSessions:  *sessions,
 		QueueDepth:   *queue,
 		MaxBatch:     *batch,
-		BatchWindow:  *window,
 		RetryAfter:   *retry,
 		Trace:        *trace,
 		HealthStride: *stride,

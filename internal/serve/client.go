@@ -175,9 +175,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		wait := c.retryWait(resp.Header, &backoff)
 		resp.Body.Close()
+		// Stopped on cancel: before go 1.23 an unfired timer lives on.
+		timer := time.NewTimer(wait)
 		select {
-		case <-time.After(wait):
+		case <-timer.C:
 		case <-ctx.Done():
+			timer.Stop()
 			return ctx.Err()
 		}
 	}

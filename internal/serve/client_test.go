@@ -131,10 +131,9 @@ func TestClientContextCancelsRetryWait(t *testing.T) {
 // matches its sequential reference bit-for-bit.
 func TestClientEndToEnd(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{
-		Workers:     2,
-		QueueDepth:  1,
-		MaxBatch:    1,
-		BatchWindow: 50 * time.Microsecond,
+		Workers:    2,
+		QueueDepth: 1,
+		MaxBatch:   1,
 	})
 	const sessions = 6
 	const steps = 4

@@ -315,11 +315,10 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 // 429 plus Retry-After headers when the admission queue is full.
 func TestHTTPSaturation(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{
-		Workers:     2,
-		QueueDepth:  1,
-		MaxBatch:    1,
-		RetryAfter:  3 * time.Millisecond,
-		BatchWindow: 50 * time.Microsecond,
+		Workers:    2,
+		QueueDepth: 1,
+		MaxBatch:   1,
+		RetryAfter: 3 * time.Millisecond,
 	})
 	const sessions = 10
 	ids := make([]string, sessions)

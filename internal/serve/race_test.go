@@ -18,10 +18,9 @@ import (
 // step both applied and reported failed, none applied silently.
 func TestStepShutdownCloseRace(t *testing.T) {
 	s := NewServer(Config{
-		Workers:     4,
-		QueueDepth:  16,
-		MaxBatch:    8,
-		BatchWindow: 100 * time.Microsecond,
+		Workers:    4,
+		QueueDepth: 16,
+		MaxBatch:   8,
 	}, testModels())
 	defer s.Shutdown()
 
@@ -102,7 +101,7 @@ func TestCancelQueuedStepPrompt(t *testing.T) {
 			return slowModel{Model: model.NewUNGM(), delay: 2 * time.Millisecond}, nil
 		},
 	}
-	s := NewServer(Config{Workers: 2, QueueDepth: 8, MaxBatch: 1, BatchWindow: 50 * time.Microsecond}, models)
+	s := NewServer(Config{Workers: 2, QueueDepth: 8, MaxBatch: 1}, models)
 	defer s.Shutdown()
 
 	idA, err := s.Create(FilterSpec{Model: "stall", SubFilters: 4, ParticlesPer: 16, Seed: 1})
@@ -235,5 +234,51 @@ func TestAdaptiveRetryHint(t *testing.T) {
 	}
 	if got := s.Stats().Health.BatchLatencyUS; got <= 0 {
 		t.Fatalf("health batch latency %v, want > 0", got)
+	}
+}
+
+// admitCtx closes reached the first time its Err is consulted. StepCtx
+// checks the context's error after the session lookup and before the
+// session lock, so a test can release Drain exactly as a step heads for
+// admission.
+type admitCtx struct {
+	context.Context
+	once    sync.Once
+	reached chan struct{}
+}
+
+func (c *admitCtx) Err() error {
+	c.once.Do(func() { close(c.reached) })
+	return c.Context.Err()
+}
+
+// TestDrainWaitsForRacingStep pins Drain's contract against a step
+// racing it: the step is either refused with ErrDraining or delivered
+// before Drain returns, so a Shutdown right after Drain never fails a
+// step that was let through with ErrClosed. The race windows are
+// sub-microsecond, so each of many rounds races one step against Drain
+// and Shutdown on a fresh server.
+func TestDrainWaitsForRacingStep(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		s := NewServer(Config{Workers: 1}, testModels())
+		id, err := s.Create(FilterSpec{Model: "ungm", SubFilters: 2, ParticlesPer: 8, Seed: uint64(round + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &admitCtx{Context: context.Background(), reached: make(chan struct{})}
+		stepErr := make(chan error, 1)
+		go func() {
+			_, err := s.StepCtx(ctx, id, nil, obs(0, 1))
+			stepErr <- err
+		}()
+		<-ctx.reached
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		s.Shutdown()
+		s.Device().Close()
+		if err := <-stepErr; err != nil && !errors.Is(err, ErrDraining) {
+			t.Fatalf("round %d: step returned %v, want nil or ErrDraining", round, err)
+		}
 	}
 }

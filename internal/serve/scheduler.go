@@ -52,12 +52,13 @@ type stepResult struct {
 	err  error
 }
 
-// schedule is the batching scheduler: it drains the admission queue,
-// coalescing up to MaxBatch pending steps (waiting at most BatchWindow
-// after the first) into shared device launches. One scheduler goroutine
-// drives the device; concurrency comes from the merged grids, not from
-// concurrent launches — exactly the paper's device model (launches are
-// globally synchronizing, work-groups within a launch run concurrently).
+// schedule is the work-conserving batching scheduler: it drains the
+// admission queue, running each step together with the steps that queued
+// behind it (see collect) as shared device launches. One scheduler
+// goroutine drives the device; concurrency comes from the merged grids,
+// not from concurrent launches — exactly the paper's device model
+// (launches are globally synchronizing, work-groups within a launch run
+// concurrently).
 func (s *Server) schedule() {
 	defer close(s.done)
 	for {
@@ -81,23 +82,19 @@ func (s *Server) schedule() {
 	}
 }
 
-// collect gathers one batch, starting from first. quit reports that
+// collect gathers one batch: first plus whatever is already queued, in
+// arrival order, up to MaxBatch. It never blocks. quit reports that
 // shutdown fired mid-collection: the batch must be failed, not run.
 func (s *Server) collect(first *stepReq) (batch []*stepReq, quit bool) {
 	batch = []*stepReq{first}
-	if s.cfg.MaxBatch == 1 {
-		return batch, false
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case r := <-s.queue:
 			batch = append(batch, r)
-		case <-timer.C:
-			return batch, false
 		case <-s.quit:
 			return batch, true
+		default:
+			return batch, false
 		}
 	}
 	return batch, false

@@ -57,13 +57,10 @@ type Config struct {
 	// A full queue rejects new steps with ErrSaturated.
 	QueueDepth int
 	// MaxBatch bounds how many session steps one scheduling round
-	// coalesces into shared launches (0 = 32).
+	// coalesces into shared launches (0 = 32). A round never waits to
+	// fill: it takes the steps already queued, so a step that finds the
+	// device idle runs at once.
 	MaxBatch int
-	// BatchWindow is how long the scheduler waits after the first queued
-	// step for more steps to coalesce (0 = 200µs). Zero latency cost
-	// under load: the window only adds latency when the queue is
-	// near-empty, exactly when latency is cheapest.
-	BatchWindow time.Duration
 	// RetryAfter is the client back-off hint attached to ErrSaturated
 	// before the scheduler has measured any batch latency (0 = 5ms).
 	// Once batches have run, the hint is adaptive: the expected time to
@@ -104,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 5 * time.Millisecond
@@ -223,8 +217,10 @@ type Server struct {
 	batches      atomic.Int64
 	batchedSteps atomic.Int64
 	rejected     atomic.Int64
-	// inflight counts steps admitted to the queue whose waiters have not
-	// returned yet (queued or executing); Drain waits for it to hit 0.
+	// inflight counts steps whose callers have not returned; Drain waits
+	// for it to hit 0. StepCtx counts a step before reading draining and
+	// Drain sets draining before reading inflight (both sequentially
+	// consistent), so either the step sees draining or Drain counts it.
 	inflight atomic.Int64
 	// cancelled counts steps abandoned by their waiter (context
 	// cancellation/deadline) while still queued; skipped counts the
@@ -456,6 +452,8 @@ func (s *Server) StepCtx(ctx context.Context, id string, u, z []float64) (StepRe
 	if sess.isClosed() {
 		return StepResult{}, ErrNotFound
 	}
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	if s.draining.Load() {
 		return StepResult{}, ErrDraining
 	}
@@ -477,8 +475,6 @@ func (s *Server) StepCtx(ctx context.Context, id string, u, z []float64) (StepRe
 	}
 	select {
 	case s.queue <- req:
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
 	default:
 		// Bounded admission: reject, never queue unboundedly.
 		s.rejected.Add(1)

@@ -214,11 +214,10 @@ func TestConcurrentSessionsMatchReferences(t *testing.T) {
 // session completes its steps.
 func TestSaturationBackpressure(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers:     2,
-		QueueDepth:  2,
-		MaxBatch:    2,
-		BatchWindow: 50 * time.Microsecond,
-		RetryAfter:  time.Millisecond,
+		Workers:    2,
+		QueueDepth: 2,
+		MaxBatch:   2,
+		RetryAfter: time.Millisecond,
 	})
 	const sessions = 12
 	ids := make([]string, sessions)

@@ -19,6 +19,10 @@ go vet ./...
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
 go test ./...
 go test -race ./...
+# Same hammer as verify.sh: the serving layer's cancellation, shutdown
+# and drain paths are pure concurrency, so run them repeatedly under the
+# race detector to surface interleaving-dependent regressions.
+go test -race -count=3 ./internal/serve/...
 # Benchmark smoke: one short iteration of every benchmark, asserting they
 # still run (not measuring them).
 go test -run '^$' -bench . -benchtime 1x ./...
