@@ -5,8 +5,7 @@ package esthera_test
 // (update rate in Hz, or mean tracking error in meters) as custom
 // benchmark metrics, so `go test -bench=.` regenerates the measured side
 // of every table and figure. The cross-platform predictions and the full
-// row/series printouts come from cmd/esthera-bench and
-// cmd/esthera-accuracy (see EXPERIMENTS.md).
+// row/series printouts come from `esthera run` (see EXPERIMENTS.md).
 
 import (
 	"errors"
@@ -116,7 +115,7 @@ func BenchmarkFig3UpdateRate(b *testing.B) {
 }
 
 // BenchmarkFig4aParticlesPerSubFilter scales the sub-filter size
-// (Fig. 4a; per-kernel fractions via cmd/esthera-bench -fig 4a).
+// (Fig. 4a; per-kernel fractions via `esthera run fig4a`).
 func BenchmarkFig4aParticlesPerSubFilter(b *testing.B) {
 	for _, m := range []int{32, 128, 512} {
 		b.Run(byteSize(m), func(b *testing.B) {
@@ -211,7 +210,7 @@ func benchAccuracy(b *testing.B, mk func() (filter.Filter, error)) {
 }
 
 // BenchmarkFig6ExchangeSchemes regenerates Fig. 6's configurations
-// (error metric attached as rmse_m; full sweep via esthera-accuracy).
+// (error metric attached as rmse_m; full sweep via `esthera run fig6`).
 func BenchmarkFig6ExchangeSchemes(b *testing.B) {
 	for _, scheme := range []exchange.Scheme{exchange.AllToAll, exchange.Ring, exchange.Torus2D} {
 		sch := scheme

@@ -1,7 +1,5 @@
-// Command esthera-trace is the tracing toolbox. Without a subcommand it
-// regenerates Figure 8 (the lemniscate ground truth with converging and
-// diverging filter traces, as CSV or an ASCII chart). The subcommands
-// work with the span tracer in internal/telemetry:
+// Command esthera-trace is the tracing toolbox. Its subcommands work
+// with the span tracer in internal/telemetry:
 //
 //	esthera-trace convert -in spans.json -out trace.json
 //	    Convert recorded span events (the /trace wire format or an
@@ -26,10 +24,6 @@
 //	    one request share a trace ID across processes; -require-cross
 //	    exits non-zero unless a cross-process trace contains the named
 //	    span (the chaos harness's failover assertion).
-//
-//	esthera-trace fig8 -steps 200 -csv fig8.csv
-//	    The legacy Figure 8 generator, also the default when no
-//	    subcommand is given.
 package main
 
 import (
@@ -45,45 +39,38 @@ import (
 
 	"esthera/internal/device"
 	"esthera/internal/exchange"
-	"esthera/internal/experiments"
 	"esthera/internal/kernels"
 	"esthera/internal/model"
-	"esthera/internal/plot"
 	"esthera/internal/rng"
 	"esthera/internal/telemetry"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "convert":
-			fatalIf(runConvert(os.Args[2:]))
-			return
-		case "summary":
-			fatalIf(runSummary(os.Args[2:]))
-			return
-		case "top":
-			fatalIf(runTop(os.Args[2:]))
-			return
-		case "merge":
-			fatalIf(runMerge(os.Args[2:]))
-			return
-		case "fetch":
-			fatalIf(runFetch(os.Args[2:]))
-			return
-		case "fig8":
-			runFig8(os.Args[2:])
-			return
-		}
-	}
-	runFig8(os.Args[1:])
-}
-
-func fatalIf(err error) {
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "esthera-trace:", err)
 		os.Exit(1)
 	}
+}
+
+// run dispatches one command line (without the program name).
+func run(args []string) error {
+	const subcommands = "convert, summary, top, fetch, merge"
+	if len(args) == 0 {
+		return fmt.Errorf("missing subcommand (want one of %s)", subcommands)
+	}
+	switch args[0] {
+	case "convert":
+		return runConvert(args[1:])
+	case "summary":
+		return runSummary(args[1:])
+	case "top":
+		return runTop(args[1:])
+	case "fetch":
+		return runFetch(args[1:])
+	case "merge":
+		return runMerge(args[1:])
+	}
+	return fmt.Errorf("unknown subcommand %q (want one of %s)", args[0], subcommands)
 }
 
 // loadEvents reads span events from a file (either the /trace wire
@@ -372,72 +359,4 @@ func runFetch(args []string) error {
 	}
 	_, err = io.Copy(w, resp.Body)
 	return err
-}
-
-// runFig8 is the legacy default: regenerate Figure 8 — the lemniscate
-// ground truth with a converging high-particle trace and a diverging
-// low-particle trace — as CSV or an ASCII chart, plus the §VIII-A
-// convergence verdicts.
-func runFig8(args []string) {
-	fs := flag.NewFlagSet("fig8", flag.ExitOnError)
-	var (
-		steps    = fs.Int("steps", 160, "trace length in steps")
-		seed     = fs.Uint64("seed", 0xE57, "master seed")
-		joints   = fs.Int("joints", 5, "arm joints")
-		csvPath  = fs.String("csv", "", "write the trace as CSV to this file (default: stdout table)")
-		ascii    = fs.Bool("plot", false, "render the traces as an ASCII chart instead of the table")
-		plotSize = fs.String("plot-size", "72x28", "ASCII chart size as WxH")
-	)
-	_ = fs.Parse(args)
-
-	res, err := experiments.Fig8Trajectory(experiments.AccuracyOptions{Seed: *seed, Joints: *joints}, *steps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "esthera-trace:", err)
-		os.Exit(1)
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "esthera-trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := res.Table.WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "esthera-trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *csvPath)
-	} else if *ascii {
-		w, h := parseSize(*plotSize)
-		cols := func(c int) ([]float64, []float64) {
-			xs := make([]float64, len(res.Table.Rows))
-			ys := make([]float64, len(res.Table.Rows))
-			for i, row := range res.Table.Rows {
-				xs[i], _ = strconv.ParseFloat(row[c], 64)
-				ys[i], _ = strconv.ParseFloat(row[c+1], 64)
-			}
-			return xs, ys
-		}
-		tx, ty := cols(1)
-		hx, hy := cols(3)
-		lx, ly := cols(5)
-		fmt.Print(plot.Render("Fig. 8 — lemniscate ground truth and filter traces", w, h,
-			plot.Series{Name: "ground truth", Glyph: '.', Connect: true, XS: tx, YS: ty},
-			plot.Series{Name: "high-particle estimate", Glyph: 'o', XS: hx, YS: hy},
-			plot.Series{Name: "low-particle estimate", Glyph: 'x', XS: lx, YS: ly},
-		))
-	} else {
-		res.Table.Fprint(os.Stdout)
-	}
-	fmt.Printf("high-particle trace: trailing error %.3f m, converged=%v\n", res.HighTrailing, res.HighConverged)
-	fmt.Printf("low-particle trace:  trailing error %.3f m, converged=%v\n", res.LowTrailing, res.LowConverged)
-}
-
-func parseSize(s string) (w, h int) {
-	w, h = 72, 28
-	var pw, ph int
-	if _, err := fmt.Sscanf(s, "%dx%d", &pw, &ph); err == nil && pw > 0 && ph > 0 {
-		w, h = pw, ph
-	}
-	return
 }

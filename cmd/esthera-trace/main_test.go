@@ -122,10 +122,11 @@ func writeTrace(t *testing.T, dir, name string, meta telemetry.TraceMeta, evs []
 	return writeFile(t, dir, name, buf.Bytes())
 }
 
-// TestCLIErrorPaths table-tests the subcommands against empty,
-// truncated and malformed trace files plus bad flag values: every case
-// must return an error (exit non-zero through fatalIf) without
-// panicking, and the message must carry the offending path or entry.
+// TestCLIErrorPaths table-tests the dispatch against a missing or
+// unknown subcommand and the subcommands against empty, truncated and
+// malformed trace files plus bad flag values: every case must return an
+// error (exit non-zero through main) without panicking, and the message
+// must carry the offending path or entry.
 func TestCLIErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 	empty := writeFile(t, dir, "empty.json", nil)
@@ -147,6 +148,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		name string
 		run  func() error
 	}{
+		{"no subcommand", func() error { return run(nil) }},
+		{"unknown subcommand", func() error { return run([]string{"sumary", "-in", valid}) }},
 		{"summary missing file", func() error { return runSummary([]string{"-in", missing}) }},
 		{"summary empty file", func() error { return runSummary([]string{"-in", empty}) }},
 		{"summary truncated file", func() error { return runSummary([]string{"-in", truncated}) }},

@@ -290,7 +290,7 @@ type ClusterConfig struct {
 // NewClusterFilter builds the cluster-partitioned distributed filter.
 // The concrete type (esthera/internal/cluster.Cluster behind the Filter
 // interface) additionally supports fault injection and communication
-// accounting; see cmd/esthera-cluster.
+// accounting; see `esthera run cluster-scaling cluster-failure`.
 func NewClusterFilter(m Model, cfg ClusterConfig) (Filter, error) {
 	var net cluster.NetworkProfile
 	switch cfg.Network {

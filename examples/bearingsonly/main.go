@@ -55,6 +55,6 @@ func main() {
 	}
 	fmt.Println("\nOn this near-Gaussian problem all five are competitive —")
 	fmt.Println("the regime where the paper notes parametric filters suffice.")
-	fmt.Println("Rerun the UNGM comparison (esthera-accuracy -exp variants) to")
+	fmt.Println("Rerun the UNGM comparison (esthera run variants) to")
 	fmt.Println("see the Kalman filters fail on a multimodal posterior.")
 }

@@ -44,6 +44,6 @@ func main() {
 	fmt.Println("\nEach node only ships its boundary sub-filters' best particle")
 	fmt.Println("per neighbor per round (a few hundred bytes), so even 1 GbE")
 	fmt.Println("adds ~100 µs per round — negligible next to the compute round.")
-	fmt.Println("Run cmd/esthera-cluster for the full scaling and failure-")
-	fmt.Println("injection experiments.")
+	fmt.Println("Run `esthera run cluster-scaling cluster-failure` for the")
+	fmt.Println("full scaling and failure-injection experiments.")
 }

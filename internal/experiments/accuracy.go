@@ -15,7 +15,7 @@ import (
 // AccuracyOptions sizes the accuracy experiments (Figs. 6, 7, 9 and the
 // ablations). The paper averaged 100 runs of 100 steps per
 // configuration; the defaults here are reduced (recorded in table notes
-// and EXPERIMENTS.md) and the cmd tools expose flags for full budgets.
+// and EXPERIMENTS.md), and `esthera run -runs 100 -steps 100` restores it.
 type AccuracyOptions struct {
 	Steps int // default 60
 	Runs  int // default 8

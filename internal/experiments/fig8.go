@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"esthera/internal/exchange"
 	"esthera/internal/filter"
 	"esthera/internal/metrics"
+	"esthera/internal/plot"
 	"esthera/internal/rng"
 )
 
@@ -22,12 +24,12 @@ type Fig8Result struct {
 	LowTrailing   float64
 }
 
-// Fig8Trajectory runs the validation experiment. steps defaults to 120
-// (half a lemniscate circuit plus settling).
+// Fig8Trajectory runs the validation experiment. steps defaults to 160
+// (four fifths of the 200-step lemniscate circuit).
 func Fig8Trajectory(o AccuracyOptions, steps int) (*Fig8Result, error) {
 	o = o.withDefaults()
 	if steps == 0 {
-		steps = 120
+		steps = 160
 	}
 	m, sc, err := armScenario(o.Joints)
 	if err != nil {
@@ -108,4 +110,26 @@ func Fig8Trajectory(o AccuracyOptions, steps int) (*Fig8Result, error) {
 		fmt.Sprintf("high (64×64, ring t=1): mean trailing error %.3f m over 3 runs, converged=%v", res.HighTrailing, res.HighConverged),
 		fmt.Sprintf("low (8 particles): mean trailing error %.3f m over 3 runs, converged=%v", res.LowTrailing, res.LowConverged))
 	return res, nil
+}
+
+// Chart renders the ground truth and both traces as a 72×28 ASCII chart.
+func (r *Fig8Result) Chart() string {
+	// The cells are the floats Fig8Trajectory appended, so they parse.
+	cols := func(c int) ([]float64, []float64) {
+		xs := make([]float64, len(r.Table.Rows))
+		ys := make([]float64, len(r.Table.Rows))
+		for i, row := range r.Table.Rows {
+			xs[i], _ = strconv.ParseFloat(row[c], 64)
+			ys[i], _ = strconv.ParseFloat(row[c+1], 64)
+		}
+		return xs, ys
+	}
+	tx, ty := cols(1)
+	hx, hy := cols(3)
+	lx, ly := cols(5)
+	return plot.Render("Fig. 8 — lemniscate ground truth and filter traces", 72, 28,
+		plot.Series{Name: "ground truth", Glyph: '.', Connect: true, XS: tx, YS: ty},
+		plot.Series{Name: "high-particle estimate", Glyph: 'o', XS: hx, YS: hy},
+		plot.Series{Name: "low-particle estimate", Glyph: 'x', XS: lx, YS: ly},
+	)
 }

@@ -48,6 +48,21 @@ func (o PerfOptions) withDefaults() PerfOptions {
 	return o
 }
 
+// Table3Platforms lists the Table III platform descriptors the cost
+// model predicts for.
+func Table3Platforms() *Table {
+	t := &Table{
+		Title: "Table III — hardware platforms",
+		Header: []string{"platform", "type", "units", "clock GHz", "SP GFLOP/s",
+			"mem GB/s", "TDP W", "released"},
+		Notes: []string{"seq-c models the paper's single-core sequential C reference"},
+	}
+	for _, p := range platform.Platforms() {
+		t.Append(p.Name, string(p.Kind), p.Units, p.ClockGHz, p.GFlopsSP, p.MemBWGBs, p.TDPWatts, p.Released)
+	}
+	return t
+}
+
 // newArmPipeline builds the paper-default arm filter at a given shape and
 // returns it together with its scenario.
 func newArmPipeline(o PerfOptions, subFilters, particlesPer, joints int, algo kernels.Algo) (*filter.Parallel, *arm.Scenario, *device.Device, error) {

@@ -1,13 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VII–VIII). Each figure has a runner returning a Table; the
-// cmd tools print them and EXPERIMENTS.md records paper-vs-measured.
+// Registry lists them for `esthera run` and EXPERIMENTS.md records
+// paper-vs-measured.
 //
 // Figures 3–5 are performance artifacts: the pipeline's instrumented
 // kernels supply work counts, and the platform cost model (internal/
 // platform) converts them into per-platform predictions, alongside
 // measured Go wall times on the host. Figures 6–9 are accuracy artifacts
 // measured directly. Experiment sizes default to reduced budgets suitable
-// for CI; the cmd tools expose flags for paper-scale sweeps.
+// for CI; `esthera run -full -runs 100 -steps 100` selects paper scale.
 package experiments
 
 import (

@@ -43,6 +43,9 @@ func TestValidation(t *testing.T) {
 	if _, err := New(dev, m, Config{SubFilters: 4, ParticlesPer: 4, Topology: top4, ExchangeCount: 2}, 1); err == nil {
 		t.Fatal("incoming >= m must error")
 	}
+	if _, err := New(dev, m, Config{SubFilters: 4, ParticlesPer: 4, Topology: top4, ExchangeCount: -1}, 1); err == nil {
+		t.Fatal("negative exchange count must error")
+	}
 }
 
 func TestKernelNamesMatchPaperBreakdown(t *testing.T) {

@@ -268,6 +268,9 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 		return nil, fmt.Errorf("kernels: invalid grid %d sub-filters × %d particles",
 			cfg.SubFilters, cfg.ParticlesPer)
 	}
+	if cfg.ExchangeCount < 0 {
+		return nil, fmt.Errorf("kernels: negative exchange count %d", cfg.ExchangeCount)
+	}
 	if cfg.Topology == nil {
 		top, err := exchange.NewTopology(exchange.None, cfg.SubFilters)
 		if err != nil {

@@ -284,8 +284,18 @@ func NewServer(cfg Config, models map[string]ModelFactory) *Server {
 // endpoint).
 func (s *Server) Device() *device.Device { return s.dev }
 
+// maxSessionParticles caps one session at the paper's largest filter,
+// 2^21 particles (Fig. 3), so one request cannot exhaust memory.
+const maxSessionParticles = 1 << 21
+
 // buildFilter constructs a session filter on the shared device.
 func (s *Server) buildFilter(sp FilterSpec) (*filter.Parallel, model.Model, error) {
+	// Both sizes are positive after withDefaults; dividing cannot
+	// overflow where multiplying could.
+	if sp.SubFilters > maxSessionParticles/sp.ParticlesPer {
+		return nil, nil, fmt.Errorf("serve: %d sub-filters × %d particles exceeds the %d-particle session limit",
+			sp.SubFilters, sp.ParticlesPer, maxSessionParticles)
+	}
 	factory, ok := s.models[sp.Model]
 	if !ok {
 		known := make([]string, 0, len(s.models))

@@ -119,6 +119,8 @@ func TestCreateValidation(t *testing.T) {
 		{Model: "ungm", Streams: "bogus"},
 		{Model: "ungm", Estimator: "bogus"},
 		{Model: "ungm", SubFilters: 4, ParticlesPer: 2, ExchangeCount: 3},
+		{Model: "ungm", ExchangeCount: -1},
+		{Model: "ungm", SubFilters: 2048, ParticlesPer: 1025},
 	}
 	for i, sp := range bad {
 		if _, err := s.Create(sp); err == nil {

@@ -16,7 +16,7 @@ go vet ./...
 (cd perfbench && GOWORK=off go vet .)
 # Same -require coverage guard as verify.sh: the sweep must include the
 # telemetry/wire packages and the //esthera:hotpath-annotated core.
-go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
+go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/telemetry/log,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
 go test ./...
 go test -race ./...
 # Same hammer as verify.sh: the serving layer's cancellation, shutdown

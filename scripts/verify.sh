@@ -48,7 +48,7 @@ go test -race -count=3 ./internal/serve/...
 # RWS/Vose baseline on the arm model. The 2x ratio is deliberately loose
 # for the reduced CI budget — it catches a broken resampler or allocator
 # (order-of-magnitude divergence), not run-to-run noise.
-go run ./cmd/esthera-accuracy -exp adaptive -runs 3 -steps 30 -gate 2.0
+go run ./cmd/esthera run -runs 3 -steps 30 -gate 2.0 adaptive
 # Observability must be free when disabled: assert the fused round hot
 # path is within tolerance of the newest recorded benchmark baseline.
 scripts/bench_guard.sh
