@@ -1,4 +1,4 @@
-.PHONY: build test lint vet-ratchet verify ci bench bench-json serve chaos
+.PHONY: build test lint vet-ratchet verify bench bench-json serve chaos
 
 # Build-info stamping: esthera/internal/telemetry.Version defaults to
 # "dev"; builds through make stamp it from git so `esthera-serve
@@ -25,15 +25,10 @@ lint:
 vet-ratchet:
 	go run ./cmd/esthera-vet -ratchet
 
-# Build + vet + esthera-vet + full test suite, plus every package under
-# the race detector. This is the pre-merge gate.
+# Build + vet + esthera-vet + full test suite, every package under the
+# race detector, and a benchmark smoke run. This is the pre-merge gate.
 verify:
 	./scripts/verify.sh
-
-# The full CI pipeline: build, go vet, esthera-vet, tests, race sweep,
-# and a benchmark smoke run.
-ci:
-	./scripts/ci.sh
 
 bench:
 	go test -bench=. -benchmem

@@ -342,15 +342,27 @@ func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer i
 		pipe.SetHealthEvery(1)
 	}
 	z := make([]float64, m.MeasurementDim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	round := func(i int) {
 		z[0] = 10 * math.Sin(float64(i)*0.3)
 		if fused {
 			pipe.RoundFused(nil, z, i+1)
 		} else {
 			pipe.Round(nil, z, i+1)
 		}
+	}
+	// Warm-up rounds fill the device's launch-task and Group lists before
+	// timing. With two or more workers the task list keeps growing for
+	// several rounds, as queued helpers lag their launches, and the
+	// n=256 Metropolis series runs only ~20 timed rounds a second, so a
+	// few stray allocations there already read as 1 allocs/op.
+	const warm = 10
+	for i := 0; i < warm; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := warm; i < warm+b.N; i++ {
+		round(i)
 	}
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {

@@ -28,16 +28,15 @@ var snapshotName = regexp.MustCompile(`(Snapshot|Checkpoint|State|Msg)$`)
 // CheckpointAnalyzer guards the wire formats: every exported field of
 // a snapshot/checkpoint/framed-message struct must carry an explicit
 // wire tag — a json tag with a wire name (frozen independently of
-// Go-side renames), `json:"-"` for state serialized out of band (the
-// base64 float encoding) or deliberately excluded, or a `binary:` tag
-// for fields hand-encoded into a raw binary frame (shard.ExchangeMsg).
-// An untagged exported field would silently join (or, renamed,
-// silently leave) the wire format, breaking the bit-exact
-// checkpoint/restore and transport contracts between versions.
+// Go-side renames), or `json:"-"` for state serialized out of band (the
+// base64 float encoding) or deliberately excluded. An untagged exported
+// field would silently join (or, renamed, silently leave) the wire
+// format, breaking the bit-exact checkpoint/restore and transport
+// contracts between versions.
 var CheckpointAnalyzer = &Analyzer{
 	Name: "checkpointcompat",
 	Doc: "flag exported fields of snapshot/checkpoint/wire-message structs that lack an " +
-		"explicit json or binary wire tag, so wire formats only ever change deliberately",
+		"explicit json wire tag, so wire formats only ever change deliberately",
 	Filter: func(pkgPath string) bool { return snapshotPackages[pkgPath] },
 	Run:    runCheckpointCompat,
 }
@@ -70,7 +69,7 @@ func runCheckpointCompat(pass *Pass) error {
 					}
 					if !hasWireTag(field) {
 						pass.Reportf(name.Pos(),
-							"exported field %s of snapshot struct %s has no json tag: new wire fields need an explicit wire name (json, or binary for hand-framed payloads; json:\"-\" with out-of-band encoding) and restore-side handling", name.Name, ts.Name.Name)
+							"exported field %s of snapshot struct %s has no json tag: new wire fields need an explicit wire name (or json:\"-\" with out-of-band encoding) and restore-side handling", name.Name, ts.Name.Name)
 					}
 				}
 			}
@@ -80,17 +79,12 @@ func runCheckpointCompat(pass *Pass) error {
 	return nil
 }
 
-// hasWireTag reports whether the field carries an explicit wire tag:
-// json (the checkpoint and control-frame formats) or binary (fields
-// hand-encoded into raw frames, e.g. shard.ExchangeMsg).
+// hasWireTag reports whether the field carries an explicit json wire
+// tag (the checkpoint and control-frame formats).
 func hasWireTag(field *ast.Field) bool {
 	if field.Tag == nil {
 		return false
 	}
-	tag := reflect.StructTag(strings.Trim(field.Tag.Value, "`"))
-	if _, ok := tag.Lookup("json"); ok {
-		return true
-	}
-	_, ok := tag.Lookup("binary")
+	_, ok := reflect.StructTag(strings.Trim(field.Tag.Value, "`")).Lookup("json")
 	return ok
 }

@@ -17,7 +17,7 @@ import (
 //  1. word-at-a-time scalar draws (r.Normal, r.Float64, ...) inside a
 //     vectorized method body (StepVec/InitVec/LogLikelihoodVec). Block
 //     replay is only bit-identical through the rng block APIs
-//     (Normals/FillNormals/Uniforms/FillUniforms); a scalar draw
+//     (Normals/FillNormals/FillUniforms); a scalar draw
 //     interleaved with block draws reorders the stream;
 //  2. a block-draw sequence whose per-row draw count diverges from the
 //     paired scalar method on the same receiver (Step vs StepVec,
@@ -55,19 +55,15 @@ var scalarDraws = map[string]string{
 	"NormFloat64": "normal",
 	"Float64":     "uniform",
 	"OpenFloat64": "uniform",
-	"ExpFloat64":  "uniform",
 	"Uint64":      "uniform",
 	"Uint32":      "uniform",
 	"Intn":        "uniform",
-	"Perm":        "uniform",
-	"Shuffle":     "uniform",
 }
 
 // blockDraws maps block rng.Rand draw methods to their stream.
 var blockDraws = map[string]string{
 	"Normals":      "normal",
 	"FillNormals":  "normal",
-	"Uniforms":     "uniform",
 	"FillUniforms": "uniform",
 }
 
@@ -111,7 +107,7 @@ func runDrawOrder(pass *Pass) error {
 			for _, call := range rngCalls(pass, fn, rObj) {
 				sel := call.Fun.(*ast.SelectorExpr)
 				if stream, ok := scalarDraws[sel.Sel.Name]; ok {
-					pass.Reportf(call.Pos(), "scalar %s-stream draw %s.%s in vectorized method %s breaks the block-replay draw order; use the rng block APIs (Normals/FillNormals/Uniforms/FillUniforms)", stream, exprIdentName(sel.X), sel.Sel.Name, funcDisplayName(fn))
+					pass.Reportf(call.Pos(), "scalar %s-stream draw %s.%s in vectorized method %s breaks the block-replay draw order; use the rng block APIs (Normals/FillNormals/FillUniforms)", stream, exprIdentName(sel.X), sel.Sel.Name, funcDisplayName(fn))
 				}
 			}
 		}
@@ -300,7 +296,7 @@ func countVecDraws(pass *Pass, fn *ast.FuncDecl) drawCount {
 			return drawCount{}
 		}
 		// Fill variants take a destination slice whose length is not
-		// statically visible here; Normals/Uniforms take the count.
+		// statically visible here; Normals takes the count.
 		if name == "FillNormals" || name == "FillUniforms" {
 			return drawCount{}
 		}

@@ -12,7 +12,7 @@ type GoodSnapshot struct {
 
 // BadSnapshot has exported fields without wire tags.
 type BadSnapshot struct {
-	Step    int `json:"step"`
+	Step    int       `json:"step"`
 	Weights []float64 // want `exported field Weights of snapshot struct BadSnapshot has no json tag`
 	Best    int       // want `exported field Best of snapshot struct BadSnapshot has no json tag`
 }
@@ -25,14 +25,14 @@ type StreamState struct {
 
 // WireCheckpoint matches the Checkpoint$ naming rule.
 type WireCheckpoint struct {
-	Version int `json:"version"`
+	Version int          `json:"version"`
 	Inner   GoodSnapshot // want `exported field Inner of snapshot struct WireCheckpoint has no json tag`
 }
 
 // EmbeddedSnapshot embeds without a tag: the embedded fields would
 // flatten into the wire format implicitly.
 type EmbeddedSnapshot struct {
-	GoodSnapshot // want `embedded field of snapshot struct EmbeddedSnapshot has no json tag`
+	GoodSnapshot     // want `embedded field of snapshot struct EmbeddedSnapshot has no json tag`
 	Extra        int `json:"extra"`
 }
 
@@ -41,13 +41,6 @@ type EmbeddedSnapshot struct {
 type FramedMsg struct {
 	ID    string `json:"id"`
 	Round int64  // want `exported field Round of snapshot struct FramedMsg has no json tag`
-}
-
-// BinaryMsg is hand-encoded into a raw frame: binary tags declare the
-// wire fields just like json tags do.
-type BinaryMsg struct {
-	From int       `binary:"u32le"`
-	Recs []float64 `binary:"f64le"`
 }
 
 // NotPersisted is not snapshot-named: untagged fields are fine here.

@@ -24,9 +24,9 @@
 // starts from the survivors' posterior rather than a snapshot of where
 // the target used to be. Health and degradation counters (rerouted and
 // dropped edges, degraded rounds, reseeds) are published through
-// Health() and the /metrics handler (NewMetricsHandler), which lets the
-// experiments quantify how quickly the network re-acquires the target —
-// a robustness property centralized filters do not have.
+// Health(), which lets the experiments quantify how quickly the network
+// re-acquires the target — a robustness property centralized filters do
+// not have.
 package cluster
 
 import (
@@ -87,8 +87,6 @@ type Config struct {
 	// simulation share the host, so oversubscription is the caller's
 	// choice).
 	WorkersPerNode int
-	// Resampler selects the per-node resampling kernel.
-	Resampler kernels.Algo
 	// StaleRestore disables neighbor re-seeding on RestoreNode: the
 	// rejoining node resumes from its frozen (stale) particles, the
 	// pre-robustness behavior. Kept as an ablation knob so experiments
@@ -126,8 +124,8 @@ type Cluster struct {
 	lastBests []nodeBest
 
 	// Communication accounting (inter-node messages only) and the
-	// degradation counters, atomics: Health() and the /metrics handler
-	// read them while Step runs.
+	// degradation counters, atomics: Health() reads them while Step
+	// runs.
 	commBytes      atomic.Int64
 	commMsgs       atomic.Int64
 	rounds         atomic.Int64
@@ -146,44 +144,8 @@ type Cluster struct {
 	// resample) with degradation counters as span arguments.
 	tracer atomic.Pointer[telemetry.Tracer]
 
-	// transport, when attached, carries every inter-node exchange pull
-	// (nil keeps the in-process copy path, bit-identically). A failing
-	// transport degrades exactly like a failed sender: the edge drops,
-	// the receiver keeps native particles, and the round completes.
-	transport       atomic.Pointer[Transport]
-	transportErrors atomic.Int64
-
 	outbox []float64 // global staging: S·t·(dim+1)
 }
-
-// Transport carries inter-node exchange pulls for one cluster. Exchange
-// delivers the sender sub-filter's staged top-t records (t contiguous
-// [dim state floats + 1 log-weight] groups) from sub-filter `from` to
-// receiver `to` for the given round, returning the records as the
-// receiver must apply them — the same length, bit-exact floats. An
-// implementation that round-trips the records unchanged (loopback, or
-// the shard package's TCP framing) leaves the filter's estimate stream
-// bit-identical to the in-process path; an error drops the edge for
-// this round (counted in TransportErrors and DroppedEdges) instead of
-// stalling it.
-type Transport interface {
-	Exchange(round int64, from, to int, recs []float64) ([]float64, error)
-}
-
-// SetTransport attaches (or, with nil, detaches) the inter-node
-// exchange transport. Safe to call concurrently with Step; the round in
-// flight keeps the transport it started with.
-func (c *Cluster) SetTransport(t Transport) {
-	if t == nil {
-		c.transport.Store(nil)
-		return
-	}
-	c.transport.Store(&t)
-}
-
-// TransportErrors counts exchange pulls dropped by transport failures
-// since New or the last Reset.
-func (c *Cluster) TransportErrors() int64 { return c.transportErrors.Load() }
 
 // node is one cluster member: a device pipeline over its sub-filter slice.
 type node struct {
@@ -243,7 +205,6 @@ func New(m model.Model, cfg Config, seed uint64) (*Cluster, error) {
 			SubFilters:   cfg.SubFiltersPerNode,
 			ParticlesPer: cfg.ParticlesPer,
 			Topology:     top,
-			Resampler:    cfg.Resampler,
 		}, rng.StreamSeed(seed, i))
 		if err != nil {
 			return nil, err
@@ -280,7 +241,6 @@ func (c *Cluster) Reset(seed uint64) {
 	c.reroutedEdges.Store(0)
 	c.droppedEdges.Store(0)
 	c.reseeds.Store(0)
-	c.transportErrors.Store(0)
 	for i := range c.contrib {
 		c.contrib[i].Store(0)
 	}
@@ -495,12 +455,6 @@ func (c *Cluster) exchangeGlobal(failed []bool) {
 	for _, f := range failed {
 		anyFailed = anyFailed || f
 	}
-	var tr Transport
-	if p := c.transport.Load(); p != nil {
-		tr = *p
-	}
-	round := c.rounds.Load()
-
 	// Stage every live sub-filter's top-t into the global outbox.
 	for g := 0; g < S; g++ {
 		nodeIdx := g / spn
@@ -547,18 +501,6 @@ func (c *Cluster) exchangeGlobal(failed []bool) {
 			if qNode != nodeIdx {
 				c.commMsgs.Add(1)
 				c.commBytes.Add(int64(t * stride * 8))
-				if tr != nil {
-					got, err := tr.Exchange(round, q, g, recs)
-					if err != nil || len(got) != len(recs) {
-						// The edge drops exactly as if the sender had no
-						// live lane: native particles stay in the slots.
-						c.transportErrors.Add(1)
-						c.droppedEdges.Add(1)
-						slot += t
-						continue
-					}
-					recs = got
-				}
 			}
 			c.contrib[qNode].Add(1)
 			for i := 0; i < t; i++ {

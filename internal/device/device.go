@@ -66,9 +66,14 @@ type Device struct {
 	once  sync.Once
 
 	// groups recycles Group objects (and their local-memory arenas)
-	// across launches, eliminating the per-launch per-group allocations
-	// the original spawn-per-launch scheme paid.
-	groups sync.Pool
+	// across launches. A drain participant holds one Group for every
+	// work-group it runs, so a launch costs each participant one pop and
+	// one push. Unlike a sync.Pool, this stack is neither emptied by
+	// garbage collection nor split per P, so once it holds a Group per
+	// concurrent participant no launch allocates one; popping the most
+	// recently pushed Group keeps its arenas cache-warm.
+	groupsMu sync.Mutex
+	groups   []*Group
 
 	// free recycles launchTask objects (with their completion channel and
 	// phase-accounting slices), so steady-state launches allocate nothing.
@@ -110,8 +115,8 @@ func New(cfg Config) *Device {
 		tasks:         make(chan *launchTask, 2*w),
 		quit:          make(chan struct{}),
 		free:          make(chan *launchTask, 4*w),
+		groups:        make([]*Group, 0, 4*w),
 	}
-	d.groups.New = func() interface{} { return &Group{} }
 	// The compute units reference only the two channels, never the Device
 	// itself, so an abandoned Device becomes unreachable, its finalizer
 	// closes quit, and the workers exit instead of leaking.
@@ -210,51 +215,24 @@ type launchTask struct {
 	done chan struct{} // receives one token when pending reaches zero
 }
 
-// drainScratch holds one drain participant's phase accumulators. The
-// slices are recycled through a pool so steady-state fused launches do
-// not allocate per participant per launch.
-type drainScratch struct {
-	phases []Counters
-	times  []time.Duration
-}
-
-var drainScratchPool = sync.Pool{New: func() interface{} { return &drainScratch{} }}
-
-// phaseSlices returns zeroed accumulators of length n.
-func (sc *drainScratch) phaseSlices(n int) ([]Counters, []time.Duration) {
-	if cap(sc.phases) < n {
-		sc.phases = make([]Counters, n)
-		sc.times = make([]time.Duration, n)
-	}
-	sc.phases = sc.phases[:n]
-	sc.times = sc.times[:n]
-	for i := range sc.phases {
-		sc.phases[i] = Counters{}
-		sc.times[i] = 0
-	}
-	return sc.phases, sc.times
-}
-
 // drain claims and executes work-groups until the grid is exhausted,
 // folding this participant's accounting into the task once at the end.
 func (t *launchTask) drain() {
 	var (
-		local       Counters
-		localPhases []Counters
-		localTimes  []time.Duration
-		ran         int64
+		local Counters
+		g     *Group
+		ran   int64
 	)
-	if t.phases > 0 {
-		sc := drainScratchPool.Get().(*drainScratch)
-		defer drainScratchPool.Put(sc)
-		localPhases, localTimes = sc.phaseSlices(t.phases)
-	}
 	for {
 		gid := int(t.next.Add(1)) - 1
 		if gid >= t.grid.Groups {
 			break
 		}
-		t.runGroup(gid, &local, localPhases, localTimes)
+		if g == nil {
+			g = t.dev.getGroup()
+			g.beginDrain(t.phases)
+		}
+		t.runGroup(g, gid, &local)
 		ran++
 	}
 	if ran == 0 {
@@ -262,11 +240,12 @@ func (t *launchTask) drain() {
 	}
 	t.mu.Lock()
 	t.total.Add(&local)
-	for i := range localPhases {
-		t.phaseTotals[i].Add(&localPhases[i])
-		t.phaseTimes[i] += localTimes[i]
+	for i := range g.drainPhases {
+		t.phaseTotals[i].Add(&g.drainPhases[i])
+		t.phaseTimes[i] += g.drainTimes[i]
 	}
 	t.mu.Unlock()
+	t.dev.putGroup(g)
 	// Completion is signaled only after this participant's counters are
 	// visible, so the launcher reads a consistent total after <-done.
 	// Exactly one participant observes zero, so the buffered send never
@@ -276,12 +255,11 @@ func (t *launchTask) drain() {
 	}
 }
 
-// runGroup executes the kernel for one work-group on a pooled Group,
-// recovering panics (e.g. local-memory overflow) so a kernel failure is
-// propagated to the launching goroutine without killing the persistent
-// worker that happened to execute it.
-func (t *launchTask) runGroup(gid int, local *Counters, lp []Counters, lt []time.Duration) {
-	g := t.dev.groups.Get().(*Group)
+// runGroup executes the kernel for work-group gid on the participant's
+// Group, recovering panics (e.g. local-memory overflow) so a kernel
+// failure is propagated to the launching goroutine without killing the
+// persistent worker that happened to execute it.
+func (t *launchTask) runGroup(g *Group, gid int, local *Counters) {
 	g.reset(gid, t.grid.GroupSize, t.dev.localMemBytes, t.phases)
 	defer func() {
 		if r := recover(); r != nil {
@@ -289,24 +267,51 @@ func (t *launchTask) runGroup(gid int, local *Counters, lp []Counters, lt []time
 			t.panics = append(t.panics, r)
 			t.mu.Unlock()
 		}
-		g.finish(local, lp, lt)
-		t.dev.groups.Put(g)
+		g.finish(local)
 	}()
 	t.kern(g)
 }
 
-// getTask pops a recycled launchTask, or allocates one. A recycled task
-// whose submission-queue references have not all been consumed yet is
-// dropped to the garbage collector rather than reused under a live
-// reference (rare: it requires a queued helper that never woke up before
-// the next launch started).
+// getGroup pops the most recently recycled Group, or allocates one.
+func (d *Device) getGroup() *Group {
+	d.groupsMu.Lock()
+	defer d.groupsMu.Unlock()
+	n := len(d.groups)
+	if n == 0 {
+		return &Group{}
+	}
+	g := d.groups[n-1]
+	d.groups = d.groups[:n-1]
+	return g
+}
+
+// putGroup pushes a Group for a later drain; one beyond the stack's
+// capacity is left to the garbage collector.
+func (d *Device) putGroup(g *Group) {
+	d.groupsMu.Lock()
+	defer d.groupsMu.Unlock()
+	if len(d.groups) < cap(d.groups) {
+		d.groups = append(d.groups, g)
+	}
+}
+
+// getTask pops a recycled launchTask, or allocates one. A task is never
+// reused while a submission-queue reference to it is live: that happens
+// whenever the launcher drained the whole grid before a queued helper
+// woke up, which at two or more workers is most launches. Such a task
+// goes back on the free list for a later launch and the next one is
+// tried, so the launch allocates only when every free task is still
+// referenced.
 func (d *Device) getTask() *launchTask {
-	select {
-	case t := <-d.free:
-		if t.refs.Load() == 0 {
-			return t
+	for n := len(d.free); n > 0; n-- {
+		select {
+		case t := <-d.free:
+			if t.refs.Load() == 0 {
+				return t
+			}
+			d.putTask(t)
+		default:
 		}
-	default:
 	}
 	return &launchTask{dev: d, done: make(chan struct{}, 1)}
 }

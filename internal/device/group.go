@@ -91,10 +91,10 @@ func (c *Counters) GlobalBytes() int64 { return c.GlobalReadBytes + c.GlobalWrit
 // Group is one work-group of a kernel launch: a block of lanes sharing
 // local memory and barriers. It implements Ctx with full instrumentation.
 //
-// Group objects are pooled by the Device and recycled across launches:
-// local-memory buffers are carved out of per-Group arenas that persist
-// between kernel executions (and are re-zeroed on allocation), so steady-
-// state kernel rounds run allocation-free.
+// Group objects are recycled by the Device across launches: local-memory
+// buffers are carved out of per-Group arenas that persist between kernel
+// executions (and are re-zeroed on allocation), so steady-state kernel
+// rounds run allocation-free.
 type Group struct {
 	id          int
 	size        int
@@ -125,6 +125,12 @@ type Group struct {
 	phaseCounts []Counters
 	phaseTimes  []time.Duration
 
+	// drainPhases/drainTimes sum phaseCounts/phaseTimes over every
+	// work-group one drain participant runs on this Group, so the
+	// participant folds them into the launch once.
+	drainPhases []Counters
+	drainTimes  []time.Duration
+
 	// Local-memory arenas, recycled across kernel executions.
 	arenaF64               []float64
 	arenaInt               []int
@@ -137,7 +143,22 @@ type Group struct {
 	scrOffF64, scrOffInt int
 }
 
-// reset prepares a pooled Group for one kernel execution.
+// beginDrain zeroes the participant accumulators for a launch with the
+// given number of fused phases (0 for a plain launch).
+func (g *Group) beginDrain(phases int) {
+	if cap(g.drainPhases) < phases {
+		g.drainPhases = make([]Counters, phases)
+		g.drainTimes = make([]time.Duration, phases)
+	}
+	g.drainPhases = g.drainPhases[:phases]
+	g.drainTimes = g.drainTimes[:phases]
+	for i := range g.drainPhases {
+		g.drainPhases[i] = Counters{}
+		g.drainTimes[i] = 0
+	}
+}
+
+// reset prepares a recycled Group for one kernel execution.
 func (g *Group) reset(id, size, localMemCap, phases int) {
 	g.id = id
 	g.size = size
@@ -200,7 +221,7 @@ func (g *Group) Phase(i int) {
 
 // finish closes out one kernel execution, folding this group's accounting
 // into the participant-local accumulators.
-func (g *Group) finish(local *Counters, lp []Counters, lt []time.Duration) {
+func (g *Group) finish(local *Counters) {
 	g.flushSteps()
 	if !g.fused {
 		local.Add(&g.count)
@@ -211,9 +232,9 @@ func (g *Group) finish(local *Counters, lp []Counters, lt []time.Duration) {
 	}
 	for i := range g.phaseCounts {
 		local.Add(&g.phaseCounts[i])
-		lp[i].Add(&g.phaseCounts[i])
+		g.drainPhases[i].Add(&g.phaseCounts[i])
 		if g.timed {
-			lt[i] += g.phaseTimes[i]
+			g.drainTimes[i] += g.phaseTimes[i]
 		}
 	}
 }

@@ -2,7 +2,6 @@ package filter
 
 import (
 	"fmt"
-	"math"
 
 	"esthera/internal/model"
 	"esthera/internal/resample"
@@ -24,18 +23,11 @@ type Centralized struct {
 	w         []float64
 	idx       []int
 
-	rs         resample.Resampler
-	policy     resample.Policy
-	estimator  Estimator
-	frim       *frimSampler
-	roughening float64
-	r          *rng.Rand
-	seed       uint64
-	k          int
-
-	prevW      []float64 // normalized weights entering the current step
-	llBuf      []float64 // per-step log-likelihoods
-	marginalLL float64   // accumulated log p(z_1:k) estimate
+	rs        resample.Resampler
+	policy    resample.Policy
+	estimator Estimator
+	r         *rng.Rand
+	k         int
 }
 
 // CentralizedOptions configures NewCentralized. Zero values select the
@@ -48,16 +40,6 @@ type CentralizedOptions struct {
 	Policy resample.Policy
 	// Estimator defaults to MaxWeight.
 	Estimator Estimator
-	// FRIM enables finite-redraw importance-maximizing sampling
-	// (MaxRedraws > 0); see the FRIM type.
-	FRIM FRIM
-	// Roughening adds Gordon-style post-resampling jitter: each state
-	// dimension receives N(0, (Roughening·E_d·n^{-1/dim})²) noise, where
-	// E_d is the population's extent in that dimension. It combats the
-	// sample-impoverishment cost of resampling (§II-B1: "the loss of
-	// diversity among particles as the new particle set most likely
-	// contains many duplicates"). 0 disables; Gordon et al. suggest 0.2.
-	Roughening float64
 }
 
 // NewCentralized builds a centralized filter over n particles of m,
@@ -80,15 +62,11 @@ func NewCentralized(m model.Model, n int, seed uint64, opts CentralizedOptions) 
 	if c.policy == nil {
 		c.policy = resample.Always{}
 	}
-	c.frim = newFRIMSampler(opts.FRIM)
-	c.roughening = opts.Roughening
 	c.particles = make([]float64, n*c.dim)
 	c.next = make([]float64, n*c.dim)
 	c.logw = make([]float64, n)
 	c.w = make([]float64, n)
 	c.idx = make([]int, n)
-	c.prevW = make([]float64, n)
-	c.llBuf = make([]float64, n)
 	c.Reset(seed)
 	return c, nil
 }
@@ -98,76 +76,28 @@ func (c *Centralized) Name() string { return "centralized" }
 
 // Reset implements Filter.
 func (c *Centralized) Reset(seed uint64) {
-	c.seed = seed
 	c.r = rng.New(rng.NewPhiloxStream(seed, 0))
 	c.k = 0
 	initParticles(c.m, c.particles, c.r)
 	for i := range c.logw {
 		c.logw[i] = 0
 	}
-	c.frim.reset()
-	c.marginalLL = 0
 }
-
-// MarginalLogLikelihood returns the accumulated particle estimate of
-// log p(z_1:k) — the simulated likelihood that makes particle filters a
-// parameter-inference engine in econometrics (the paper's introduction
-// cites Flury & Shephard's "Bayesian inference based only on simulated
-// likelihood"). The per-step increment is log Σᵢ w̃_{k-1,i}·p(z_k|x_{k,i}),
-// accumulated stably in log space.
-func (c *Centralized) MarginalLogLikelihood() float64 { return c.marginalLL }
-
-// FRIMRedraws reports the total extra model evaluations the FRIM sampler
-// performed (0 when FRIM is disabled).
-func (c *Centralized) FRIMRedraws() int64 { return c.frim.Redraws }
-
-// Particles exposes the current particle array (n × dim, read-only by
-// convention) for diagnostics and tests.
-func (c *Centralized) Particles() []float64 { return c.particles }
 
 // Step implements Filter.
 func (c *Centralized) Step(u, z []float64) Estimate {
 	c.k++
-	// Normalized weights entering this step (uniform right after a
-	// resample): the mixture weights of the marginal-likelihood increment.
-	normalizeLogWeights(c.logw, c.prevW)
-	resample.Normalize(c.prevW)
-
 	// Sample + weight (Algorithm 1 lines 2–6). Log-weights accumulate
 	// across steps so that "resample only sometimes" policies stay
 	// correct (sequential importance sampling); a resample resets them.
-	maxLL := math.Inf(-1)
 	for i := 0; i < c.n; i++ {
 		src := c.particles[i*c.dim : (i+1)*c.dim]
 		dst := c.next[i*c.dim : (i+1)*c.dim]
-		var ll float64
-		if c.frim.enabled() {
-			ll = c.frim.step(c.m, dst, src, u, z, c.k, c.r)
-		} else {
-			c.m.Step(dst, src, u, c.k, c.r)
-			ll = c.m.LogLikelihood(dst, z)
-		}
-		c.logw[i] += ll
-		c.llBuf[i] = ll
-		if ll > maxLL {
-			maxLL = ll
-		}
-	}
-	// Marginal-likelihood increment, stabilized by the max.
-	if !math.IsInf(maxLL, -1) && !math.IsNaN(maxLL) {
-		sum := 0.0
-		for i := 0; i < c.n; i++ {
-			sum += c.prevW[i] * math.Exp(c.llBuf[i]-maxLL)
-		}
-		if sum > 0 {
-			c.marginalLL += maxLL + math.Log(sum)
-		}
+		c.m.Step(dst, src, u, c.k, c.r)
+		c.logw[i] += c.m.LogLikelihood(dst, z)
 	}
 	c.particles, c.next = c.next, c.particles
 	maxLW := normalizeLogWeights(c.logw, c.w)
-	if c.frim.enabled() {
-		c.frim.observeRound(maxLW)
-	}
 	est := estimateFrom(c.estimator, c.particles, c.w, c.dim, maxLW)
 
 	// Resample (lines 7–11), if the policy says so.
@@ -180,35 +110,6 @@ func (c *Centralized) Step(u, z []float64) Estimate {
 		for i := range c.logw {
 			c.logw[i] = 0
 		}
-		if c.roughening > 0 {
-			c.roughen()
-		}
 	}
 	return est
-}
-
-// roughen jitters the resampled population (Gordon et al. 1993): per
-// dimension, noise scaled to the population extent and shrinking with
-// n^{-1/dim}.
-func (c *Centralized) roughen() {
-	scale := c.roughening * math.Pow(float64(c.n), -1/float64(c.dim))
-	for d := 0; d < c.dim; d++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < c.n; i++ {
-			v := c.particles[i*c.dim+d]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		sigma := scale * (hi - lo)
-		if sigma <= 0 {
-			continue
-		}
-		for i := 0; i < c.n; i++ {
-			c.particles[i*c.dim+d] += c.r.Normal(0, sigma)
-		}
-	}
 }

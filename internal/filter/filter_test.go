@@ -320,7 +320,11 @@ func TestVariantsTrackUNGM(t *testing.T) {
 		func() (filter.Filter, error) { return filter.NewCDPF(m, 16, 32, 8, 1) },
 		func() (filter.Filter, error) { return filter.NewRPA(m, 16, 32, 1) },
 		func() (filter.Filter, error) { return filter.NewLDPF(m, 16, 32, 1) },
-		func() (filter.Filter, error) { return filter.NewRNA(m, 16, 32, 1, 1) },
+		func() (filter.Filter, error) {
+			return filter.NewDistributed(m, filter.DistributedConfig{
+				SubFilters: 16, ParticlesPer: 32, Scheme: exchange.Ring, ExchangeCount: 1,
+			}, 1)
+		},
 	}
 	for _, mk := range mks {
 		f, err := mk()

@@ -21,8 +21,7 @@ import (
 //   - CDPF: central resampling over a small compressed representative
 //     set (the best c per sub-filter), redistributed to all sub-filters.
 //   - RNA (Bolić et al.): local resampling followed by a particle
-//     exchange step — structurally our Distributed with a ring exchange
-//     (constructor alias below).
+//     exchange step — structurally our Distributed with a ring exchange.
 //   - RPA (Bolić et al.): two-stage resampling with proportional
 //     allocation — sub-filters are allotted survivor counts proportional
 //     to their total weight, then resample locally and redistribute.
@@ -34,17 +33,6 @@ func NewLDPF(m model.Model, subFilters, particlesPer int, seed uint64) (*Distrib
 		SubFilters:   subFilters,
 		ParticlesPer: particlesPer,
 		Scheme:       exchange.None,
-	}, seed)
-}
-
-// NewRNA returns the Resampling-with-Non-proportional-Allocation design:
-// local resampling plus a ring particle exchange.
-func NewRNA(m model.Model, subFilters, particlesPer, t int, seed uint64) (*Distributed, error) {
-	return NewDistributed(m, DistributedConfig{
-		SubFilters:    subFilters,
-		ParticlesPer:  particlesPer,
-		Scheme:        exchange.Ring,
-		ExchangeCount: t,
 	}, seed)
 }
 

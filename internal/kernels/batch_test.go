@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"runtime"
 	"testing"
 
 	"esthera/internal/device"
@@ -201,5 +202,40 @@ func TestRoundBatchSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
 		t.Fatalf("steady-state batched round allocates %.1f objects/round, want 0", allocs)
+	}
+}
+
+// TestRoundFusedMultiWorkerMallocs pins the fused round allocation-free
+// on a 2-worker device with two Ps. It counts mallocs with
+// runtime.ReadMemStats because testing.AllocsPerRun sets GOMAXPROCS to
+// 1, where a launch never races its queued helper for the recycled
+// launch task and so never allocates a fresh one.
+func TestRoundFusedMultiWorkerMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on allocation-free paths")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dev := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
+	defer dev.Close()
+	p := newPipe(t, dev, 64, 128, 1)
+	z := []float64{0}
+	k := 0
+	round := func() {
+		k++
+		z[0] = float64(k % 7)
+		p.RoundFused(nil, z, k)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if perRound := float64(after.Mallocs-before.Mallocs) / rounds; perRound > 0.5 {
+		t.Fatalf("fused round on 2 workers mallocs %.2f objects/round, want ~0", perRound)
 	}
 }

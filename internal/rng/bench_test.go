@@ -22,7 +22,6 @@ var benchSink uint64
 func BenchmarkMT19937(b *testing.B)  { benchSource(b, NewMT19937(1)) }
 func BenchmarkMTGP(b *testing.B)     { benchSource(b, NewMTGP(1, 0)) }
 func BenchmarkPhilox(b *testing.B)   { benchSource(b, NewPhilox(1)) }
-func BenchmarkXoshiro(b *testing.B)  { benchSource(b, NewXoshiro(1)) }
 func BenchmarkSplitMix(b *testing.B) { benchSource(b, NewSplitMix64(1)) }
 
 func BenchmarkMTGPBlock(b *testing.B) {
@@ -47,17 +46,6 @@ func BenchmarkPhiloxBlock(b *testing.B) {
 
 func BenchmarkBoxMullerNormals(b *testing.B) {
 	r := New(NewPhilox(1))
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += r.NormFloat64()
-	}
-	benchSinkF = sink
-}
-
-func BenchmarkZigguratNormals(b *testing.B) {
-	r := New(NewPhilox(1))
-	r.UseZiggurat(true)
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {

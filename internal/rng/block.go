@@ -17,12 +17,6 @@ const inv53 = 1.0 / (1 << 53)
 //
 //esthera:hotpath noalloc bce
 func (r *Rand) FillNormals(dst []float64) {
-	if r.useZiggurat {
-		for i := range dst {
-			dst[i] = r.ziggurat()
-		}
-		return
-	}
 	i := 0
 	if r.haveSpare && i < len(dst) {
 		dst[i] = r.spare
@@ -99,19 +93,5 @@ func (r *Rand) Normals(n int) []float64 {
 	}
 	s := r.normScratch[:n]
 	r.FillNormals(s)
-	return s
-}
-
-// Uniforms returns a reusable scratch slice of n uniforms in [0,1),
-// with the same ownership rules as Normals.
-//
-//esthera:hotpath noalloc bce
-func (r *Rand) Uniforms(n int) []float64 {
-	if cap(r.unifScratch) < n {
-		//esthera:allow noalloc amortized scratch growth; steady-state calls reuse the buffer
-		r.unifScratch = make([]float64, n)
-	}
-	s := r.unifScratch[:n]
-	r.FillUniforms(s)
 	return s
 }

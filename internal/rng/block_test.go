@@ -183,9 +183,4 @@ func TestScratchDrawsAreReused(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Error("Normals scratch was reallocated for a smaller request")
 	}
-	u1 := r.Uniforms(16)
-	u2 := r.Uniforms(16)
-	if &u1[0] != &u2[0] {
-		t.Error("Uniforms scratch was reallocated for an equal request")
-	}
 }

@@ -12,50 +12,3 @@ func BoxMuller(u1, u2 float64) (z0, z1 float64) {
 	s, c := math.Sincos(theta)
 	return r * c, r * s
 }
-
-// BoxMullerPolar is the Marsaglia polar variant: it avoids the sin/cos at
-// the cost of rejection (~21.5% of candidate pairs are discarded). u and v
-// must be uniforms in (0,1); ok reports whether the pair was accepted.
-func BoxMullerPolar(u, v float64) (z0, z1 float64, ok bool) {
-	x := 2*u - 1
-	y := 2*v - 1
-	s := x*x + y*y
-	if s >= 1 || s == 0 {
-		return 0, 0, false
-	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	return x * f, y * f, true
-}
-
-// NormalsFromBits converts a block of raw 32-bit PRNG output into standard
-// normal deviates via Box-Muller, consuming two words per pair. It fills
-// dst completely and returns the number of 32-bit words consumed
-// (always 2*ceil(len(dst)/2)). This is the exact shape of the paper's GPU
-// pipeline: the PRNG kernel fills a uint32 buffer, and downstream kernels
-// read normals out of it.
-func NormalsFromBits(dst []float64, bits []uint32) int {
-	const inv = 1.0 / (1 << 32)
-	used := 0
-	for i := 0; i < len(dst); i += 2 {
-		// Map to open (0,1): offset by half an ulp of the 32-bit grid.
-		u1 := (float64(bits[used]) + 0.5) * inv
-		u2 := (float64(bits[used+1]) + 0.5) * inv
-		used += 2
-		z0, z1 := BoxMuller(u1, u2)
-		dst[i] = z0
-		if i+1 < len(dst) {
-			dst[i+1] = z1
-		}
-	}
-	return used
-}
-
-// UniformsFromBits converts raw 32-bit PRNG output into uniforms in [0,1),
-// one word per output, filling dst and returning len(dst).
-func UniformsFromBits(dst []float64, bits []uint32) int {
-	const inv = 1.0 / (1 << 32)
-	for i := range dst {
-		dst[i] = float64(bits[i]) * inv
-	}
-	return len(dst)
-}

@@ -118,16 +118,6 @@ func TestRandAuxiliaryMethods(t *testing.T) {
 	if m := sum / n; m < 4.9 || m > 5.1 {
 		t.Fatalf("Normal(5,2) mean %v", m)
 	}
-	// Shuffle permutes.
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 8)
-	for _, v := range xs {
-		if v < 0 || v > 7 || seen[v] {
-			t.Fatalf("Shuffle broke permutation: %v", xs)
-		}
-		seen[v] = true
-	}
 	// SplitMix64 Seed.
 	sm := NewSplitMix64(1)
 	sm.Uint64()

@@ -15,18 +15,13 @@
 //   - Philox4x32-10, a counter-based generator in the Random123 family;
 //     the modern alternative for many-core architectures (no shared state,
 //     arbitrary jump-ahead).
-//   - xoshiro256++, a small fast generator used where statistical
-//     requirements are modest (e.g. resampling coin flips).
 //   - SplitMix64, used exclusively for seeding and stream derivation.
 //
-// Normal deviates are produced by Box-Muller (as in the paper, which added
-// a Box-Muller transformation to its MTGP port) or by a Ziggurat sampler.
+// Normal deviates are produced by Box-Muller, as in the paper, which added
+// a Box-Muller transformation to its MTGP port.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is a deterministic stream of pseudo-random 64-bit words.
 //
@@ -70,26 +65,12 @@ type Rand struct {
 	haveSpare bool
 	spare     float64
 
-	// When true, NormFloat64 uses the Ziggurat sampler instead of
-	// Box-Muller. Box-Muller is the default because it is what the paper
-	// used on top of MTGP.
-	useZiggurat bool
-
-	// Reusable scratch for the block-draw API (Normals/Uniforms); not
-	// part of the serialized state.
+	// Reusable scratch for Normals; not part of the serialized state.
 	normScratch []float64
-	unifScratch []float64
 }
 
 // Source returns the underlying raw stream.
 func (r *Rand) Source() Source { return r.src }
-
-// UseZiggurat selects the Ziggurat normal sampler (true) or Box-Muller
-// (false, the default).
-func (r *Rand) UseZiggurat(on bool) {
-	r.useZiggurat = on
-	r.haveSpare = false
-}
 
 // Seed re-seeds the underlying source and clears cached state.
 func (r *Rand) Seed(seed uint64) {
@@ -128,9 +109,6 @@ func (r *Rand) Intn(n int) int {
 
 // NormFloat64 returns a standard normal deviate (mean 0, stddev 1).
 func (r *Rand) NormFloat64() float64 {
-	if r.useZiggurat {
-		return r.ziggurat()
-	}
 	if r.haveSpare {
 		r.haveSpare = false
 		return r.spare
@@ -144,27 +122,4 @@ func (r *Rand) NormFloat64() float64 {
 // deviation.
 func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
-}
-
-// ExpFloat64 returns an exponentially distributed deviate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	return -math.Log(r.OpenFloat64())
-}
-
-// Perm returns a uniformly random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }

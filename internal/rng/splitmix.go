@@ -2,9 +2,9 @@ package rng
 
 // SplitMix64 is Steele, Lea & Flood's splittable generator. It passes
 // BigCrush, has a full 2^64 period, and — most importantly here — turns an
-// arbitrary (possibly poor) seed into a well-mixed state, which is why it
-// is the recommended seeder for xoshiro and why this package uses it to
-// derive per-stream seeds for sub-filter generators.
+// arbitrary (possibly poor) seed into a well-mixed state, which is why
+// this package uses it to derive per-stream seeds for sub-filter
+// generators.
 type SplitMix64 struct {
 	state uint64
 }

@@ -68,57 +68,8 @@ func TestBoxMullerMoments(t *testing.T) {
 	checkMoments(t, r.NormFloat64, 400000)
 }
 
-func TestZigguratMoments(t *testing.T) {
-	r := New(NewPhilox(99))
-	r.UseZiggurat(true)
-	checkMoments(t, r.NormFloat64, 400000)
-}
-
-// TestZigguratTailMass checks that the sampler produces values beyond the
-// ziggurat edge R with approximately the right frequency, exercising the
-// tail algorithm.
-func TestZigguratTailMass(t *testing.T) {
-	r := New(NewXoshiro(123))
-	r.UseZiggurat(true)
-	n := 2_000_000
-	tail := 0
-	for i := 0; i < n; i++ {
-		if math.Abs(r.NormFloat64()) > zigR {
-			tail++
-		}
-	}
-	// P(|Z| > 3.4426...) ≈ 5.76e-4.
-	want := 2 * 0.5 * math.Erfc(zigR/math.Sqrt2) * float64(n)
-	got := float64(tail)
-	if got < want*0.7 || got > want*1.4 {
-		t.Fatalf("tail mass %v, want ≈ %v", got, want)
-	}
-}
-
-// TestZigguratTables sanity-checks the construction: edges strictly
-// decreasing, densities strictly increasing, layer areas ≈ V.
-func TestZigguratTables(t *testing.T) {
-	for i := 1; i < zigLayers; i++ {
-		if !(zigX[i+1] < zigX[i]) {
-			t.Fatalf("edges not strictly decreasing at %d: %v >= %v", i, zigX[i+1], zigX[i])
-		}
-		if !(zigF[i+1] > zigF[i]) {
-			t.Fatalf("densities not strictly increasing at %d", i)
-		}
-	}
-	if zigX[zigLayers] != 0 || math.Abs(zigF[zigLayers]-1) > 1e-9 {
-		t.Fatalf("top layer must end at (0, 1); got (%v, %v)", zigX[zigLayers], zigF[zigLayers])
-	}
-	for i := 1; i < zigLayers; i++ {
-		area := zigX[i] * (zigF[i+1] - zigF[i])
-		if math.Abs(area-zigV) > 1e-6 {
-			t.Fatalf("layer %d area %v, want %v", i, area, zigV)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
-	r := New(NewXoshiro(5))
+	r := New(NewPhilox(5))
 	for i := 0; i < 100000; i++ {
 		if v := r.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of [0,1): %v", v)
@@ -147,95 +98,4 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(NewPhilox(1)).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(NewPhilox(3))
-	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid element %d", n, v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(NewPhilox(11))
-	sum := 0.0
-	n := 200000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v, want ≈ 1", mean)
-	}
-}
-
-func TestBoxMullerPolarAcceptance(t *testing.T) {
-	r := New(NewXoshiro(9))
-	accepted, total := 0, 100000
-	var sum, sum2 float64
-	cnt := 0
-	for i := 0; i < total; i++ {
-		z0, z1, ok := BoxMullerPolar(r.Float64(), r.Float64())
-		if ok {
-			accepted++
-			sum += z0 + z1
-			sum2 += z0*z0 + z1*z1
-			cnt += 2
-		}
-	}
-	rate := float64(accepted) / float64(total)
-	if rate < 0.76 || rate > 0.81 { // π/4 ≈ 0.785
-		t.Fatalf("polar acceptance rate %v, want ≈ 0.785", rate)
-	}
-	mean := sum / float64(cnt)
-	variance := sum2/float64(cnt) - mean*mean
-	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.03 {
-		t.Fatalf("polar moments off: mean %v var %v", mean, variance)
-	}
-}
-
-func TestNormalsFromBits(t *testing.T) {
-	src := NewPhilox(1234)
-	bits := make([]uint32, 100001) // odd length to exercise the tail
-	src.Block(bits)
-	dst := make([]float64, 99999) // odd output length
-	used := NormalsFromBits(dst, bits)
-	if used != 100000 {
-		t.Fatalf("consumed %d words, want 100000", used)
-	}
-	var sum, sum2 float64
-	for _, v := range dst {
-		sum += v
-		sum2 += v * v
-	}
-	n := float64(len(dst))
-	mean, variance := sum/n, sum2/n-(sum/n)*(sum/n)
-	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.03 {
-		t.Fatalf("NormalsFromBits moments off: mean %v var %v", mean, variance)
-	}
-}
-
-func TestUniformsFromBits(t *testing.T) {
-	bits := []uint32{0, 1 << 31, 0xFFFFFFFF}
-	dst := make([]float64, 3)
-	UniformsFromBits(dst, bits)
-	if dst[0] != 0 {
-		t.Fatalf("dst[0] = %v, want 0", dst[0])
-	}
-	if math.Abs(dst[1]-0.5) > 1e-9 {
-		t.Fatalf("dst[1] = %v, want 0.5", dst[1])
-	}
-	if dst[2] >= 1 || dst[2] < 0.9999999 {
-		t.Fatalf("dst[2] = %v, want just below 1", dst[2])
-	}
 }

@@ -180,8 +180,9 @@ func (b *Buffer) RestoreState(st State) error {
 	return nil
 }
 
-// SaveState implements Stateful: the Box-Muller spare cache and sampler
-// selection, with the wrapped source as a sub-state.
+// SaveState implements Stateful: the Box-Muller spare cache, with the
+// wrapped source as a sub-state. Word 3 once selected a second normal
+// sampler; it is kept, always 0, so saved states keep their shape.
 func (r *Rand) SaveState() State {
 	w := make([]uint32, 4)
 	if r.haveSpare {
@@ -190,9 +191,6 @@ func (r *Rand) SaveState() State {
 	bits := math.Float64bits(r.spare)
 	w[1] = uint32(bits)
 	w[2] = uint32(bits >> 32)
-	if r.useZiggurat {
-		w[3] = 1
-	}
 	st := State{Kind: "rand", Words: w}
 	if sf, ok := r.src.(Stateful); ok {
 		st.Sub = []State{sf.SaveState()}
@@ -205,6 +203,9 @@ func (r *Rand) RestoreState(st State) error {
 	if err := checkState(st, "rand", 4); err != nil {
 		return err
 	}
+	if st.Words[3] != 0 {
+		return fmt.Errorf("rng: rand state selects normal sampler %d, only Box-Muller (0) exists", st.Words[3])
+	}
 	if len(st.Sub) > 0 {
 		sf, ok := r.src.(Stateful)
 		if !ok {
@@ -216,7 +217,6 @@ func (r *Rand) RestoreState(st State) error {
 	}
 	r.haveSpare = st.Words[0] != 0
 	r.spare = math.Float64frombits(uint64(st.Words[1]) | uint64(st.Words[2])<<32)
-	r.useZiggurat = st.Words[3] != 0
 	return nil
 }
 

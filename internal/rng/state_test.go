@@ -120,3 +120,23 @@ func TestStateKindMismatch(t *testing.T) {
 		t.Fatal("buffer accepted state with mismatched capacity")
 	}
 }
+
+// TestRandStateSamplerWord pins word 3 of a saved Rand state: it is
+// always written as 0, and a state that selects any other normal sampler
+// is rejected instead of being replayed with Box-Muller.
+func TestRandStateSamplerWord(t *testing.T) {
+	r := New(NewPhilox(4))
+	r.NormFloat64()
+	st := r.SaveState()
+	if st.Words[3] != 0 {
+		t.Fatalf("saved sampler word = %d, want 0", st.Words[3])
+	}
+	bad := st.Clone()
+	bad.Words[3] = 1
+	if err := New(NewPhilox(4)).RestoreState(bad); err == nil {
+		t.Fatal("rand accepted a state whose sampler word is 1")
+	}
+	if err := New(NewPhilox(4)).RestoreState(st); err != nil {
+		t.Fatalf("rand rejected its own state: %v", err)
+	}
+}

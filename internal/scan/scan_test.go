@@ -124,7 +124,7 @@ func TestMaxIndexFewerLanesThanElements(t *testing.T) {
 }
 
 func TestSumTree(t *testing.T) {
-	r := rng.New(rng.NewXoshiro(3))
+	r := rng.New(rng.NewPhilox(3))
 	for _, n := range []int{1, 2, 5, 64, 100} {
 		xs := make([]float64, n)
 		for i := range xs {

@@ -84,12 +84,6 @@ type Config struct {
 	// log is always available at /logz regardless.
 	LogLevel tlog.Level
 	LogSink  io.Writer
-	// StepSLO is the step endpoint's latency objective: a step counts
-	// against the error budget when it exceeds this bound (0 = 50ms).
-	// SLOObjective is the target good fraction (0 = 0.99). Burn rates
-	// are exported via /metrics (esthera_slo_*).
-	StepSLO      time.Duration
-	SLOObjective float64
 }
 
 func (c Config) withDefaults() Config {
@@ -265,7 +259,10 @@ func NewServer(cfg Config, models map[string]ModelFactory) *Server {
 	s.tracer.SetProcess(cfg.Name)
 	s.dev.SetTracer(s.tracer)
 	s.log = tlog.New(tlog.Config{Level: cfg.LogLevel, Process: cfg.Name, Sink: cfg.LogSink})
-	s.sloStep = telemetry.NewSLOTracker(telemetry.SLO{Objective: cfg.SLOObjective, Threshold: cfg.StepSLO})
+	// The step endpoint's latency objective takes the telemetry
+	// defaults: a step over 50ms counts against a 99% good fraction.
+	// Burn rates are exported via /metrics (esthera_slo_*).
+	s.sloStep = telemetry.NewSLOTracker(telemetry.SLO{})
 	// Predicted lane-op cost per request, bucketed in powers of four:
 	// spans the arm default (16x64 sub-filters, ~200k ops) out to the
 	// million-particle shapes the throughput scenarios use.

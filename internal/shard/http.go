@@ -151,7 +151,7 @@ func NewRouterHandler(r *Router) http.Handler {
 func routerCollector(r *Router) telemetry.Collector {
 	return func(e *telemetry.Emitter) {
 		telemetry.CollectBuildInfo(e)
-		r.StepSLO().Collect(e, "route.step")
+		r.sloStep.Collect(e, "route.step")
 		st := r.Stats()
 		e.Gauge("esthera_router_sessions", "Sessions routed by this router.", float64(st.Sessions))
 		e.Gauge("esthera_router_sessions_parked", "Sessions with no live shard, held as checkpoints.", float64(st.Parked))

@@ -8,14 +8,12 @@ import (
 	"strings"
 	"testing"
 
-	"esthera/internal/cluster"
-	"esthera/internal/model"
 	"esthera/internal/serve"
 	"esthera/internal/telemetry"
 )
 
 // TestMetricsEndpointsServePrometheusOnly pins the /metrics contract of
-// all three introspection handlers: whatever the Accept header or the
+// both introspection handlers: whatever the Accept header or the
 // format query parameter asks for, the answer is 200 with the
 // Prometheus text exposition, and the body passes the format lint.
 func TestMetricsEndpointsServePrometheusOnly(t *testing.T) {
@@ -28,13 +26,6 @@ func TestMetricsEndpointsServePrometheusOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := newTestRouter(t, RouterConfig{}, rep)
-	c, err := cluster.New(model.NewUNGM(), cluster.Config{
-		Nodes: 2, SubFiltersPerNode: 4, ParticlesPer: 16, ExchangeCount: 1, WorkersPerNode: 1,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Step(nil, obs(1))
 
 	handlers := []struct {
 		name   string
@@ -43,7 +34,6 @@ func TestMetricsEndpointsServePrometheusOnly(t *testing.T) {
 	}{
 		{"serve", serve.NewHandler(rep.srv), "esthera_serve_batches_total"},
 		{"router", NewRouterHandler(router), "esthera_router_steps_forwarded_total"},
-		{"cluster", cluster.NewMetricsHandler(c), "esthera_cluster_rounds_total"},
 	}
 	requests := []struct{ name, target, accept string }{
 		{"no-accept", "/metrics", ""},

@@ -49,11 +49,6 @@ type RouterConfig struct {
 	// RetryAfter is the back-off hint attached to retryable router
 	// errors — a migrating session, a shard mid-failover (0 = 15ms).
 	RetryAfter time.Duration
-	// ClientMaxAttempts bounds the serve.Client's per-forward retries
-	// against one replica (0 = 4). The router keeps this short: a
-	// saturated replica's hint is worth honoring a few times, but a
-	// dead one should fail over, not stall the caller.
-	ClientMaxAttempts int
 	// HTTPClient is the forwarding transport (nil = http.DefaultClient).
 	HTTPClient *http.Client
 	// Name identifies the router in transport handshakes (0 = "router").
@@ -67,11 +62,13 @@ type RouterConfig struct {
 	// over /logz; Sink mirrors warnings+ to a writer, typically stderr).
 	LogLevel tlog.Level
 	LogSink  io.Writer
-	// StepSLO / SLOObjective shape the forwarded-step latency objective
-	// (0 = the telemetry defaults: 50ms at 99%).
-	StepSLO      time.Duration
-	SLOObjective float64
 }
+
+// clientMaxAttempts bounds the serve.Client's per-forward retries
+// against one replica. The router keeps this short: a saturated
+// replica's hint is worth honoring a few times, but a dead one should
+// fail over, not stall the caller.
+const clientMaxAttempts = 4
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ProbeInterval == 0 {
@@ -82,9 +79,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 15 * time.Millisecond
-	}
-	if c.ClientMaxAttempts <= 0 {
-		c.ClientMaxAttempts = 4
 	}
 	if c.Name == "" {
 		c.Name = "router"
@@ -170,8 +164,10 @@ type Router struct {
 	names  []string // sorted shard names
 	ring   *Ring
 
-	tracer  *telemetry.Tracer
-	log     *tlog.Logger
+	tracer *telemetry.Tracer
+	log    *tlog.Logger
+	// sloStep tracks forwarded steps against the telemetry defaults:
+	// 50ms at 99%.
 	sloStep *telemetry.SLOTracker
 
 	mu     sync.Mutex
@@ -211,7 +207,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		quit:    make(chan struct{}),
 		tracer:  telemetry.New(telemetry.Config{}),
 		log:     tlog.New(tlog.Config{Level: cfg.LogLevel, Process: cfg.Name, Sink: cfg.LogSink}),
-		sloStep: telemetry.NewSLOTracker(telemetry.SLO{Objective: cfg.SLOObjective, Threshold: cfg.StepSLO}),
+		sloStep: telemetry.NewSLOTracker(telemetry.SLO{}),
 	}
 	r.tracer.SetEnabled(cfg.Trace)
 	r.tracer.SetProcess(cfg.Name)
@@ -227,7 +223,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			client: serve.NewClient(serve.ClientConfig{
 				BaseURL:     sp.BaseURL,
 				HTTPClient:  cfg.HTTPClient,
-				MaxAttempts: cfg.ClientMaxAttempts,
+				MaxAttempts: clientMaxAttempts,
 			}),
 			peer: NewPeer(sp.TransportAddr, cfg.Name),
 		}
@@ -1116,9 +1112,6 @@ func (r *Router) Tracer() *telemetry.Tracer { return r.tracer }
 // Logger returns the router's structured logger (drained over /logz).
 // Never nil.
 func (r *Router) Logger() *tlog.Logger { return r.log }
-
-// StepSLO returns the forwarded-step SLO tracker.
-func (r *Router) StepSLO() *telemetry.SLOTracker { return r.sloStep }
 
 // Ready reports whether the router can serve: at least one live shard.
 func (r *Router) Ready() bool {

@@ -4,10 +4,10 @@
 // (arXiv:1310.5045) demonstrates for the paper's sub-filter design:
 //
 //   - A length-prefixed binary TCP transport (wire.go, transport.go)
-//     carries checkpoint transfers and cluster exchange records between
-//     processes. Checkpoints ride the exact serve.Checkpoint wire format
-//     (base64 little-endian float64 bit patterns), so a transfer is
-//     bit-exact by construction; exchange records are raw IEEE-754 bits.
+//     carries probes and checkpoint transfers between processes.
+//     Checkpoints ride the exact serve.Checkpoint wire format (base64
+//     little-endian float64 bit patterns), so a transfer is bit-exact by
+//     construction.
 //   - An Agent (agent.go) gives every esthera-serve replica a transport
 //     endpoint: health pings, session export (checkpoint + close at a
 //     round boundary) and restore, with at-most-once migration
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"esthera/internal/serve"
 )
@@ -56,9 +55,7 @@ const headerSize = 12
 // the decoder to an absurd allocation.
 const MaxFramePayload = 64 << 20
 
-// FrameType tags a frame's payload. Control frames carry JSON (the
-// message structs below); exchange frames carry the packed binary
-// layout documented on ExchangeMsg.
+// FrameType tags a frame's payload, a JSON message struct below.
 type FrameType uint8
 
 // The frame types of protocol version 1.
@@ -80,11 +77,6 @@ const (
 	// (RestoreMsg); the reply is FrameRestored (RestoredMsg).
 	FrameRestore
 	FrameRestored
-	// FrameExchange carries one cluster exchange record block
-	// (ExchangeMsg, binary); FrameExchangeOK echoes the block back
-	// from the far side of the wire.
-	FrameExchange
-	FrameExchangeOK
 )
 
 // String names a frame type for errors and logs.
@@ -106,10 +98,6 @@ func (t FrameType) String() string {
 		return "restore"
 	case FrameRestored:
 		return "restored"
-	case FrameExchange:
-		return "exchange"
-	case FrameExchangeOK:
-		return "exchange-ok"
 	}
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
@@ -155,7 +143,7 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: nonzero reserved bytes", ErrMalformedFrame)
 	}
 	t := FrameType(hdr[5])
-	if t < FrameHello || t > FrameExchangeOK {
+	if t < FrameHello || t > FrameRestored {
 		return 0, nil, fmt.Errorf("%w: unknown frame type %d", ErrMalformedFrame, hdr[5])
 	}
 	n := binary.BigEndian.Uint32(hdr[8:])
@@ -284,56 +272,6 @@ type RestoredMsg struct {
 	MigrationID string `json:"migration_id"`
 	SessionID   string `json:"session_id"`
 	Duplicate   bool   `json:"duplicate"`
-}
-
-// ExchangeMsg is one cluster exchange record block crossing the wire:
-// sub-filter From's top-t records (t×(dim+1) float64s) on their way to
-// sub-filter To. Unlike the control messages it is packed binary — the
-// exchange runs every round, and float64 bit patterns must survive the
-// crossing exactly, so the records are raw little-endian IEEE-754 bits
-// with a fixed 20-byte header (offsets in the binary tags).
-type ExchangeMsg struct {
-	Round int64     `binary:"off=0,u64le"`
-	From  int32     `binary:"off=8,u32le"`
-	To    int32     `binary:"off=12,u32le"`
-	Recs  []float64 `binary:"off=16,u32le count, then count f64 bit patterns (u64le)"`
-}
-
-// exchangeHeader is ExchangeMsg's fixed binary prefix.
-const exchangeHeader = 20
-
-// EncodeExchange packs an ExchangeMsg into its binary frame payload.
-func EncodeExchange(m ExchangeMsg) []byte {
-	buf := make([]byte, exchangeHeader+8*len(m.Recs))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Round))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(m.From))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(m.To))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(m.Recs)))
-	for i, x := range m.Recs {
-		binary.LittleEndian.PutUint64(buf[exchangeHeader+8*i:], math.Float64bits(x))
-	}
-	return buf
-}
-
-// DecodeExchange unpacks EncodeExchange output, rejecting truncated or
-// inconsistent payloads.
-func DecodeExchange(payload []byte) (ExchangeMsg, error) {
-	var m ExchangeMsg
-	if len(payload) < exchangeHeader {
-		return m, fmt.Errorf("%w: exchange payload %d bytes, header needs %d", ErrMalformedFrame, len(payload), exchangeHeader)
-	}
-	m.Round = int64(binary.LittleEndian.Uint64(payload[0:]))
-	m.From = int32(binary.LittleEndian.Uint32(payload[8:]))
-	m.To = int32(binary.LittleEndian.Uint32(payload[12:]))
-	n := binary.LittleEndian.Uint32(payload[16:])
-	if int64(len(payload)-exchangeHeader) != int64(n)*8 {
-		return m, fmt.Errorf("%w: exchange payload declares %d records but carries %d bytes", ErrMalformedFrame, n, len(payload)-exchangeHeader)
-	}
-	m.Recs = make([]float64, n)
-	for i := range m.Recs {
-		m.Recs[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[exchangeHeader+8*i:]))
-	}
-	return m, nil
 }
 
 // marshal encodes a control message as a frame payload.

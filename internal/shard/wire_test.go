@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"strings"
 	"testing"
 
@@ -44,10 +43,13 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 	}
 
 	cases := map[string]func([]byte) []byte{
-		"bad magic":        func(b []byte) []byte { b[0] = 'X'; return b },
-		"bad version":      func(b []byte) []byte { b[4] = ProtoVersion + 9; return b },
-		"zero frame type":  func(b []byte) []byte { b[5] = 0; return b },
-		"huge frame type":  func(b []byte) []byte { b[5] = 200; return b },
+		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
+		"bad version":     func(b []byte) []byte { b[4] = ProtoVersion + 9; return b },
+		"zero frame type": func(b []byte) []byte { b[5] = 0; return b },
+		"huge frame type": func(b []byte) []byte { b[5] = 200; return b },
+		// 9 and 10 carried the retired cluster-exchange frames.
+		"frame type 9":     func(b []byte) []byte { b[5] = 9; return b },
+		"frame type 10":    func(b []byte) []byte { b[5] = 10; return b },
 		"reserved nonzero": func(b []byte) []byte { b[6] = 1; return b },
 		"oversize length": func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[8:], MaxFramePayload+1)
@@ -68,47 +70,6 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 	b := valid()
 	if _, _, err := ReadFrame(bytes.NewReader(b[:len(b)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: err = %v, want unexpected EOF", err)
-	}
-}
-
-// TestExchangeBitExact proves the binary exchange codec preserves every
-// float64 bit pattern, including the values JSON cannot carry.
-func TestExchangeBitExact(t *testing.T) {
-	recs := []float64{
-		0, math.Copysign(0, -1), 1.0 / 3.0, -math.MaxFloat64, math.SmallestNonzeroFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(), 6.626070153e-34,
-	}
-	in := ExchangeMsg{Round: 41, From: 3, To: 7, Recs: recs}
-	out, err := DecodeExchange(EncodeExchange(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Round != in.Round || out.From != in.From || out.To != in.To {
-		t.Fatalf("header mismatch: %+v vs %+v", out, in)
-	}
-	if len(out.Recs) != len(in.Recs) {
-		t.Fatalf("rec count %d, want %d", len(out.Recs), len(in.Recs))
-	}
-	for i := range recs {
-		if math.Float64bits(out.Recs[i]) != math.Float64bits(in.Recs[i]) {
-			t.Fatalf("rec %d: bits %016x, want %016x", i, math.Float64bits(out.Recs[i]), math.Float64bits(in.Recs[i]))
-		}
-	}
-}
-
-func TestDecodeExchangeRejectsTruncated(t *testing.T) {
-	full := EncodeExchange(ExchangeMsg{Round: 1, From: 0, To: 1, Recs: []float64{1, 2, 3}})
-	for _, cut := range []int{1, exchangeHeader - 1, len(full) - 1} {
-		if _, err := DecodeExchange(full[:cut]); !errors.Is(err, ErrMalformedFrame) {
-			t.Fatalf("cut=%d: err = %v, want ErrMalformedFrame", cut, err)
-		}
-	}
-	// A declared count larger than the payload backs must not allocate
-	// past the payload.
-	bad := append([]byte(nil), full...)
-	binary.LittleEndian.PutUint32(bad[16:], 1<<30)
-	if _, err := DecodeExchange(bad); !errors.Is(err, ErrMalformedFrame) {
-		t.Fatalf("inflated count: err = %v, want ErrMalformedFrame", err)
 	}
 }
 
@@ -134,7 +95,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ft < FrameHello || ft > FrameExchangeOK {
+		if ft < FrameHello || ft > FrameRestored {
 			t.Fatalf("accepted unknown frame type %d", ft)
 		}
 		if len(payload) > MaxFramePayload {

@@ -89,27 +89,39 @@ func (tc TraceContext) HeaderValue() string {
 	return "00-" + tc.Trace.String() + "-" + hex.EncodeToString(span[:]) + "-01"
 }
 
-// ParseTraceParent parses a traceparent value. Unknown versions are
-// accepted as long as the trace-id/span-id fields parse; malformed or
-// all-zero values return ok=false.
+// ParseTraceParent parses a W3C traceparent value: a version of two
+// lowercase hex digits other than ff, a 32-digit trace-id, a 16-digit
+// parent-id and two-digit flags, all lowercase hex, with neither ID all
+// zeros. Version 00 has exactly these four fields; a higher version may
+// carry more after them. Anything else returns ok=false.
 func ParseTraceParent(s string) (TraceContext, bool) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 3 || len(parts[0]) != 2 {
+	if len(parts) < 4 || (parts[0] == "00" && len(parts) != 4) || parts[0] == "ff" ||
+		!isLowerHex(parts[0], 2) || !isLowerHex(parts[1], 32) ||
+		!isLowerHex(parts[2], 16) || !isLowerHex(parts[3], 2) {
 		return TraceContext{}, false
 	}
+	// The fields are checked lowercase hex of even length, so neither
+	// decode can fail.
 	var tc TraceContext
-	if tc.Trace.parseHex(parts[1]) != nil {
-		return TraceContext{}, false
-	}
+	_, _ = hex.Decode(tc.Trace[:], []byte(parts[1]))
 	var span [8]byte
-	if len(parts[2]) != 16 {
-		return TraceContext{}, false
-	}
-	if _, err := hex.Decode(span[:], []byte(parts[2])); err != nil {
-		return TraceContext{}, false
-	}
+	_, _ = hex.Decode(span[:], []byte(parts[2]))
 	tc.Span = binary.BigEndian.Uint64(span[:])
-	return tc, tc.Valid()
+	return tc, tc.Valid() && tc.Span != 0
+}
+
+// isLowerHex reports whether s is exactly n lowercase hex digits.
+func isLowerHex(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // NewTraceID mints a random 16-byte trace ID.

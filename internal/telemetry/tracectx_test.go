@@ -25,25 +25,62 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 		"",
 		"00",
 		"00-zz-11-01",
-		"00-0123456789abcdef-0123456789abcdef-01",                  // short trace id
-		"00-0123456789abcdef0123456789abcdef-0123-01",              // short span id
-		"00-00000000000000000000000000000000-0123456789abcdef-01",  // zero trace id
-		"x-0123456789abcdef0123456789abcdef-0123456789abcdef-01",   // bad version field width
-		"00-0123456789abcdeg0123456789abcdef-0123456789abcdef-01",  // non-hex
-		"00 0123456789abcdef0123456789abcdef 0123456789abcdef 01",  // wrong separator
-		"00-0123456789abcdef0123456789abcdef-0123456789abcdeg-01",  // non-hex span
-		"traceparent: 00-0123456789abcdef0123456789abcdef-0123-01", // junk prefix
+		"00-0123456789abcdef-0123456789abcdef-01",                   // short trace id
+		"00-0123456789abcdef0123456789abcdef-0123-01",               // short span id
+		"00-00000000000000000000000000000000-0123456789abcdef-01",   // zero trace id
+		"x-0123456789abcdef0123456789abcdef-0123456789abcdef-01",    // bad version field width
+		"00-0123456789abcdeg0123456789abcdef-0123456789abcdef-01",   // non-hex
+		"00 0123456789abcdef0123456789abcdef 0123456789abcdef 01",   // wrong separator
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdeg-01",   // non-hex span
+		"traceparent: 00-0123456789abcdef0123456789abcdef-0123-01",  // junk prefix
+		"ff-0123456789abcdef0123456789abcdef-0123456789abcdef-01",   // version ff
+		"zz-0123456789abcdef0123456789abcdef-0123456789abcdef-01",   // non-hex version
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef",      // missing flags
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-zz",   // non-hex flags
+		"00-0123456789ABCDEF0123456789ABCDEF-0123456789abcdef-01",   // uppercase trace id
+		"00-0123456789abcdef0123456789abcdef-0123456789ABCDEF-01",   // uppercase parent id
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",   // zero parent id
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-x", // extra field after 00
 	}
 	for _, s := range bad {
 		if tc, ok := ParseTraceParent(s); ok {
 			t.Errorf("ParseTraceParent(%q) accepted: %+v", s, tc)
 		}
 	}
-	good := "00-0123456789abcdef0123456789abcdef-00000000000000ff-01"
-	tc, ok := ParseTraceParent(good)
-	if !ok || tc.Span != 0xff {
-		t.Fatalf("ParseTraceParent(%q) = %+v, %v", good, tc, ok)
+	for _, good := range []string{
+		"00-0123456789abcdef0123456789abcdef-00000000000000ff-01",
+		"00-0123456789abcdef0123456789abcdef-00000000000000ff-00",
+		"cc-0123456789abcdef0123456789abcdef-00000000000000ff-01-later-fields", // a higher version may add fields
+	} {
+		tc, ok := ParseTraceParent(good)
+		if !ok || tc.Span != 0xff {
+			t.Fatalf("ParseTraceParent(%q) = %+v, %v", good, tc, ok)
+		}
 	}
+}
+
+// FuzzParseTraceParent feeds arbitrary header values to the parser. An
+// accepted value must re-render with HeaderValue and parse back to the
+// same context.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Add(TraceContext{Trace: NewTraceID(), Span: NewSpanID()}.HeaderValue())
+	f.Add("00-0123456789abcdef0123456789abcdef-00000000000000ff-01")
+	f.Add("cc-0123456789abcdef0123456789abcdef-00000000000000ff-01-later")
+	f.Add("00-0123456789abcdef0123456789abcdef-0000000000000000-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceParent(s)
+		if !ok {
+			return
+		}
+		if !tc.Valid() || tc.Span == 0 {
+			t.Fatalf("ParseTraceParent(%q) accepted a zero id: %+v", s, tc)
+		}
+		back, ok := ParseTraceParent(tc.HeaderValue())
+		if !ok || back != tc {
+			t.Fatalf("%q -> %+v re-renders as %q -> %+v (ok=%v)", s, tc, tc.HeaderValue(), back, ok)
+		}
+	})
 }
 
 func TestTraceIDJSON(t *testing.T) {

@@ -1,9 +1,12 @@
 #!/bin/sh
 # Guards the fused round hot path against overhead creep: reruns
 # BenchmarkRoundFused (telemetry disabled — the default) and asserts
-# (a) the best-of-N ns/op is within BENCH_GUARD_TOLERANCE percent
+# (a) the best-of-N ns/op at the default GOMAXPROCS, the lines
+# scripts/bench.sh records, is within BENCH_GUARD_TOLERANCE percent
 # (default 20) of the newest recorded BENCH_*.json baseline, and
-# (b) the steady-state round performs zero heap allocations.
+# (b) the steady-state round performs zero heap allocations at
+# GOMAXPROCS 1 and 2: only with two or more Ps can a launch overtake
+# its queued helpers, so a single-P run cannot see that path allocate.
 # Observability must be free when off; this is where that promise is
 # enforced.
 #
@@ -61,25 +64,34 @@ if [ -z "$BASE_NS" ]; then
 	exit 0
 fi
 
+# The default GOMAXPROCS joins the -cpu list when it is neither 1 nor 2.
+# go test names a benchmark line "<name>-<procs>", with no suffix at 1.
+PROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}"
+CPUS="1,2"
+case "$PROCS" in 1 | 2) ;; *) CPUS="1,2,$PROCS" ;; esac
+SUFFIX=""
+[ "$PROCS" -eq 1 ] || SUFFIX="-$PROCS"
+
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-go test -run '^$' -bench 'BenchmarkRoundFused$' -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . | tee "$RAW"
+go test -run '^$' -bench 'BenchmarkRoundFused$' -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" -benchmem . | tee "$RAW"
 
-FRESH_NS="$(awk '/^BenchmarkRoundFused/ && $1 !~ /metropolis/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
-FRESH_MET_NS="$(awk '/^BenchmarkRoundFused/ && $1 ~ /metropolis/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
+FRESH_NS="$(awk -v sfx="$SUFFIX" '/^BenchmarkRoundFused/ && $1 ~ ("m=128" sfx "$") { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
+FRESH_MET_NS="$(awk -v sfx="$SUFFIX" '/^BenchmarkRoundFused/ && $1 ~ ("metropolis" sfx "$") { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
 if [ -z "$FRESH_NS" ]; then
-	echo "bench_guard: BenchmarkRoundFused produced no ns/op" >&2
+	echo "bench_guard: BenchmarkRoundFused produced no ns/op at GOMAXPROCS $PROCS" >&2
 	exit 1
 fi
 
-# Zero-allocation assertion: the fused round reuses every buffer it
-# touches, so any steady-state allocation is a leak into the hot path.
+# Zero-allocation assertion, over every -cpu line: the fused round
+# reuses every buffer it touches, so any steady-state allocation is a
+# leak into the hot path.
 MAX_ALLOCS="$(awk '/^BenchmarkRoundFused/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") if ($(i-1) + 0 > max + 0) max = $(i-1) } END { print max + 0 }' "$RAW")"
 if [ "$MAX_ALLOCS" -gt 0 ]; then
 	echo "bench_guard: FAIL [allocs/op] — fused round allocates $MAX_ALLOCS objects/op, want 0 (ns/op not at fault; find the escape with \`go run ./cmd/esthera-vet -run noalloc ./...\`)" >&2
 	exit 1
 fi
-echo "bench_guard: fused round allocs/op: 0"
+echo "bench_guard: fused round allocs/op: 0 at -cpu $CPUS"
 
 awk -v fresh="$FRESH_NS" -v base="$BASE_NS" -v tol="$TOLERANCE" -v src="$BASELINE" 'BEGIN {
 	limit = base * (1 + tol / 100)

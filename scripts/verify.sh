@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification: build + vet + the esthera-vet static-analysis suite,
-# then tests everywhere, then every package again under the race
-# detector. esthera-vet enforces the determinism and work-group safety
-# invariants (see DESIGN.md "Static guarantees"); any diagnostic fails
-# the run.
+# Full verification, the one pre-merge gate: build + vet + the
+# esthera-vet static-analysis suite, then tests everywhere, then every
+# package again under the race detector, a benchmark smoke run, the
+# adaptive accuracy gate and the fused-round benchmark guard.
+# esthera-vet enforces the determinism and work-group safety invariants
+# (see DESIGN.md "Static guarantees"); any diagnostic fails the run.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -43,6 +44,9 @@ fi
 # concurrency: hammer it repeatedly under the race detector so
 # interleaving-dependent regressions surface before merge.
 go test -race -count=3 ./internal/serve/...
+# Benchmark smoke: one short iteration of every benchmark, asserting they
+# still run (not measuring them).
+go test -run '^$' -bench . -benchtime 1x ./...
 # Adaptive-resampling accuracy gate: the sort-free Metropolis resampler
 # and the ESS-driven adaptive allocator must match the fixed-allocation
 # RWS/Vose baseline on the arm model. The 2x ratio is deliberately loose
