@@ -352,9 +352,9 @@ func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer i
 	}
 	// Warm-up rounds fill the device's launch-task and Group lists before
 	// timing. With two or more workers the task list keeps growing for
-	// several rounds, as queued helpers lag their launches, and the
-	// n=256 Metropolis series runs only ~20 timed rounds a second, so a
-	// few stray allocations there already read as 1 allocs/op.
+	// several rounds, as queued helpers lag their launches, so a short
+	// run (a low -benchtime, or the slow n=256 series) would otherwise
+	// read those first-round allocations as allocs/op.
 	const warm = 10
 	for i := 0; i < warm; i++ {
 		round(i)
@@ -387,15 +387,6 @@ func BenchmarkRoundFused(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run("n="+strconv.Itoa(n)+"/m=128", func(b *testing.B) {
 			benchRoundPath(b, true, false, n, 128, kernels.AlgoRWS)
-		})
-	}
-	// Metropolis series: the collective-free resampler replaces the
-	// bitonic sort + prefix-sum scan with per-lane biased random walks
-	// (top-t selection only). Same zero-allocation contract —
-	// scripts/bench_guard.sh ratchets this series too.
-	for _, n := range []int{64, 256} {
-		b.Run("n="+strconv.Itoa(n)+"/m=128/metropolis", func(b *testing.B) {
-			benchRoundPath(b, true, false, n, 128, kernels.AlgoMetropolis)
 		})
 	}
 }

@@ -183,7 +183,7 @@ func runExperiments(args []string, stdout io.Writer) error {
 	fs.IntVar(&o.Joints, "joints", 0, "arm joints (0 = 5)")
 	fs.IntVar(&o.Workers, "workers", 0, "host device workers (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.Full, "full", false, "paper-scale performance sweeps (slow: up to 2M particles)")
-	fs.Float64Var(&o.Gate, "gate", 0, "fail unless every adaptive/Metropolis error is within this ratio of the fixed RWS/Vose baseline (needs the adaptive experiment; 0 = report only)")
+	fs.Float64Var(&o.Gate, "gate", 0, "fail unless the adaptive allocator's error is within this ratio of the fixed RWS/Vose baseline (needs the adaptive experiment; 0 = report only)")
 	fs.BoolVar(&o.Plot, "plot", false, "print Fig. 8 as an ASCII chart instead of its table")
 	out := fs.String("out", "", "also write every table as .txt and .csv, plus REPORT.txt, into this directory")
 	_ = fs.Parse(args)

@@ -44,8 +44,7 @@ type Config struct {
 	ExchangeScheme string
 	// ExchangeCount is t, the particles sent per neighbor pair.
 	ExchangeCount int
-	// Resampler is "rws" (default), "vose", "systematic" or
-	// "metropolis".
+	// Resampler is "rws" (default), "vose" or "systematic".
 	Resampler string
 	// Policy is "always" (default), "never", "ess" / "ess:<frac>" or
 	// "random" / "random:<p>".

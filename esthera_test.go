@@ -163,7 +163,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("valid names rejected: %v", err)
 	}
 	good2 := esthera.Config{
-		Resampler: "metropolis", Policy: "ess:0.3", AdaptEvery: 4,
+		Resampler: "systematic", Policy: "ess:0.3", AdaptEvery: 4,
 	}
 	if err := good2.Validate(); err != nil {
 		t.Errorf("valid names rejected: %v", err)
@@ -171,6 +171,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []esthera.Config{
 		{ExchangeScheme: "mesh"},
 		{Resampler: "multinomial"},
+		{Resampler: "metropolis"},
 		{Policy: "sometimes"},
 		{Streams: "xorshift"},
 		{Estimator: "median"},

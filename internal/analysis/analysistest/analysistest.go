@@ -57,14 +57,19 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	// Fixtures get the full harness: a compiler cache so NeedsCompiler
 	// analyzers see real escape/BCE diagnostics for the fixture package
 	// (it compiles standalone inside the module), the full suite as the
-	// allow-name registry, and an empty BCE baseline so every loop-class
-	// bounds check in a fixture is a finding.
+	// allow-name registry, and the fixture's own bce_baseline.txt as the
+	// BCE baseline — empty when absent, so every loop-class bounds check
+	// in a fixture is a finding.
 	known := analysis.KnownNames(analysis.Suite())
 	known[a.Name] = true
+	baseline, err := analysis.LoadBCEBaseline(filepath.Join(abs, "bce_baseline.txt"))
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
 	cfg := &analysis.Config{
 		Compiler:    analysis.NewCompilerCache(),
 		Known:       known,
-		BCEBaseline: map[string]int{},
+		BCEBaseline: baseline,
 	}
 	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, true, cfg)
 	if err != nil {

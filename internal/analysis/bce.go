@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"sort"
+	"strings"
 )
 
 // BCEAnalyzer is the bounds-check ratchet: for every function marked
@@ -22,21 +24,29 @@ import (
 // refactor that re-grew a per-element bound — fails the sweep. Refresh
 // the baseline with `make vet-ratchet` (esthera-vet -ratchet) after
 // deliberate, reviewed changes.
+//
+// A baseline entry for an analyzed package that names no
+// //esthera:hotpath bce function of that package is itself a finding:
+// a budget must not outlive its function, or a later function of the
+// same name would inherit it.
 var BCEAnalyzer = &Analyzer{
 	Name:          "bce",
-	Doc:           "functions marked //esthera:hotpath bce must not grow new per-element-loop bounds checks (ratcheted against scripts/bce_baseline.txt)",
+	Doc:           "functions marked //esthera:hotpath bce must not grow new per-element-loop bounds checks (ratcheted against scripts/bce_baseline.txt, whose every entry must name such a function)",
 	Run:           runBCE,
 	Filter:        isHotPackage,
 	NeedsCompiler: true,
 }
 
 func runBCE(pass *Pass) error {
+	annotated := make(map[string]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !hasContract(fn, "bce") {
 				continue
 			}
+			key := funcKey(pass, fn)
+			annotated[key] = true
 			file := declFile(pass, fn)
 			start := pass.Fset.Position(fn.Pos()).Line
 			end := pass.Fset.Position(fn.End()).Line
@@ -47,7 +57,6 @@ func runBCE(pass *Pass) error {
 					loopClass = append(loopClass, finding)
 				}
 			}
-			key := funcKey(pass, fn)
 			if pass.Config.BCERecord != nil {
 				if len(loopClass) > 0 {
 					pass.Config.BCERecord[key] = len(loopClass)
@@ -65,6 +74,21 @@ func runBCE(pass *Pass) error {
 				}
 				pass.Reportf(pos, "retained bounds check in per-element loop of %s (%d found, baseline %d): %s — hoist or restructure the access, or refresh scripts/bce_baseline.txt with `make vet-ratchet` if the check is a reviewed residual", funcDisplayName(fn), len(loopClass), budget, finding.Message)
 			}
+		}
+	}
+	if pass.Config.BCERecord == nil && len(pass.Files) > 0 {
+		prefix := pass.Pkg.Path() + "."
+		var stale []string
+		for key := range pass.Config.BCEBaseline {
+			// Function names never contain '/', so a subpackage's
+			// entries do not match this package's prefix.
+			if name, ok := strings.CutPrefix(key, prefix); ok && !strings.Contains(name, "/") && !annotated[key] {
+				stale = append(stale, key)
+			}
+		}
+		sort.Strings(stale)
+		for _, key := range stale {
+			pass.Reportf(pass.Files[0].Package, "stale budget in scripts/bce_baseline.txt: %s names no //esthera:hotpath bce function of this package — refresh the baseline with `make vet-ratchet`", key)
 		}
 	}
 	return nil

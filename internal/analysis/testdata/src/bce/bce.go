@@ -1,7 +1,9 @@
 // Package bce exercises the bounds-check ratchet: functions marked
 // //esthera:hotpath bce must not retain per-element-loop bounds checks
-// beyond their scripts/bce_baseline.txt budget (zero in fixtures).
-package bce
+// beyond their scripts/bce_baseline.txt budget (zero here), and every
+// budget of this package must name one of them (bce_baseline.txt holds
+// two that do not, plus two for other packages).
+package bce // want `stale budget in scripts/bce_baseline.txt: fixture/bce\.Removed names no` `stale budget in scripts/bce_baseline.txt: fixture/bce\.Unratcheted names no`
 
 // GatherStride reads at a stride the prover cannot tie to the loop
 // bound, so the access retains its check inside the loop.

@@ -139,15 +139,15 @@ func VariantsAblation(o AccuracyOptions) (*Table, error) {
 type AdaptiveResult struct {
 	Table *Table
 	// Baseline is the best fixed-allocation RWS/Vose mean error; Worst
-	// the worst error among the candidate configurations (Metropolis
-	// resampling and/or ESS-driven adaptive allocation).
+	// the error of the candidate configuration (ESS-driven adaptive
+	// allocation).
 	Baseline, Worst float64
 }
 
-// Gate returns an error when any candidate configuration's error exceeds
+// Gate returns an error when the candidate configuration's error exceeds
 // ratio × the fixed-allocation baseline — the acceptance criterion that
-// removing the sort barrier (Metropolis) and re-dividing the particle
-// budget by degeneracy (adaptive allocation) costs no accuracy.
+// re-dividing the particle budget by degeneracy (adaptive allocation)
+// costs no accuracy.
 func (r *AdaptiveResult) Gate(ratio float64) error {
 	if r.Worst > ratio*r.Baseline {
 		return fmt.Errorf("adaptive gate: worst candidate error %.4g exceeds %.2f × baseline %.4g",
@@ -156,9 +156,8 @@ func (r *AdaptiveResult) Gate(ratio float64) error {
 	return nil
 }
 
-// AdaptiveAblation gates the adaptive-resampling subsystem: Metropolis
-// resampling (sort barrier removed) and ESS-driven adaptive allocation
-// (windows re-divided by degeneracy every 4 rounds), alone and combined,
+// AdaptiveAblation gates the adaptive-resampling subsystem: ESS-driven
+// adaptive allocation (windows re-divided by degeneracy every 4 rounds)
 // against the fixed-allocation RWS/Vose baseline on the arm benchmark.
 func AdaptiveAblation(o AccuracyOptions) (*AdaptiveResult, error) {
 	o = o.withDefaults()
@@ -175,16 +174,13 @@ func AdaptiveAblation(o AccuracyOptions) (*AdaptiveResult, error) {
 	}{
 		{"rws, fixed", kernels.AlgoRWS, filter.AdaptConfig{}, true},
 		{"vose, fixed", kernels.AlgoVose, filter.AdaptConfig{}, true},
-		{"metropolis, fixed", kernels.AlgoMetropolis, filter.AdaptConfig{}, false},
 		{"rws, adaptive", kernels.AlgoRWS, adapt, false},
-		{"metropolis, adaptive", kernels.AlgoMetropolis, adapt, false},
 	}
 	t := &Table{
-		Title:  "§IV ablation — adaptive allocation + Metropolis resampling (ring 32×32, t=1)",
+		Title:  "§IV ablation — adaptive allocation (ring 32×32, t=1)",
 		Header: []string{"configuration", "mean error [m]"},
 		Notes: []string{
 			fmt.Sprintf("%d runs × %d steps; adaptive: ESS-driven window re-division every 4 rounds", o.Runs, o.Steps),
-			"metropolis removes the bitonic sort barrier and prefix-sum scan from the fused round (top-t selection only)",
 		},
 	}
 	r := &AdaptiveResult{Table: t, Baseline: math.Inf(1)}

@@ -25,15 +25,13 @@ import (
 func Fig5Resampling(o PerfOptions) (*Table, error) {
 	o = o.withDefaults()
 	t := &Table{
-		Title: "Fig. 5 — resampling runtime: RWS vs Vose's alias method vs Metropolis",
+		Title: "Fig. 5 — resampling runtime: RWS vs Vose's alias method",
 		Header: []string{"particles",
 			"C-rws (ms)", "C-vose (ms)",
 			"gtx680-rws (ms)", "gtx680-vose (ms)",
-			"host-rws (ms)", "host-vose (ms)",
-			"C-metr (ms)", "gtx680-metr (ms)", "host-metr (ms)"},
+			"host-rws (ms)", "host-vose (ms)"},
 		Notes: []string{
 			"C columns: measured sequential wall time; gtx680 columns: cost-model prediction at m=128",
-			"metropolis (arXiv:1202.6163): collective-free biased random walks, B = 2·log2(m)+8 chain steps — no scan, no sort barrier",
 		},
 	}
 	gpu, err := platform.ByName("GTX 680")
@@ -43,7 +41,6 @@ func Fig5Resampling(o PerfOptions) (*Table, error) {
 	for _, n := range o.Totals {
 		seqRWS := measureSequentialResample(resample.RWS{}, n)
 		seqVose := measureSequentialResample(resample.Vose{}, n)
-		seqMetr := measureSequentialResample(resample.Metropolis{}, n)
 		gpuRWS, hostRWS, err := measureKernelResample(o, gpu, n, kernels.AlgoRWS)
 		if err != nil {
 			return nil, err
@@ -52,15 +49,10 @@ func Fig5Resampling(o PerfOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gpuMetr, hostMetr, err := measureKernelResample(o, gpu, n, kernels.AlgoMetropolis)
-		if err != nil {
-			return nil, err
-		}
 		t.Append(n,
 			ms(seqRWS), ms(seqVose),
 			ms(gpuRWS), ms(gpuVose),
-			ms(hostRWS), ms(hostVose),
-			ms(seqMetr), ms(gpuMetr), ms(hostMetr))
+			ms(hostRWS), ms(hostVose))
 	}
 	return t, nil
 }

@@ -18,8 +18,9 @@ type Options struct {
 	// Full runs the performance figures at paper scale (up to 2M
 	// particles).
 	Full bool
-	// Gate, when positive, fails the adaptive experiment unless every
-	// candidate's error is within Gate × the fixed RWS/Vose baseline.
+	// Gate, when positive, fails the adaptive experiment unless the
+	// adaptive allocator's error is within Gate × the fixed RWS/Vose
+	// baseline.
 	Gate float64
 	// Plot prints Fig. 8 as an ASCII chart instead of its table.
 	Plot bool

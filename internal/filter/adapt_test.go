@@ -107,10 +107,10 @@ func TestAdaptiveWindowsDefensiveInputs(t *testing.T) {
 
 // TestParallelAdaptiveReallocates runs the full adaptive filter and
 // checks the allocator actually fires, conserves the particle budget,
-// and keeps the filter finite — for both the sorted (RWS) and
-// sort-free (Metropolis) local schemes.
+// and keeps the filter finite — for both the prefix-sum (RWS) and
+// alias-table (Vose) local schemes.
 func TestParallelAdaptiveReallocates(t *testing.T) {
-	for _, algo := range []kernels.Algo{kernels.AlgoRWS, kernels.AlgoMetropolis} {
+	for _, algo := range []kernels.Algo{kernels.AlgoRWS, kernels.AlgoVose} {
 		f := newAdaptiveParallel(t, algo, 1)
 		for k := 1; k <= 20; k++ {
 			z := []float64{0.4*float64(k) - 2}
@@ -149,13 +149,16 @@ func TestParallelAdaptiveReallocates(t *testing.T) {
 // bit-exactly: the snapshot carries the resized windows and the restored
 // filter re-derives the same reallocation decisions at the same rounds.
 func TestParallelAdaptiveSnapshotRoundTrip(t *testing.T) {
-	f := newAdaptiveParallel(t, kernels.AlgoMetropolis, 2)
+	f := newAdaptiveParallel(t, kernels.AlgoRWS, 2)
 	for k := 1; k <= 7; k++ {
 		f.Step(nil, []float64{0.4*float64(k) - 2})
 	}
+	if f.Pipeline().Reallocations() == 0 {
+		t.Fatal("adaptive filter never reallocated before the snapshot")
+	}
 	snap := f.Snapshot()
 
-	g := newAdaptiveParallel(t, kernels.AlgoMetropolis, 99)
+	g := newAdaptiveParallel(t, kernels.AlgoRWS, 99)
 	if err := g.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}

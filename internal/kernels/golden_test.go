@@ -104,19 +104,12 @@ func goldenTraceHash(t *testing.T, modelName string, algo Algo, mean bool, seed 
 	return h.Sum64()
 }
 
+// goldenKeys lists the pinned traces: RWS and Vose under the max-weight
+// estimate, and RWS under the weighted mean.
 func goldenKeys() []string {
 	var keys []string
 	for _, m := range []string{"ungm", "bearings", "arm"} {
-		for _, algo := range []Algo{AlgoRWS, AlgoVose} {
-			for _, seed := range []uint64{1, 2, 3} {
-				keys = append(keys, fmt.Sprintf("%s/%s/seed=%d", m, algo, seed))
-			}
-		}
-		// Metropolis pins cover both estimate reductions (max and mean):
-		// the collective-free resampler replaces the local sort with a
-		// top-t selection, so its trace is locked separately under each
-		// estimate path.
-		for _, variant := range []string{"metropolis", "metropolis+mean"} {
+		for _, variant := range []string{"rws", "vose", "rws+mean"} {
 			for _, seed := range []uint64{1, 2, 3} {
 				keys = append(keys, fmt.Sprintf("%s/%s/seed=%d", m, variant, seed))
 			}

@@ -5,7 +5,6 @@ import (
 
 	"esthera/internal/device"
 	"esthera/internal/exchange"
-	"esthera/internal/resample"
 	"esthera/internal/sortnet"
 )
 
@@ -147,15 +146,6 @@ func (p *Pipeline) KernelSortLocal() {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
-	if p.cfg.Resampler == AlgoMetropolis {
-		// Metropolis resampling needs no sorted input — that is its
-		// point. Only the estimate and exchange kernels' contract
-		// remains: slot 0 must hold the block's best particle and slots
-		// 0..t-1 its published top-t, which a t-pass selection provides
-		// without the full bitonic network's log²m barrier stages.
-		p.topSelectGroup(g, s, xin, xout)
-		return
-	}
 	off, m := p.winOff[s], p.winLen[s]
 	dim := p.dim
 	src := xin.sub[s]
@@ -218,80 +208,6 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 	})
 	g.LocalRead(8 * m)
 	g.GlobalWrite(8 * m)
-}
-
-// topSelectGroup is the local-sort phase under Metropolis resampling: a
-// pass-through copy of the window plus a t-round selection moving the
-// top-max(1,t) particles (by log-weight) into the leading slots, where
-// the estimate and exchange kernels expect them. Each pass is one
-// barrier-phased MaxIndex reduction over the remaining suffix and a
-// lane-0 row swap — O(t·log m) work against the bitonic network's
-// O(m·log²m), and crucially t ≪ m passes instead of the full sort's
-// data-movement barrage. Slots beyond t keep sampling order, so the
-// exchange's "worst slots" overwrite arbitrary (not worst) particles —
-// the diversity tradeoff the EXPERIMENTS.md ablation quantifies.
-//
-//esthera:hotpath noalloc bce
-func (p *Pipeline) topSelectGroup(g *device.Group, s int, xin, xout *soaBuf) {
-	off, m := p.winOff[s], p.winLen[s]
-	dim := p.dim
-	src := xin.sub[s]
-	dst := xout.sub[s]
-	lws := p.logw[off : off+m : off+m]
-	// Pass-through copy into the out buffer (the fused round chains
-	// buffers, so the phase must land its output in xout like the sort).
-	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
-		for c := 0; c < dim; c++ {
-			copy(dst[c][lo:hi], src[c][lo:hi])
-		}
-	})
-	g.GlobalRead(8 * dim * m)
-	g.GlobalWrite(8 * dim * m)
-	t := p.cfg.ExchangeCount
-	if t < 1 {
-		t = 1
-	}
-	if t > m {
-		t = m
-	}
-	keys := g.AllocLocalF64(m)
-	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
-		k := keys[lo:hi:hi]
-		lw := lws[lo:hi:hi]
-		for i := range k {
-			k[i] = lw[i]
-		}
-	})
-	g.GlobalRead(8 * m)
-	g.LocalWrite(8 * m)
-	for pass := 0; pass < t; pass++ {
-		best := pass + p.scans[s].MaxIndex(g, keys[pass:m])
-		g.StepOne(func() {
-			if best != pass {
-				keys[pass], keys[best] = keys[best], keys[pass]
-				lws[pass], lws[best] = lws[best], lws[pass]
-				for c := 0; c < dim; c++ {
-					dc := dst[c]
-					dc[pass], dc[best] = dc[best], dc[pass]
-				}
-			}
-			g.LocalRead(16)
-			g.GlobalRead(16 * (dim + 1))
-			g.GlobalWrite(16 * (dim + 1))
-		})
-	}
 }
 
 // KernelEstimate is kernel 4 (§VI-D): since every sub-filter just sorted,
@@ -717,8 +633,6 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 		p.voseSelect(g, w, sel, s)
 	case AlgoSystematic:
 		p.systematicSelect(g, w, sel, s)
-	case AlgoMetropolis:
-		p.metropolisSelect(g, w, sel, s)
 	default:
 		p.rwsSelect(g, w, sel, s)
 	}
@@ -1085,73 +999,4 @@ func (p *Pipeline) voseSelect(g *device.Group, w []float64, sel []int, s int) {
 	g.Ops(3 * m)
 	g.LocalRead(24 * m)
 	g.LocalWrite(4 * m)
-}
-
-// metropolisSelect fills sel with Metropolis-chain draws (Murray et al.,
-// arXiv:1202.6163): each lane runs an independent biased random walk
-// over the particle indices, proposing a uniform index each step and
-// accepting when u·w[cur] < w[proposal]. No prefix sum, no alias table,
-// no sorted input — the only collective structure left is the
-// barrier-phased alternation of one deterministic-order draw phase (the
-// stream is shared per sub-filter, so the 2m uniforms of each chain step
-// are drawn in a dedicated lane-0 phase, exactly like the other selects'
-// pre-drawn uniforms) and one data-parallel walk phase. The chain length
-// is MetropolisSteps(m) = 2·⌈log₂ m⌉ + 8 (resample.MetropolisSteps — the
-// sequential reference uses the same schedule, and DESIGN.md §12 records
-// the choice). All writes are lane-indexed (cur[lane], sel[lane]), so
-// the barrier analyzer's no-cross-lane-write rule holds.
-//
-//esthera:hotpath noalloc bce
-func (p *Pipeline) metropolisSelect(g *device.Group, w []float64, sel []int, s int) {
-	m := len(w)
-	r := p.rands[s]
-	steps := resample.MetropolisSteps(m)
-	cur := sel // chains walk in place: sel doubles as the chain state
-	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
-		ix := cur[lo:hi:hi]
-		for i := range ix {
-			ix[i] = lo + i
-		}
-	})
-	g.LocalWrite(4 * m)
-	us := g.AllocLocalF64(2 * m)[: 2*m : 2*m]
-	ws := w[:m:m]
-	fm := float64(m)
-	// One draw closure and one walk closure, bound once and stepped B
-	// times — the chain loop itself allocates nothing.
-	draw := func() {
-		// Draw phase: 2m uniforms in deterministic stream order (one
-		// proposal + one acceptance draw per lane).
-		r.FillUniforms(us)
-		g.Ops(2 * m)
-	}
-	walk := func(lo, hi int) {
-		// Walk phase: every lane advances its own chain one step.
-		if hi > m {
-			hi = m
-		}
-		for lane := lo; lane < hi; lane++ {
-			k := int(us[2*lane] * fm)
-			if k >= m {
-				k = m - 1
-			}
-			c := cur[lane]
-			if us[2*lane+1]*ws[c] < ws[k] {
-				cur[lane] = k
-			}
-		}
-	}
-	for b := 0; b < steps; b++ {
-		g.StepOne(draw)
-		g.StepSpan(walk)
-	}
-	g.Ops(4 * m * steps)
-	g.LocalRead(24 * m * steps)
-	g.LocalWrite(4 * m * steps)
 }

@@ -29,6 +29,23 @@ func newPipeline(t *testing.T, cfg Config, seed uint64) *Pipeline {
 	return p
 }
 
+func TestAlgoByName(t *testing.T) {
+	for _, algo := range []Algo{AlgoRWS, AlgoVose, AlgoSystematic} {
+		got, err := AlgoByName(algo.String())
+		if err != nil || got != algo {
+			t.Fatalf("AlgoByName(%q) = %v, %v; want %v", algo.String(), got, err, algo)
+		}
+	}
+	if got, err := AlgoByName(""); err != nil || got != AlgoRWS {
+		t.Fatalf(`AlgoByName("") = %v, %v; want rws`, got, err)
+	}
+	for _, name := range []string{"bogus", "metropolis"} {
+		if _, err := AlgoByName(name); err == nil {
+			t.Fatalf("AlgoByName(%q) must error", name)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	dev := device.New(device.Config{Workers: 1})
 	m := model.NewUNGM()
@@ -236,9 +253,7 @@ func TestResampleKernelResetsWeightsAndConcentrates(t *testing.T) {
 func TestResampleKernelProportions(t *testing.T) {
 	// Statistical check: two particles with weights 0.25/0.75 in each
 	// block; after resampling, survivor counts must reflect that.
-	// Metropolis participates: its chain bias at B = 2·⌈log₂ m⌉ + 8 must
-	// stay inside the same statistical band as the exact resamplers.
-	for _, algo := range []Algo{AlgoRWS, AlgoVose, AlgoSystematic, AlgoMetropolis} {
+	for _, algo := range []Algo{AlgoRWS, AlgoVose, AlgoSystematic} {
 		p := newPipeline(t, Config{SubFilters: 64, ParticlesPer: 64, Resampler: algo}, 8)
 		lw := p.LogWeights()
 		x := p.Particles()

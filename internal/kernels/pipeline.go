@@ -55,17 +55,10 @@ const (
 	// Fully parallel like RWS but with a single random draw per
 	// sub-filter and minimal resampling variance.
 	AlgoSystematic
-	// AlgoMetropolis is Murray et al.'s collective-free Metropolis
-	// resampler (arXiv:1202.6163): each lane runs an independent biased
-	// random walk over the weights — no prefix-sum scan, no alias table,
-	// and no sorted input, so the fused round's bitonic sort collapses to
-	// a top-t selection. Slightly biased (chain length bounds the bias);
-	// the EXPERIMENTS.md ablation quantifies the accuracy cost.
-	AlgoMetropolis
 )
 
-// AlgoByName maps a flag-friendly name ("rws", "vose", "systematic",
-// "metropolis"; "" defaults to rws) to a resampling kernel.
+// AlgoByName maps a flag-friendly name ("rws", "vose", "systematic"; ""
+// defaults to rws) to a resampling kernel.
 func AlgoByName(name string) (Algo, error) {
 	switch name {
 	case "", "rws":
@@ -74,10 +67,8 @@ func AlgoByName(name string) (Algo, error) {
 		return AlgoVose, nil
 	case "systematic":
 		return AlgoSystematic, nil
-	case "metropolis":
-		return AlgoMetropolis, nil
 	}
-	return 0, fmt.Errorf("kernels: unknown resampler %q (device pipeline supports rws, vose, systematic, metropolis)", name)
+	return 0, fmt.Errorf("kernels: unknown resampler %q (device pipeline supports rws, vose, systematic)", name)
 }
 
 // String returns the algorithm name.
@@ -87,8 +78,6 @@ func (a Algo) String() string {
 		return "vose"
 	case AlgoSystematic:
 		return "systematic"
-	case AlgoMetropolis:
-		return "metropolis"
 	}
 	return "rws"
 }

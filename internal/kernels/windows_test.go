@@ -133,7 +133,7 @@ func TestReallocateMovesParticles(t *testing.T) {
 // estimates, log-weights, and particle buffers for every subsequent
 // round.
 func TestReallocateCheckpointRoundTrip(t *testing.T) {
-	for _, algo := range []Algo{AlgoRWS, AlgoMetropolis} {
+	for _, algo := range []Algo{AlgoRWS, AlgoVose} {
 		p := newWindowPipeline(t, algo, 3)
 		stepRounds(p, 1, 3)
 		if err := p.Reallocate([]int{24, 8, 16, 16, 24, 8, 16, 16}); err != nil {
@@ -196,7 +196,7 @@ func TestUniformSnapshotHasNoWindows(t *testing.T) {
 // full rounds for every local scheme and checks the filter stays finite
 // and the window partition is preserved.
 func TestAdaptiveWindowsFilterStepsSanely(t *testing.T) {
-	for _, algo := range []Algo{AlgoRWS, AlgoVose, AlgoSystematic, AlgoMetropolis} {
+	for _, algo := range []Algo{AlgoRWS, AlgoVose, AlgoSystematic} {
 		p := newWindowPipeline(t, algo, 5)
 		stepRounds(p, 1, 2)
 		sizes := []int{32, 4, 12, 16, 28, 8, 20, 8}

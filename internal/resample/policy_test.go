@@ -7,72 +7,6 @@ import (
 	"esthera/internal/rng"
 )
 
-// Metropolis is a biased-but-collective-free resampler: it participates
-// in the proportion checks with strictly positive weights (where the
-// chain mixes), but not in the exact single-heavy-weight test — a chain
-// that never proposes the heavy index within B steps legitimately keeps
-// its start, which is exactly the bias the chain length bounds.
-
-func TestMetropolisMatchProportions(t *testing.T) {
-	checkProportions(t, Metropolis{}, []float64{0.1, 0.4, 0.05, 0.25, 0.2}, 200000)
-}
-
-func TestMetropolisUnnormalizedWeights(t *testing.T) {
-	checkProportions(t, Metropolis{}, []float64{10, 40, 5, 25, 20}, 100000)
-}
-
-func TestMetropolisZeroWeightsFallback(t *testing.T) {
-	r := rng.New(rng.NewPhilox(3))
-	dst := make([]int, 64)
-	Metropolis{}.Resample(dst, []float64{0, 0, 0, 0}, r)
-	for _, idx := range dst {
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("fallback index %d out of range", idx)
-		}
-	}
-}
-
-func TestMetropolisNaNWeightsFallback(t *testing.T) {
-	// A NaN weight poisons the total, so the uniform fallback fires
-	// instead of chains walking a poisoned landscape.
-	r := rng.New(rng.NewPhilox(5))
-	dst := make([]int, 64)
-	Metropolis{}.Resample(dst, []float64{1, math.NaN(), 1}, r)
-	for _, idx := range dst {
-		if idx < 0 || idx >= 3 {
-			t.Fatalf("fallback index %d out of range", idx)
-		}
-	}
-}
-
-func TestMetropolisDeterministic(t *testing.T) {
-	w := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	a := make([]int, 32)
-	b := make([]int, 32)
-	Metropolis{}.Resample(a, w, rng.New(rng.NewPhilox(42)))
-	Metropolis{}.Resample(b, w, rng.New(rng.NewPhilox(42)))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draws diverge at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestMetropolisSteps(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{1, 1},
-		{2, 10},   // 2·1 + 8
-		{16, 16},  // 2·4 + 8
-		{128, 22}, // 2·7 + 8
-		{129, 24}, // 2·8 + 8
-	}
-	for _, c := range cases {
-		if got := MetropolisSteps(c.n); got != c.want {
-			t.Errorf("MetropolisSteps(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 // TestESSNonFinite pins the degeneracy-signal fix: a NaN or Inf weight
 // must read as fully degenerate (ESS 0) so ESSThreshold keeps firing on
 // a poisoned filter. Pre-fix, ESS returned NaN here and

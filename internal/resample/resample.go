@@ -13,9 +13,8 @@
 //     sub-filter sizes.
 //
 // This package provides sequential implementations of both plus the other
-// standard schemes (multinomial, systematic, stratified, residual), the
-// collective-free Metropolis resampler of Murray et al. (arXiv:1202.6163)
-// as baselines and ablations, the effective-sample-size metric, and the
+// standard schemes (multinomial, systematic, stratified, residual) as
+// baselines and ablations, the effective-sample-size metric, and the
 // "when to resample" policies discussed in §IV (always, ESS threshold,
 // random frequency). The barrier-phased device versions live in
 // internal/kernels.
@@ -259,16 +258,14 @@ func uniformFill(dst []int, n int, r *rng.Rand) {
 	}
 }
 
-// ByName returns the named resampler ("rws", "vose", "metropolis",
-// "systematic", "stratified", "multinomial", "residual").
+// ByName returns the named resampler ("rws", "vose", "systematic",
+// "stratified", "multinomial", "residual").
 func ByName(name string) (Resampler, error) {
 	switch name {
 	case "rws":
 		return RWS{}, nil
 	case "vose":
 		return Vose{}, nil
-	case "metropolis":
-		return Metropolis{}, nil
 	case "systematic":
 		return Systematic{}, nil
 	case "stratified":

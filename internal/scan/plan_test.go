@@ -1,98 +1,59 @@
 package scan
 
 import (
-	"math"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"esthera/internal/device"
 	"esthera/internal/rng"
 )
 
-// TestPlanMatchesPackageFunctions checks the stateful Plan against the
-// package-level primitives bit for bit: same buffers, same seeds, same
-// lane counts. The Plan exists to make repeated invocations on hot kernel
-// paths allocation-free; its results must be indistinguishable.
-func TestPlanMatchesPackageFunctions(t *testing.T) {
-	r := rng.New(rng.NewPhilox(11))
-	pl := NewPlan()
-	for _, n := range []int{1, 2, 3, 7, 8, 16, 100, 128, 513, 1000} {
-		src := make([]float64, n)
-		for i := range src {
-			src[i] = r.Float64() - 0.3
-		}
-
-		a := append([]float64(nil), src...)
-		b := append([]float64(nil), src...)
-		wantTotal := Exclusive(device.Serial{N: n}, a)
-		gotTotal := pl.Exclusive(device.Serial{N: n}, b)
-		if math.Float64bits(wantTotal) != math.Float64bits(gotTotal) {
-			t.Fatalf("n=%d: Exclusive total %v, plan %v", n, wantTotal, gotTotal)
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("n=%d: Exclusive[%d] %v, plan %v", n, i, a[i], b[i])
-			}
-		}
-
-		if want, got := MaxIndex(device.Serial{N: n}, src), pl.MaxIndex(device.Serial{N: n}, src); want != got {
-			t.Fatalf("n=%d: MaxIndex %d, plan %d", n, want, got)
-		}
-		want := SumTree(device.Serial{N: n}, src)
-		got := pl.SumTree(device.Serial{N: n}, src)
-		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("n=%d: SumTree %v, plan %v", n, want, got)
-		}
-	}
-}
-
-// TestPlanOnDeviceGroup reruns the Plan primitives inside real device
-// launches (grid-stride lanes, barrier phases) and checks cost accounting
-// matches the package-level functions.
+// TestPlanOnDeviceGroup runs the Plan primitives inside real device
+// launches and pins the cost accounting internal/platform reads to the
+// shape of each network, at power-of-two and padded lengths. With p the
+// padded length and L = log2 p:
+//
+//   - Exclusive visits 2(p−1) tree nodes in 2L+1 barrier steps (up-sweep,
+//     root clear, down-sweep); each visit reads two slots, the up-sweep
+//     writes one and the down-sweep two, and the clear writes the root.
+//   - MaxIndex and SumTree visit p−1 nodes in L+1 steps (the load, then
+//     one per level), after loading p (value, index) or n value slots.
 func TestPlanOnDeviceGroup(t *testing.T) {
-	const n = 300
 	r := rng.New(rng.NewPhilox(5))
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = r.Float64()
-	}
+	pl := NewPlan()
 	run := func(f func(ctx device.Ctx)) device.Counters {
 		d := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
-		stats := d.Launch("plan-test", device.Grid{Groups: 1, GroupSize: 64}, func(g *device.Group) {
+		return d.Launch("plan-test", device.Grid{Groups: 1, GroupSize: 64}, func(g *device.Group) {
 			f(g)
-		})
-		return stats.Count
+		}).Count
 	}
-
-	var wantBuf, gotBuf []float64
-	var wantTotal, gotTotal float64
-	wantStats := run(func(ctx device.Ctx) {
-		wantBuf = append([]float64(nil), src...)
-		wantTotal = Exclusive(ctx, wantBuf)
-	})
-	pl := NewPlan()
-	gotStats := run(func(ctx device.Ctx) {
-		gotBuf = append([]float64(nil), src...)
-		gotTotal = pl.Exclusive(ctx, gotBuf)
-	})
-	if math.Float64bits(wantTotal) != math.Float64bits(gotTotal) {
-		t.Fatalf("totals differ: %v vs %v", wantTotal, gotTotal)
-	}
-	for i := range wantBuf {
-		if math.Float64bits(wantBuf[i]) != math.Float64bits(gotBuf[i]) {
-			t.Fatalf("prefix[%d]: %v vs %v", i, wantBuf[i], gotBuf[i])
+	check := func(t *testing.T, name string, got device.Counters, steps, ops, localRead, localWrite int) {
+		t.Helper()
+		want := device.Counters{
+			Steps:           int64(steps),
+			LaneInvocations: int64(64 * steps),
+			Ops:             int64(ops),
+			LocalReadBytes:  int64(localRead),
+			LocalWriteBytes: int64(localWrite),
+		}
+		if got != want {
+			t.Fatalf("%s: counters %+v, want %+v", name, got, want)
 		}
 	}
-	if wantStats.Ops != gotStats.Ops || wantStats.LocalReadBytes != gotStats.LocalReadBytes || wantStats.LocalWriteBytes != gotStats.LocalWriteBytes {
-		t.Fatalf("accounting differs: package %+v plan %+v", wantStats, gotStats)
-	}
-
-	var wantIdx, gotIdx int
-	wantStats = run(func(ctx device.Ctx) { wantIdx = MaxIndex(ctx, src) })
-	gotStats = run(func(ctx device.Ctx) { gotIdx = pl.MaxIndex(ctx, src) })
-	if wantIdx != gotIdx {
-		t.Fatalf("MaxIndex %d vs plan %d", wantIdx, gotIdx)
-	}
-	if wantStats.Ops != gotStats.Ops {
-		t.Fatalf("MaxIndex accounting differs: %+v vs %+v", wantStats, gotStats)
+	for _, n := range []int{1, 2, 3, 7, 8, 100, 128, 300} {
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = r.Float64()
+		}
+		p := nextPow2(n)
+		L := bits.Len(uint(p)) - 1
+		buf := append([]float64(nil), src...)
+		check(t, fmt.Sprintf("n=%d Exclusive", n), run(func(ctx device.Ctx) { pl.Exclusive(ctx, buf) }),
+			2*L+1, 2*(p-1), 32*(p-1), 24*(p-1)+8)
+		check(t, fmt.Sprintf("n=%d MaxIndex", n), run(func(ctx device.Ctx) { pl.MaxIndex(ctx, src) }),
+			L+1, p-1, 24*(p-1), 12*p+12*(p-1))
+		check(t, fmt.Sprintf("n=%d SumTree", n), run(func(ctx device.Ctx) { pl.SumTree(ctx, src) }),
+			L+1, p-1, 16*(p-1), 8*n+8*(p-1))
 	}
 }

@@ -5,8 +5,9 @@
 // cumulative weight sums with a work-efficient parallel prefix sum
 // ("we use a bank-conflict avoiding implementation", §VI-F, citing Harris
 // et al., GPU Gems 3 ch. 39), and the global-estimate kernel is a parallel
-// reduction (§VI-D). Both are implemented here once against device.Ctx so
-// the sequential reference filters and the device kernels share code.
+// reduction (§VI-D). The barrier-phased forms are the methods of Plan,
+// written once against device.Ctx; ExclusiveSum, InclusiveSum and Sum are
+// the sequential references.
 package scan
 
 import "esthera/internal/device"
@@ -51,9 +52,8 @@ func nextPow2(n int) int {
 
 // Plan is a reusable execution context for the barrier-phased primitives:
 // it pre-binds the lane closures once, so repeated Exclusive/MaxIndex/
-// SumTree calls on hot kernel paths allocate nothing (the plain package
-// functions re-create their closures — and thus heap cells — per call,
-// because the closures escape through the device.Ctx interface).
+// SumTree calls on hot kernel paths allocate nothing (a closure created
+// per call would escape through the device.Ctx interface to the heap).
 //
 // A Plan carries per-call mutable state and must not be shared between
 // concurrently executing work-groups; create one per group context (the
@@ -131,8 +131,12 @@ func NewPlan() *Plan {
 	return pl
 }
 
-// Exclusive is the method form of the package-level Exclusive, reusing the
-// plan's bound closures. Identical results and cost accounting.
+// Exclusive performs an in-place exclusive prefix sum of buf using the
+// Blelloch work-efficient algorithm in barrier-phased form. It returns the
+// total sum of the original buf (which the scan itself discards but every
+// caller needs, e.g. for weight normalization).
+//
+// Non-power-of-two lengths are handled by padding into a scratch buffer.
 //
 //esthera:hotpath noalloc bce
 func (pl *Plan) Exclusive(ctx device.Ctx, buf []float64) float64 {
@@ -154,7 +158,13 @@ func (pl *Plan) Exclusive(ctx device.Ctx, buf []float64) float64 {
 	return total
 }
 
-// upDownSweep mirrors the package-level upDownSweep on the plan's state.
+// upDownSweep runs the Blelloch up-sweep/down-sweep on the power-of-two
+// work buffer and returns the total. Each tree level runs as one StepSpan
+// over all of its (disjoint) nodes, and the per-node cost accounting is
+// flushed once per sweep. The visited-node counts are accumulated
+// host-side between steps — a level visits exactly st.nodes nodes — so
+// the lane closures write only their disjoint tree slots, as the barrier
+// analyzer requires.
 //
 //esthera:hotpath noalloc bce
 func (pl *Plan) upDownSweep() float64 {
@@ -186,8 +196,11 @@ func (pl *Plan) upDownSweep() float64 {
 	return total
 }
 
-// MaxIndex is the method form of the package-level MaxIndex, reusing the
-// plan's bound closures. Identical results and cost accounting.
+// MaxIndex performs a barrier-phased tree reduction over keys and returns
+// the index of the maximum element (ties resolved to the lower index).
+// This is the paper's global-estimate operator: select the particle with
+// the highest weight (§IV, §VI-D). A level visits exactly stride pairs,
+// so the node count is accumulated host-side.
 //
 //esthera:hotpath noalloc bce
 func (pl *Plan) MaxIndex(ctx device.Ctx, keys []float64) int {
@@ -214,8 +227,8 @@ func (pl *Plan) MaxIndex(ctx device.Ctx, keys []float64) int {
 	return idx[0]
 }
 
-// SumTree is the method form of the package-level SumTree, reusing the
-// plan's bound closures. Identical results and cost accounting.
+// SumTree performs a barrier-phased tree reduction and returns the sum of
+// keys. It is used by the weighted-average estimate operator.
 //
 //esthera:hotpath noalloc bce
 func (pl *Plan) SumTree(ctx device.Ctx, keys []float64) float64 {
@@ -241,170 +254,4 @@ func (pl *Plan) SumTree(ctx device.Ctx, keys []float64) float64 {
 	return val[0]
 }
 
-// Exclusive performs an in-place exclusive prefix sum of buf using the
-// Blelloch work-efficient algorithm in barrier-phased form. It returns the
-// total sum of the original buf (which the scan itself discards but every
-// caller needs, e.g. for weight normalization).
-//
-// Non-power-of-two lengths are handled by padding into a scratch buffer.
-func Exclusive(ctx device.Ctx, buf []float64) float64 {
-	n := len(buf)
-	if n == 0 {
-		return 0
-	}
-	p := nextPow2(n)
-	work := buf
-	if p != n {
-		work = ctx.ScratchF64(p)
-		copy(work, buf)
-	}
-	total := upDownSweep(ctx, work)
-	if p != n {
-		copy(buf, work[:n])
-	}
-	return total
-}
-
-// upDownSweep runs the Blelloch up-sweep/down-sweep on a power-of-two
-// buffer and returns the total. The tree levels reuse one closure per
-// sweep direction and batch the per-node cost accounting into one flush
-// per sweep (identical totals, no interface call per tree node). The
-// visited-node counts are accumulated host-side between steps — a level
-// visits exactly st.nodes nodes — so the lane closures write only their
-// disjoint tree slots, as the barrier analyzer requires.
-func upDownSweep(ctx device.Ctx, work []float64) float64 {
-	p := len(work)
-	// All mutable loop state shared with the closures lives in one struct:
-	// a single heap cell per sweep instead of one escape per variable.
-	// Tree levels run as one StepSpan each, covering all nodes of the
-	// level (node updates within a level are disjoint).
-	var st struct{ stride, dd, nodes int }
-	up := func(lo, hi int) {
-		for n := 0; n < st.nodes; n++ {
-			i := (n+1)*st.stride - 1
-			work[i] += work[i-st.dd]
-		}
-	}
-	// Up-sweep: build the reduction tree.
-	visited := 0
-	for d := 1; d < p; d <<= 1 {
-		st.stride, st.dd = d<<1, d
-		st.nodes = p / st.stride
-		ctx.StepSpan(up)
-		visited += st.nodes
-	}
-	ctx.Ops(visited)
-	ctx.LocalRead(16 * visited)
-	ctx.LocalWrite(8 * visited)
-	total := work[p-1]
-	// Clear the root (lane 0's work), then down-sweep distributing
-	// partial sums.
-	ctx.StepSpan(func(lo, hi int) {
-		work[p-1] = 0
-		ctx.LocalWrite(8)
-	})
-	down := func(lo, hi int) {
-		for n := 0; n < st.nodes; n++ {
-			i := (n+1)*st.stride - 1
-			t := work[i-st.dd]
-			work[i-st.dd] = work[i]
-			work[i] += t
-		}
-	}
-	visited = 0
-	for d := p >> 1; d >= 1; d >>= 1 {
-		st.stride, st.dd = d<<1, d
-		st.nodes = p / st.stride
-		ctx.StepSpan(down)
-		visited += st.nodes
-	}
-	ctx.Ops(visited)
-	ctx.LocalRead(16 * visited)
-	ctx.LocalWrite(16 * visited)
-	return total
-}
-
-// MaxIndex performs a barrier-phased tree reduction over keys and returns
-// the index of the maximum element (ties resolved to the lower index).
-// This is the paper's global-estimate operator: select the particle with
-// the highest weight (§IV, §VI-D).
-func MaxIndex(ctx device.Ctx, keys []float64) int {
-	n := len(keys)
-	if n == 0 {
-		return -1
-	}
-	p := nextPow2(n)
-	val := ctx.ScratchF64(p)
-	idx := ctx.ScratchInt(p)
-	ctx.StepSpan(func(lo, hi int) {
-		for i := 0; i < p; i++ {
-			if i < n {
-				val[i] = keys[i]
-			} else {
-				val[i] = negInf
-			}
-			idx[i] = i
-		}
-	})
-	ctx.LocalWrite(12 * p)
-	// The reduction closure shares one captured cell (the level's
-	// stride); per-level node counts are accumulated host-side — a level
-	// visits exactly stride pairs — keeping the lane closure free of
-	// cross-lane writes.
-	var st struct{ s int }
-	reduce := func(lo, hi int) {
-		for i := 0; i < st.s; i++ {
-			a, b := i, i+st.s
-			if val[b] > val[a] || (val[b] == val[a] && idx[b] < idx[a]) {
-				val[a], idx[a] = val[b], idx[b]
-			}
-		}
-	}
-	visited := 0
-	for stride := p >> 1; stride >= 1; stride >>= 1 {
-		st.s = stride
-		ctx.StepSpan(reduce)
-		visited += stride
-	}
-	ctx.Ops(visited)
-	ctx.LocalRead(24 * visited)
-	ctx.LocalWrite(12 * visited)
-	return idx[0]
-}
-
 const negInf = -1.7976931348623157e308
-
-// SumTree performs a barrier-phased tree reduction and returns the sum of
-// keys. It is used by the weighted-average estimate operator.
-func SumTree(ctx device.Ctx, keys []float64) float64 {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	p := nextPow2(n)
-	val := ctx.ScratchF64(p)
-	ctx.StepSpan(func(lo, hi int) {
-		for i := 0; i < n; i++ {
-			val[i] = keys[i]
-		}
-	})
-	ctx.LocalWrite(8 * n)
-	// As in MaxIndex: stride is the only shared cell, and the per-level
-	// node count (exactly stride adds) is accumulated host-side.
-	var st struct{ s int }
-	reduce := func(lo, hi int) {
-		for i := 0; i < st.s; i++ {
-			val[i] += val[i+st.s]
-		}
-	}
-	visited := 0
-	for stride := p >> 1; stride >= 1; stride >>= 1 {
-		st.s = stride
-		ctx.StepSpan(reduce)
-		visited += stride
-	}
-	ctx.Ops(visited)
-	ctx.LocalRead(16 * visited)
-	ctx.LocalWrite(8 * visited)
-	return val[0]
-}

@@ -52,7 +52,7 @@ func TestExclusiveMatchesSequential(t *testing.T) {
 		wantTotal := Sum(src)
 
 		got := append([]float64(nil), src...)
-		total := Exclusive(device.Serial{N: n}, got)
+		total := NewPlan().Exclusive(device.Serial{N: n}, got)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("n=%d: got[%d]=%v want %v", n, i, got[i], want[i])
@@ -75,8 +75,9 @@ func TestExclusiveOnDeviceGroup(t *testing.T) {
 	want := make([]float64, n)
 	ExclusiveSum(want, src)
 	got := append([]float64(nil), src...)
+	pl := NewPlan()
 	d.Launch("scan", device.Grid{Groups: 1, GroupSize: n}, func(g *device.Group) {
-		Exclusive(g, got)
+		pl.Exclusive(g, got)
 	})
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -86,7 +87,7 @@ func TestExclusiveOnDeviceGroup(t *testing.T) {
 }
 
 func TestExclusiveEmpty(t *testing.T) {
-	if total := Exclusive(device.Serial{N: 1}, nil); total != 0 {
+	if total := NewPlan().Exclusive(device.Serial{N: 1}, nil); total != 0 {
 		t.Fatalf("empty scan total = %v", total)
 	}
 }
@@ -103,12 +104,13 @@ func TestMaxIndex(t *testing.T) {
 		{[]float64{-3, -1, -2}, 1},
 		{[]float64{0, 0, 0, 0, 0, 0, 7}, 6},
 	}
+	pl := NewPlan()
 	for _, c := range cases {
-		if got := MaxIndex(device.Serial{N: len(c.keys)}, c.keys); got != c.want {
+		if got := pl.MaxIndex(device.Serial{N: len(c.keys)}, c.keys); got != c.want {
 			t.Errorf("MaxIndex(%v) = %d, want %d", c.keys, got, c.want)
 		}
 	}
-	if got := MaxIndex(device.Serial{N: 1}, nil); got != -1 {
+	if got := pl.MaxIndex(device.Serial{N: 1}, nil); got != -1 {
 		t.Errorf("MaxIndex(empty) = %d, want -1", got)
 	}
 }
@@ -118,24 +120,25 @@ func TestMaxIndexFewerLanesThanElements(t *testing.T) {
 	// array (grid-stride loops).
 	keys := make([]float64, 100)
 	keys[63] = 42
-	if got := MaxIndex(device.Serial{N: 8}, keys); got != 63 {
+	if got := NewPlan().MaxIndex(device.Serial{N: 8}, keys); got != 63 {
 		t.Fatalf("MaxIndex with 8 lanes = %d, want 63", got)
 	}
 }
 
 func TestSumTree(t *testing.T) {
 	r := rng.New(rng.NewPhilox(3))
+	pl := NewPlan()
 	for _, n := range []int{1, 2, 5, 64, 100} {
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = r.Float64()
 		}
-		got := SumTree(device.Serial{N: 4}, xs)
+		got := pl.SumTree(device.Serial{N: 4}, xs)
 		if math.Abs(got-Sum(xs)) > 1e-9 {
 			t.Fatalf("SumTree n=%d: %v want %v", n, got, Sum(xs))
 		}
 	}
-	if SumTree(device.Serial{N: 1}, nil) != 0 {
+	if pl.SumTree(device.Serial{N: 1}, nil) != 0 {
 		t.Fatal("SumTree(empty) != 0")
 	}
 }
@@ -143,6 +146,7 @@ func TestSumTree(t *testing.T) {
 // Property: the parallel exclusive scan agrees with the sequential one on
 // arbitrary inputs.
 func TestQuickExclusiveEquivalence(t *testing.T) {
+	pl := NewPlan()
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
 		for _, v := range raw {
@@ -154,7 +158,7 @@ func TestQuickExclusiveEquivalence(t *testing.T) {
 		want := make([]float64, len(xs))
 		ExclusiveSum(want, xs)
 		got := append([]float64(nil), xs...)
-		Exclusive(device.Serial{N: len(xs) + 1}, got)
+		pl.Exclusive(device.Serial{N: len(xs) + 1}, got)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
 				return false

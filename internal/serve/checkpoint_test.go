@@ -194,18 +194,17 @@ func TestRestoreRejectsBadCheckpoints(t *testing.T) {
 }
 
 // TestCheckpointDeterminismAdaptive repeats the roundtrip with the
-// ESS-driven adaptive allocator enabled (and the Metropolis resampler,
-// so the collective-free scheme is covered over the wire too). The
-// checkpoint carries the reallocated window layout and the round
-// counter, so the restored session must replay the same reallocation
-// cadence bit-exactly — and the original session must actually have
-// reallocated, or the test proves nothing.
+// ESS-driven adaptive allocator enabled. The checkpoint carries the
+// reallocated window layout and the round counter, so the restored
+// session must replay the same reallocation cadence bit-exactly — and
+// the original session must actually have reallocated, or the test
+// proves nothing.
 func TestCheckpointDeterminismAdaptive(t *testing.T) {
 	spec := FilterSpec{
 		Model:        "ungm",
 		SubFilters:   8,
 		ParticlesPer: 16,
-		Resampler:    "metropolis",
+		Resampler:    "rws",
 		Seed:         42,
 		AdaptEvery:   3,
 	}

@@ -43,8 +43,9 @@ import (
 // Saturation maps to 429 with a Retry-After header (the adaptive
 // admission hint, rounded up to whole seconds per RFC 9110, and in
 // milliseconds — clamped to ≥ 1 so clients never busy-spin — in a
-// Retry-After-Ms header); draining to 503 with the same headers;
-// unknown sessions to 404; invalid specs and malformed bodies to 400.
+// Retry-After-Ms header); draining, closed and the session limit to 503
+// with the same headers; unknown sessions to 404; invalid specs and
+// malformed bodies to 400.
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
@@ -56,7 +57,7 @@ func NewHandler(s *Server) http.Handler {
 		}
 		id, err := s.Create(body.Spec)
 		if err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
@@ -67,7 +68,7 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		res, err := s.Estimate(r.PathValue("id"))
 		if err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, SanitizeResult(res))
@@ -86,14 +87,14 @@ func NewHandler(s *Server) http.Handler {
 		}
 		res, err := s.StepCtx(ctx, r.PathValue("id"), body.U, body.Z)
 		if err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, SanitizeResult(res))
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Close(r.PathValue("id")); err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -101,7 +102,7 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		cp, err := s.Checkpoint(r.PathValue("id"))
 		if err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, cp)
@@ -113,7 +114,7 @@ func NewHandler(s *Server) http.Handler {
 		}
 		id, err := s.Restore(&cp)
 		if err != nil {
-			httpError(w, err)
+			httpError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
@@ -212,7 +213,7 @@ func SetRetryAfter(w http.ResponseWriter, hint time.Duration) {
 	w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
 }
 
-func httpError(w http.ResponseWriter, err error) {
+func httpError(w http.ResponseWriter, s *Server, err error) {
 	var sat *SaturatedError
 	switch {
 	case errors.As(err, &sat):
@@ -224,9 +225,8 @@ func httpError(w http.ResponseWriter, err error) {
 		WriteJSON(w, StatusClientClosedRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
 		WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
-	case errors.Is(err, ErrTooManySessions):
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrTooManySessions), errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
+		SetRetryAfter(w, s.retryHint())
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	default:
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

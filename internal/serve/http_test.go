@@ -304,6 +304,13 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 		}
 	}
 
+	// A spec naming an unknown resampler → 400, retired names included.
+	unknown := cp
+	unknown.Spec.Resampler = "metropolis"
+	if code := postJSON(t, tsB.URL+"/v1/restore", unknown, nil); code != http.StatusBadRequest {
+		t.Fatalf("restore naming resampler %q: status %d, want 400", unknown.Spec.Resampler, code)
+	}
+
 	// Restoring garbage → 400.
 	cp.Particles = "!!!not base64!!!"
 	if code := postJSON(t, tsB.URL+"/v1/restore", cp, nil); code != http.StatusBadRequest {
@@ -454,12 +461,16 @@ func TestHTTPDrainingStepRejected(t *testing.T) {
 }
 
 // TestHTTPErrorMapping unit-tests httpError's status mapping, including
-// the sub-millisecond Retry-After-Ms clamp.
+// the sub-millisecond Retry-After-Ms clamp and the retry hint on every
+// 503.
 func TestHTTPErrorMapping(t *testing.T) {
+	// No batch has run, so the server's retry hint is its configured
+	// constant.
+	s := newTestServer(t, Config{Workers: 1, RetryAfter: 40 * time.Millisecond})
 	check := func(err error, wantCode int) *httptest.ResponseRecorder {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		httpError(rec, err)
+		httpError(rec, s, err)
 		if rec.Code != wantCode {
 			t.Fatalf("%v → status %d, want %d", err, rec.Code, wantCode)
 		}
@@ -479,9 +490,12 @@ func TestHTTPErrorMapping(t *testing.T) {
 
 	check(fmt.Errorf("step: %w", context.Canceled), StatusClientClosedRequest)
 	check(fmt.Errorf("step: %w", context.DeadlineExceeded), http.StatusGatewayTimeout)
-	check(ErrDraining, http.StatusServiceUnavailable)
-	check(ErrClosed, http.StatusServiceUnavailable)
-	check(ErrTooManySessions, http.StatusServiceUnavailable)
+	for _, err := range []error{ErrDraining, ErrClosed, ErrTooManySessions} {
+		rec := check(err, http.StatusServiceUnavailable)
+		if ra, ms := rec.Header().Get("Retry-After"), rec.Header().Get("Retry-After-Ms"); ra != "1" || ms != "40" {
+			t.Fatalf("%v: Retry-After=%q Retry-After-Ms=%q, want 1/40", err, ra, ms)
+		}
+	}
 	check(ErrNotFound, http.StatusNotFound)
 	check(errors.New("bad spec"), http.StatusBadRequest)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,16 +94,18 @@ func TestStepShutdownCloseRace(t *testing.T) {
 // a queued step's context returns promptly, releases the batch slot
 // without executing the step, and leaves the scheduler healthy.
 func TestCancelQueuedStepPrompt(t *testing.T) {
-	// A stalling model makes one batch occupy the device for tens of
-	// milliseconds, guaranteeing the second step is still queued when
-	// its context fires.
+	// A gated model parks A's batch on the device until the test opens
+	// the gate, so B is still queued behind it when its context fires.
+	entered, gate, once := make(chan struct{}), make(chan struct{}), new(sync.Once)
 	models := map[string]ModelFactory{
 		"stall": func() (model.Model, error) {
-			return slowModel{Model: model.NewUNGM(), delay: 2 * time.Millisecond}, nil
+			return gatedModel{Model: model.NewUNGM(), once: once, entered: entered, gate: gate}, nil
 		},
 	}
 	s := NewServer(Config{Workers: 2, QueueDepth: 8, MaxBatch: 1}, models)
-	defer s.Shutdown()
+	t.Cleanup(s.Shutdown)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before Shutdown, which waits out the parked batch
 
 	idA, err := s.Create(FilterSpec{Model: "stall", SubFilters: 4, ParticlesPer: 16, Seed: 1})
 	if err != nil {
@@ -119,7 +122,7 @@ func TestCancelQueuedStepPrompt(t *testing.T) {
 		_, err := s.Step(idA, nil, obs(0, 1))
 		aDone <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	<-entered // A's batch is executing and holds the device
 
 	ctx, cancel := context.WithCancel(context.Background())
 	bDone := make(chan error, 1)
@@ -127,7 +130,13 @@ func TestCancelQueuedStepPrompt(t *testing.T) {
 		_, err := s.StepCtx(ctx, idB, nil, obs(1, 1))
 		bDone <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("B's step never reached the queue")
+		}
+		runtime.Gosched()
+	}
 	cancel()
 
 	cancelled := time.Now()
@@ -142,6 +151,7 @@ func TestCancelQueuedStepPrompt(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled queued step never returned")
 	}
+	release()
 	if err := <-aDone; err != nil {
 		t.Fatalf("occupying step failed: %v", err)
 	}

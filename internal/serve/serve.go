@@ -122,8 +122,7 @@ type FilterSpec struct {
 	// "hypercube" or "none"; ExchangeCount is t.
 	ExchangeScheme string `json:"exchange_scheme,omitempty"`
 	ExchangeCount  int    `json:"exchange_count,omitempty"`
-	// Resampler is "rws" (default), "vose", "systematic" or
-	// "metropolis".
+	// Resampler is "rws" (default), "vose" or "systematic".
 	Resampler string `json:"resampler,omitempty"`
 	// Policy is "always" (default), "never", "ess" / "ess:<frac>" or
 	// "random" / "random:<p>".

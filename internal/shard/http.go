@@ -202,7 +202,11 @@ func routerError(w http.ResponseWriter, r *Router, err error) {
 		serve.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
 	case errors.As(err, &api):
 		// A replica's own reply (after the forwarding client's retries):
-		// relay its status so the caller sees what the shard said.
+		// relay its status so the caller sees what the shard said, with
+		// the router's hint on the retryable ones.
+		if api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable {
+			serve.SetRetryAfter(w, r.RetryAfter())
+		}
 		serve.WriteJSON(w, api.Status, map[string]string{"error": api.Message})
 	default:
 		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

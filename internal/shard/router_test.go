@@ -390,6 +390,32 @@ func TestRouterHTTPRetryableStates(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysRetryHint puts the router in front of a stub replica
+// that refuses everything with a bare 429 or 503: once the forwarding
+// client gives up, the relayed status must carry both retry headers.
+func TestRouterRelaysRetryHint(t *testing.T) {
+	for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			serve.WriteJSON(w, code, map[string]string{"error": "busy"})
+		}))
+		t.Cleanup(stub.Close)
+		router := newTestRouter(t, RouterConfig{Shards: []ShardSpec{{Name: "stub", BaseURL: stub.URL}}})
+		front := httptest.NewServer(NewRouterHandler(router))
+		t.Cleanup(front.Close)
+		resp, err := http.Post(front.URL+"/v1/sessions", "application/json", strings.NewReader(`{"spec":{"model":"ungm"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Fatalf("create through a stub answering %d: status %d", code, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" || resp.Header.Get("Retry-After-Ms") == "" {
+			t.Fatalf("relayed %d without retry hints: %+v", code, resp.Header)
+		}
+	}
+}
+
 // TestRouterRebalance piles sessions onto an imbalanced router and
 // checks Rebalance levels them with live migrations.
 func TestRouterRebalance(t *testing.T) {

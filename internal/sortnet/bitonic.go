@@ -27,24 +27,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// floatSortKeys writes order-preserving integer images of keys into iks:
-// comparing images as ints gives exactly the float order of the keys (the
-// radix-sort float trick — negative floats have their magnitude bits
-// flipped so their bit patterns ascend with their values). The network's
-// compare-exchange then runs entirely on integers, which the compiler
-// lowers to flag materialization and masked selects instead of
-// data-dependent branches — the branch predictor has a ~50% miss rate on
-// sort comparisons, and each miss costs more than the whole exchange.
-//
-// -0.0 is normalized to +0.0 first so equal floats map to equal images
-// (±0 is the only pair of distinct bit patterns that compare equal; NaN
-// keys are unsupported, as documented on SortDescending). The transform
-// preserves the sign bit and is therefore an involution: applying it to
-// an image restores the key bits.
-func floatSortKeys(iks []int, keys []float64) {
-	KeyImages(iks, keys)
-}
-
 // KeyImage returns the order-preserving integer image of f: for non-NaN
 // a, b, a < b ⇔ KeyImage(a) < KeyImage(b) and a == b ⇔ KeyImage(a) ==
 // KeyImage(b). Kernels use it to replace hot float comparisons (sort
@@ -58,7 +40,12 @@ func KeyImage(f float64) int {
 	return int(b ^ int64(uint64(b>>63)>>1))
 }
 
-// KeyImages fills dst with KeyImage of each element of src.
+// KeyImages fills dst with KeyImage of each element of src. The bitonic
+// network runs on these images, so each compare-exchange is an integer
+// comparison the compiler lowers to flag materialization and masked
+// selects instead of a data-dependent branch (the branch predictor has a
+// ~50% miss rate on sort comparisons, and each miss costs more than the
+// whole exchange).
 //
 //esthera:hotpath noalloc bce
 func KeyImages(dst []int, src []float64) {
@@ -70,8 +57,9 @@ func KeyImages(dst []int, src []float64) {
 	}
 }
 
-// sortKeysFloat inverts floatSortKeys, writing the float keys for the
-// images in iks back into keys.
+// sortKeysFloat inverts KeyImages, writing the float keys for the images
+// in iks back into keys (the transform preserves the sign bit, so it is
+// its own inverse).
 func sortKeysFloat(keys []float64, iks []int) {
 	keys = keys[:len(iks)]
 	for i, k := range iks {
@@ -81,70 +69,16 @@ func sortKeysFloat(keys []float64, iks []int) {
 	}
 }
 
-// SortDescending sorts keys into descending order in place using a
-// bitonic network, applying the identical permutation to idx. If idx is
-// nil it is ignored; if present, equal keys are ordered by ascending idx
-// (making the network stable with respect to the index array, and keeping
-// padding sentinels out of the live region even when genuine -Inf keys
-// are present). Non-power-of-two lengths are handled by padding with
-// (-Inf, large-index) sentinels in a scratch buffer. NaN keys are not
-// supported.
-//
-// The network is executed as barrier-phased steps on ctx; lanes cover the
-// compare-exchange pairs in grid-stride fashion.
-func SortDescending(ctx device.Ctx, keys []float64, idx []int) {
-	n := len(keys)
-	if n <= 1 {
-		return
-	}
-	p := nextPow2(n)
-	ks := keys
-	ix := idx
-	if p != n {
-		ks = ctx.ScratchF64(p)
-		copy(ks, keys)
-		for i := n; i < p; i++ {
-			ks[i] = math.Inf(-1)
-		}
-		// Padding always carries an index array so sentinels lose ties
-		// against genuine -Inf keys (their near-MaxInt indices sort last
-		// regardless of the caller's index values).
-		const maxInt = int(^uint(0) >> 1)
-		ix = ctx.ScratchInt(p)
-		if idx != nil {
-			copy(ix, idx)
-			for i := n; i < p; i++ {
-				ix[i] = maxInt - (p - 1 - i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				ix[i] = 0 // ties irrelevant without a caller index array
-			}
-			for i := n; i < p; i++ {
-				ix[i] = 1
-			}
-		}
-	}
-	bitonic(ctx, ks, ix)
-	if p != n {
-		copy(keys, ks[:n])
-		if idx != nil {
-			copy(idx, ix[:n])
-		}
-	}
-}
-
 // Net is a reusable execution context for the bitonic network: it
 // pre-binds the compare-exchange closure once, so repeated SortDescending
-// calls on hot kernel paths allocate nothing (the package function
-// re-creates its closure — and thus a heap cell — per call, because it
-// escapes through the device.Ctx interface).
+// calls on hot kernel paths allocate nothing (a closure created per call
+// would escape through the device.Ctx interface to the heap).
 //
 // A Net carries per-call mutable state and must not be shared between
 // concurrently executing work-groups; create one per group context (the
 // kernel pipeline keeps one per sub-filter).
 type Net struct {
-	keys      []int // integer sort-key images (see floatSortKeys)
+	keys      []int // integer sort-key images (see KeyImages)
 	idx       []int
 	laneSwaps []int
 	st        struct{ k, j int }
@@ -249,8 +183,17 @@ func NewNet() *Net {
 	return nt
 }
 
-// SortDescending is the method form of the package-level SortDescending,
-// reusing the net's bound closure. Identical results and cost accounting.
+// SortDescending sorts keys into descending order in place using a
+// bitonic network, applying the identical permutation to idx. If idx is
+// nil it is ignored; if present, equal keys are ordered by ascending idx
+// (making the network stable with respect to the index array, and keeping
+// padding sentinels out of the live region even when genuine -Inf keys
+// are present). Non-power-of-two lengths are handled by padding with
+// (-Inf, large-index) sentinels in a scratch buffer. NaN keys are not
+// supported.
+//
+// The network is executed as barrier-phased steps on ctx; lanes cover the
+// compare-exchange pairs in grid-stride fashion.
 //
 //esthera:hotpath noalloc bce
 func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
@@ -267,6 +210,9 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 		for i := n; i < p; i++ {
 			ks[i] = math.Inf(-1)
 		}
+		// Padding always carries an index array so sentinels lose ties
+		// against genuine -Inf keys (their near-MaxInt indices sort last
+		// regardless of the caller's index values).
 		const maxInt = int(^uint(0) >> 1)
 		ix = ctx.ScratchInt(p)
 		if idx != nil {
@@ -276,7 +222,7 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				ix[i] = 0
+				ix[i] = 0 // ties irrelevant without a caller index array
 			}
 			for i := n; i < p; i++ {
 				ix[i] = 1
@@ -292,13 +238,23 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 	}
 }
 
-// bitonic mirrors the package-level bitonic on the net's bound state.
+// bitonic runs the classic bitonic network on a power-of-two buffer,
+// producing descending order, on integer images of the keys (KeyImages)
+// that are transformed back once after the last stage.
+//
+// The network executes 0.5·log²p barrier-phased steps, each one StepSpan
+// over the stage's disjoint pairs, and the per-compare-exchange cost
+// accounting is flushed once at the end. Pair counts are deterministic (a
+// stage compares exactly p/2 pairs) and accumulate host-side; swap counts
+// are data-dependent, so each lane tallies its own swaps in a
+// lane-indexed scratch slot that the host sums after the barrier — no
+// cross-lane writes in the closure.
 //
 //esthera:hotpath noalloc bce
 func (nt *Net) bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	p := len(keys)
 	iks := ctx.ScratchInt(p)
-	floatSortKeys(iks, keys)
+	KeyImages(iks, keys)
 	nt.keys, nt.idx = iks, idx
 	nt.laneSwaps = ctx.ScratchInt(p)
 	stages := 0
@@ -313,136 +269,6 @@ func (nt *Net) bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	pairs := stages * (p / 2)
 	swaps := 0
 	for _, c := range nt.laneSwaps {
-		swaps += c
-	}
-	ctx.Ops(12 * pairs)
-	ctx.LocalRead(24 * pairs)
-	ctx.LocalWrite(24 * swaps)
-}
-
-// bitonic runs the classic bitonic network on a power-of-two buffer,
-// producing descending order.
-//
-// The network executes 0.5·log²p barrier-phased steps; one closure
-// (mutating its captured kk/jj stage parameters) is reused across all of
-// them, and the per-compare-exchange cost accounting is flushed once at
-// the end — the totals are exactly those of per-exchange accounting,
-// without an interface call per pair. Pair counts are deterministic (a
-// stage compares exactly p/2 disjoint pairs: ixj > i iff bit j of i is
-// clear) and accumulate host-side; swap counts are data-dependent, so
-// each lane tallies its own swaps in a lane-indexed scratch slot that
-// the host sums after the barrier — no cross-lane writes in the closure.
-func bitonic(ctx device.Ctx, keys []float64, idx []int) {
-	p := len(keys)
-	// The network runs on integer images of the keys (floatSortKeys), so
-	// each compare-exchange is branchless: flag materialization plus
-	// XOR-mask selects, no data-dependent branches for the predictor to
-	// miss. The images are transformed back once after the last stage.
-	iks := ctx.ScratchInt(p)
-	floatSortKeys(iks, keys)
-	// Stage parameters share one struct so the reused closure costs a
-	// single heap cell, not one per captured var. Each stage runs as one
-	// StepSpan covering every lane's pair (the pairs of a stage are
-	// disjoint, so lane order is immaterial).
-	var st struct{ k, j int }
-	laneSwaps := ctx.ScratchInt(p)
-	// A stage's pairs are (i, i+j) for every i whose j bit is clear:
-	// runs of j consecutive lanes every 2j lanes. The direction bit
-	// (i & k, deciding descending vs ascending blocks of the final
-	// descending order) is constant within a run, so it hoists out of
-	// the inner loop. The compare-exchange sequence is identical to a
-	// full-lane scan that skips upper partners.
-	step := func(lo, hi int) {
-		k, j := st.k, st.j
-		j2 := j << 1
-		for base := 0; base < p; base += j2 {
-			desc := base&k == 0
-			end := base + j
-			if idx == nil {
-				if desc {
-					for i := base; i < end; i++ {
-						a, b := iks[i], iks[i+j]
-						s := 0
-						if a < b {
-							s = 1
-						}
-						x := (a ^ b) & -s
-						iks[i], iks[i+j] = a^x, b^x
-						laneSwaps[i] += s
-					}
-				} else {
-					for i := base; i < end; i++ {
-						a, b := iks[i], iks[i+j]
-						s := 0
-						if a > b {
-							s = 1
-						}
-						x := (a ^ b) & -s
-						iks[i], iks[i+j] = a^x, b^x
-						laneSwaps[i] += s
-					}
-				}
-				continue
-			}
-			if desc {
-				for i := base; i < end; i++ {
-					a, b := iks[i], iks[i+j]
-					ia, ib := idx[i], idx[i+j]
-					lt, eq, tb := 0, 0, 0
-					if a < b {
-						lt = 1
-					}
-					if a == b {
-						eq = 1
-					}
-					if ia > ib {
-						tb = 1
-					}
-					s := lt | eq&tb
-					m := -s
-					xk := (a ^ b) & m
-					xi := (ia ^ ib) & m
-					iks[i], iks[i+j] = a^xk, b^xk
-					idx[i], idx[i+j] = ia^xi, ib^xi
-					laneSwaps[i] += s
-				}
-			} else {
-				for i := base; i < end; i++ {
-					a, b := iks[i], iks[i+j]
-					ia, ib := idx[i], idx[i+j]
-					gt, eq, tb := 0, 0, 0
-					if a > b {
-						gt = 1
-					}
-					if a == b {
-						eq = 1
-					}
-					if ia < ib {
-						tb = 1
-					}
-					s := gt | eq&tb
-					m := -s
-					xk := (a ^ b) & m
-					xi := (ia ^ ib) & m
-					iks[i], iks[i+j] = a^xk, b^xk
-					idx[i], idx[i+j] = ia^xi, ib^xi
-					laneSwaps[i] += s
-				}
-			}
-		}
-	}
-	stages := 0
-	for k := 2; k <= p; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			st.k, st.j = k, j
-			ctx.StepSpan(step)
-			stages++
-		}
-	}
-	sortKeysFloat(keys, iks)
-	pairs := stages * (p / 2)
-	swaps := 0
-	for _, c := range laneSwaps {
 		swaps += c
 	}
 	// A compare-exchange costs the comparison plus the partner-index

@@ -8,8 +8,9 @@ import (
 	"esthera/internal/device"
 )
 
-// FuzzBitonicSort checks the network against the stdlib sort for
-// arbitrary inputs, including negatives, ties and infinities.
+// FuzzBitonicSort checks the kernels' bitonic network (Net) against the
+// stdlib sort for arbitrary inputs, including negatives, ties and
+// infinities.
 func FuzzBitonicSort(f *testing.F) {
 	f.Add([]byte{5, 3, 9, 1})
 	f.Add([]byte{0})
@@ -34,7 +35,7 @@ func FuzzBitonicSort(f *testing.F) {
 		for i := range idx {
 			idx[i] = i
 		}
-		SortDescending(device.Serial{N: len(ks)}, got, idx)
+		NewNet().SortDescending(device.Serial{N: len(ks)}, got, idx)
 
 		want := append([]float64(nil), ks...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(want)))

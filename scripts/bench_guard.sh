@@ -53,12 +53,10 @@ if [ -z "$BASELINE" ]; then
 fi
 
 # First match is the "current" section (emitted before any merged-in
-# historical baseline section). The default (sorted RWS) series and the
-# metropolis series are guarded separately: the sort-free resampler has
-# its own cost profile, so min-ing across series would let either one
-# regress behind the other's number.
+# historical baseline section). Older baselines also record a
+# ".../m=128/metropolis" series of a since-deleted resampler; the
+# pattern skips it.
 BASE_NS="$(sed -n 's/.*"BenchmarkRoundFused\/[^"]*m=128[^/"]*": {"ns_per_op": \([0-9][0-9.e+]*\).*/\1/p' "$BASELINE" | head -1)"
-BASE_MET_NS="$(sed -n 's/.*"BenchmarkRoundFused\/[^"]*metropolis[^"]*": {"ns_per_op": \([0-9][0-9.e+]*\).*/\1/p' "$BASELINE" | head -1)"
 if [ -z "$BASE_NS" ]; then
 	echo "bench_guard: could not parse BenchmarkRoundFused ns/op from $BASELINE; skipping" >&2
 	exit 0
@@ -77,7 +75,6 @@ trap 'rm -f "$RAW"' EXIT
 go test -run '^$' -bench 'BenchmarkRoundFused$' -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" -benchmem . | tee "$RAW"
 
 FRESH_NS="$(awk -v sfx="$SUFFIX" '/^BenchmarkRoundFused/ && $1 ~ ("m=128" sfx "$") { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
-FRESH_MET_NS="$(awk -v sfx="$SUFFIX" '/^BenchmarkRoundFused/ && $1 ~ ("metropolis" sfx "$") { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
 if [ -z "$FRESH_NS" ]; then
 	echo "bench_guard: BenchmarkRoundFused produced no ns/op at GOMAXPROCS $PROCS" >&2
 	exit 1
@@ -103,21 +100,3 @@ awk -v fresh="$FRESH_NS" -v base="$BASE_NS" -v tol="$TOLERANCE" -v src="$BASELIN
 	}
 	print "bench_guard: ok"
 }'
-
-# Metropolis series: guarded only once a baseline records it (older
-# BENCH_*.json predate the series); the allocs/op ratchet above already
-# covers it unconditionally.
-if [ -n "$FRESH_MET_NS" ] && [ -n "$BASE_MET_NS" ]; then
-	awk -v fresh="$FRESH_MET_NS" -v base="$BASE_MET_NS" -v tol="$TOLERANCE" -v src="$BASELINE" 'BEGIN {
-		limit = base * (1 + tol / 100)
-		delta = (fresh - base) / base * 100
-		printf "bench_guard: fused round (metropolis) %.0f ns/op vs %.0f baseline (%s): %+.1f%% (tolerance +%s%%)\n", fresh, base, src, delta, tol
-		if (fresh > limit) {
-			printf "bench_guard: FAIL [ns/op] — metropolis fused round %.0f ns/op exceeds limit %.0f (baseline %.0f +%s%%)\n", fresh, limit, base, tol
-			exit 1
-		}
-		print "bench_guard: ok (metropolis)"
-	}'
-elif [ -n "$FRESH_MET_NS" ]; then
-	echo "bench_guard: metropolis series measured at $FRESH_MET_NS ns/op; no recorded baseline yet (allocs/op ratchet applied)"
-fi

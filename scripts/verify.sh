@@ -47,11 +47,10 @@ go test -race -count=3 ./internal/serve/...
 # Benchmark smoke: one short iteration of every benchmark, asserting they
 # still run (not measuring them).
 go test -run '^$' -bench . -benchtime 1x ./...
-# Adaptive-resampling accuracy gate: the sort-free Metropolis resampler
-# and the ESS-driven adaptive allocator must match the fixed-allocation
-# RWS/Vose baseline on the arm model. The 2x ratio is deliberately loose
-# for the reduced CI budget — it catches a broken resampler or allocator
-# (order-of-magnitude divergence), not run-to-run noise.
+# Adaptive-resampling accuracy gate: the ESS-driven adaptive allocator
+# must match the fixed-allocation RWS/Vose baseline on the arm model. The
+# 2x ratio is deliberately loose for the reduced CI budget — it catches a
+# broken allocator (order-of-magnitude divergence), not run-to-run noise.
 go run ./cmd/esthera run -runs 3 -steps 30 -gate 2.0 adaptive
 # Observability must be free when disabled: assert the fused round hot
 # path is within tolerance of the newest recorded benchmark baseline.
