@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
@@ -73,11 +74,7 @@ func goldenTraceHash(t *testing.T, modelName string, algo Algo, mean bool, seed 
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
+	put := func(vs ...float64) { hashFloats(h, vs) }
 	u := make([]float64, mdl.ControlDim())
 	z := make([]float64, mdl.MeasurementDim())
 	for k := 1; k <= 10; k++ {
@@ -88,24 +85,81 @@ func goldenTraceHash(t *testing.T, modelName string, algo Algo, mean bool, seed 
 			z[j] = 0.3*float64(k) - 0.1*float64(j) - 1
 		}
 		state, lw := p.RoundFused(u, z, k)
-		for _, v := range state {
-			put(v)
-		}
+		put(state...)
 		put(lw)
 		sub, _ := p.Best()
 		put(float64(sub))
-		for _, v := range p.LogWeights() {
-			put(v)
+		put(p.LogWeights()...)
+		put(p.Particles()...)
+	}
+	return h.Sum64()
+}
+
+// hashFloats folds the IEEE-754 bits of vs into h, little-endian.
+func hashFloats(h hash.Hash, vs []float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+}
+
+// batchedTraceHash runs 10 rounds of one Batcher over three UNGM 16×64
+// ring t=1 sessions (the serve-busy shape) and one bearings 8×16
+// session, whose group size forces a second partition, and folds every
+// session's estimate, log-weight buffer and particles, in batch order,
+// into one FNV-1a 64 hash.
+func batchedTraceHash(t *testing.T, algo Algo, seed uint64) uint64 {
+	t.Helper()
+	dev := device.New(device.Config{Workers: 4, LocalMemBytes: -1})
+	shapes := []struct {
+		model string
+		n, m  int
+	}{{"ungm", 16, 64}, {"bearings", 8, 16}, {"ungm", 16, 64}, {"ungm", 16, 64}}
+	batch := make([]*BatchRound, len(shapes))
+	for i, sh := range shapes {
+		mdl := goldenModel(t, sh.model)
+		top, err := exchange.NewTopology(exchange.Ring, sh.n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, v := range p.Particles() {
-			put(v)
+		p, err := New(dev, mdl, Config{
+			SubFilters:    sh.n,
+			ParticlesPer:  sh.m,
+			ExchangeCount: 1,
+			Topology:      top,
+			Resampler:     algo,
+		}, 100*seed+uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = &BatchRound{P: p, U: make([]float64, mdl.ControlDim()), Z: make([]float64, mdl.MeasurementDim())}
+	}
+	b := NewBatcher(dev)
+	h := fnv.New64a()
+	for k := 1; k <= 10; k++ {
+		for i, e := range batch {
+			for j := range e.Z {
+				e.Z[j] = 0.3*float64(k) - 0.1*float64(j) - 1 + 0.25*float64(i)
+			}
+			e.K = k
+		}
+		if err := b.Round(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range batch {
+			hashFloats(h, e.State)
+			hashFloats(h, []float64{e.LogW})
+			hashFloats(h, e.P.LogWeights())
+			hashFloats(h, e.P.Particles())
 		}
 	}
 	return h.Sum64()
 }
 
-// goldenKeys lists the pinned traces: RWS and Vose under the max-weight
-// estimate, and RWS under the weighted mean.
+// goldenKeys lists the pinned traces: per model, solo fused rounds with
+// RWS and Vose under the max-weight estimate and RWS under the weighted
+// mean; then the batched family ("batch/..."), RWS and Vose.
 func goldenKeys() []string {
 	var keys []string
 	for _, m := range []string{"ungm", "bearings", "arm"} {
@@ -115,7 +169,22 @@ func goldenKeys() []string {
 			}
 		}
 	}
+	for _, variant := range []string{"rws", "vose"} {
+		for _, seed := range []uint64{1, 2, 3} {
+			keys = append(keys, fmt.Sprintf("batch/%s/seed=%d", variant, seed))
+		}
+	}
 	return keys
+}
+
+// goldenHash computes the trace hash a key pins.
+func goldenHash(t *testing.T, key string) uint64 {
+	t.Helper()
+	m, algo, mean, seed := parseGoldenKey(t, key)
+	if m == "batch" {
+		return batchedTraceHash(t, algo, seed)
+	}
+	return goldenTraceHash(t, m, algo, mean, seed)
 }
 
 func parseGoldenKey(t *testing.T, key string) (modelName string, algo Algo, mean bool, seed uint64) {
@@ -171,7 +240,10 @@ func readGoldenPins(t *testing.T) map[string]uint64 {
 // which only compares the fused round against the unfused one and would
 // accept a change that shifted both — these pins are absolute: the
 // refactored pipeline must reproduce the pre-refactor byte stream
-// exactly, seed for seed, for both RWS and Vose resampling.
+// exactly, seed for seed, for both RWS and Vose resampling. The batch
+// family pins the Batcher's merged launches the same way, so an edit to
+// a group body that the solo and batched paths share cannot hide behind
+// a differential test.
 func TestFusedGoldenPins(t *testing.T) {
 	keys := goldenKeys()
 	if *updateGolden {
@@ -180,8 +252,10 @@ func TestFusedGoldenPins(t *testing.T) {
 		sb.WriteString("# log-weight, best sub-filter, log-weights, particles per step).\n")
 		sb.WriteString("# Regenerate only from a known-good tree: go test -run TestFusedGoldenPins -update-golden ./internal/kernels\n")
 		for _, key := range keys {
-			m, algo, mean, seed := parseGoldenKey(t, key)
-			fmt.Fprintf(&sb, "%s %016x\n", key, goldenTraceHash(t, m, algo, mean, seed))
+			if key == "batch/rws/seed=1" {
+				sb.WriteString("# batch/*: 10 Batcher rounds of three UNGM 16x64 sessions and one bearings 8x16 session.\n")
+			}
+			fmt.Fprintf(&sb, "%s %016x\n", key, goldenHash(t, key))
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
 			t.Fatal(err)
@@ -206,8 +280,7 @@ func TestFusedGoldenPins(t *testing.T) {
 	for _, key := range keys {
 		key := key
 		t.Run(key, func(t *testing.T) {
-			m, algo, mean, seed := parseGoldenKey(t, key)
-			got := goldenTraceHash(t, m, algo, mean, seed)
+			got := goldenHash(t, key)
 			if got != pins[key] {
 				t.Fatalf("fused-round trace drifted: hash %016x, pinned %016x — the round is no longer bit-identical to the pre-refactor pipeline", got, pins[key])
 			}
