@@ -21,7 +21,6 @@
 //	esthera run table3 fig3
 //	esthera run -runs 100 -steps 100 fig6
 //	esthera run -plot fig8
-//	esthera run -runs 3 -steps 30 -gate 2.0 adaptive
 //	esthera run -out report/
 package main
 
@@ -183,12 +182,11 @@ func runExperiments(args []string, stdout io.Writer) error {
 	fs.IntVar(&o.Joints, "joints", 0, "arm joints (0 = 5)")
 	fs.IntVar(&o.Workers, "workers", 0, "host device workers (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.Full, "full", false, "paper-scale performance sweeps (slow: up to 2M particles)")
-	fs.Float64Var(&o.Gate, "gate", 0, "fail unless the adaptive allocator's error is within this ratio of the fixed RWS/Vose baseline (needs the adaptive experiment; 0 = report only)")
 	fs.BoolVar(&o.Plot, "plot", false, "print Fig. 8 as an ASCII chart instead of its table")
 	out := fs.String("out", "", "also write every table as .txt and .csv, plus REPORT.txt, into this directory")
 	_ = fs.Parse(args)
 
-	exps, err := experiments.Select(fs.Args(), o)
+	exps, err := experiments.Select(fs.Args())
 	if err != nil {
 		return err
 	}

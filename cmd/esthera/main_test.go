@@ -23,7 +23,7 @@ func TestRegistryOrder(t *testing.T) {
 		seen[e.Name] = true
 		names = append(names, e.Name)
 	}
-	all, err := experiments.Select(nil, experiments.Options{})
+	all, err := experiments.Select(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"no subcommand", nil},
 		{"unknown subcommand", []string{"report"}},
 		{"unknown experiment", []string{"run", "fig99"}},
-		{"gate without adaptive", []string{"run", "-gate", "2", "table3"}},
 		{"out under a regular file", []string{"run", "-out", filepath.Join(file, "report"), "table3"}},
 		{"track unknown model", []string{"track", "-model", "bogus"}},
 	}

@@ -60,14 +60,6 @@ type Config struct {
 	Seed uint64
 	// Workers sizes the host device (0 = GOMAXPROCS).
 	Workers int
-	// AdaptEvery enables the ESS-driven adaptive allocator in the
-	// parallel filter: every AdaptEvery rounds the per-sub-filter
-	// particle windows are re-divided toward the degenerating
-	// sub-filters (gain and clamps default per filter.AdaptConfig).
-	// 0, the default, keeps fixed uniform windows. Only NewFilter
-	// honors it; the sequential and centralized builders reject
-	// non-zero values.
-	AdaptEvery int
 }
 
 // DefaultConfig returns the paper's Table II defaults for GPU-class
@@ -110,9 +102,6 @@ func (cfg Config) Validate() error {
 	default:
 		return fmt.Errorf("esthera: unknown streams %q (philox, mtgp)", cfg.Streams)
 	}
-	if cfg.AdaptEvery < 0 {
-		return fmt.Errorf("esthera: AdaptEvery must be >= 0, got %d", cfg.AdaptEvery)
-	}
 	return nil
 }
 
@@ -148,7 +137,6 @@ func NewFilter(m Model, cfg Config) (Filter, error) {
 		Policy:        policy,
 		Streams:       cfg.Streams,
 		Estimator:     est,
-		Adapt:         filter.AdaptConfig{Every: cfg.AdaptEvery},
 	}, cfg.Seed)
 }
 
@@ -156,9 +144,6 @@ func NewFilter(m Model, cfg Config) (Filter, error) {
 // the same distributed algorithm (useful for validation and platforms
 // where goroutine parallelism is undesirable).
 func NewSequentialFilter(m Model, cfg Config) (Filter, error) {
-	if cfg.AdaptEvery != 0 {
-		return nil, fmt.Errorf("esthera: AdaptEvery requires the parallel filter (NewFilter)")
-	}
 	scheme, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring"))
 	if err != nil {
 		return nil, err

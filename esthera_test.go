@@ -137,15 +137,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := esthera.NewFilter(m, cfg); err != nil {
 		t.Errorf("parallel systematic: %v", err)
 	}
-	// Adaptive allocation is a parallel-filter feature; the sequential
-	// builder must say so rather than silently ignore it.
-	cfg.AdaptEvery = 4
-	if _, err := esthera.NewSequentialFilter(m, cfg); err == nil {
-		t.Error("sequential filter accepted AdaptEvery")
-	}
-	if _, err := esthera.NewFilter(m, cfg); err != nil {
-		t.Errorf("parallel adaptive: %v", err)
-	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -163,7 +154,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("valid names rejected: %v", err)
 	}
 	good2 := esthera.Config{
-		Resampler: "systematic", Policy: "ess:0.3", AdaptEvery: 4,
+		Resampler: "systematic", Policy: "ess:0.3",
 	}
 	if err := good2.Validate(); err != nil {
 		t.Errorf("valid names rejected: %v", err)
@@ -175,7 +166,6 @@ func TestConfigValidate(t *testing.T) {
 		{Policy: "sometimes"},
 		{Streams: "xorshift"},
 		{Estimator: "median"},
-		{AdaptEvery: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

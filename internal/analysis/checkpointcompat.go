@@ -20,9 +20,9 @@ var snapshotPackages = map[string]bool{
 }
 
 // snapshotName matches the type names that participate in a wire
-// format: kernels.Snapshot, filter.ParallelSnapshot, serve.Checkpoint,
-// rng.State, and the shard transport's framed *Msg control structs
-// (shard.ExportMsg, shard.RestoreMsg, ...).
+// format: kernels.Snapshot, serve.Checkpoint, rng.State, and the shard
+// transport's framed *Msg control structs (shard.ExportMsg,
+// shard.RestoreMsg, ...).
 var snapshotName = regexp.MustCompile(`(Snapshot|Checkpoint|State|Msg)$`)
 
 // CheckpointAnalyzer guards the wire formats: every exported field of

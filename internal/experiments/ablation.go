@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"esthera/internal/device"
 	"esthera/internal/exchange"
 	"esthera/internal/filter"
-	"esthera/internal/kernels"
 	"esthera/internal/metrics"
 	"esthera/internal/model"
 	"esthera/internal/resample"
@@ -132,82 +130,6 @@ func VariantsAblation(o AccuracyOptions) (*Table, error) {
 		t.Append(v.name, armErr, ungmErr.MeanError)
 	}
 	return t, nil
-}
-
-// AdaptiveResult carries the adaptive-resampling ablation's numbers for
-// CI gating alongside the printable table.
-type AdaptiveResult struct {
-	Table *Table
-	// Baseline is the best fixed-allocation RWS/Vose mean error; Worst
-	// the error of the candidate configuration (ESS-driven adaptive
-	// allocation).
-	Baseline, Worst float64
-}
-
-// Gate returns an error when the candidate configuration's error exceeds
-// ratio × the fixed-allocation baseline — the acceptance criterion that
-// re-dividing the particle budget by degeneracy (adaptive allocation)
-// costs no accuracy.
-func (r *AdaptiveResult) Gate(ratio float64) error {
-	if r.Worst > ratio*r.Baseline {
-		return fmt.Errorf("adaptive gate: worst candidate error %.4g exceeds %.2f × baseline %.4g",
-			r.Worst, ratio, r.Baseline)
-	}
-	return nil
-}
-
-// AdaptiveAblation gates the adaptive-resampling subsystem: ESS-driven
-// adaptive allocation (windows re-divided by degeneracy every 4 rounds)
-// against the fixed-allocation RWS/Vose baseline on the arm benchmark.
-func AdaptiveAblation(o AccuracyOptions) (*AdaptiveResult, error) {
-	o = o.withDefaults()
-	m, sc, err := armScenario(o.Joints)
-	if err != nil {
-		return nil, err
-	}
-	adapt := filter.AdaptConfig{Every: 4}
-	configs := []struct {
-		name     string
-		algo     kernels.Algo
-		adapt    filter.AdaptConfig
-		baseline bool
-	}{
-		{"rws, fixed", kernels.AlgoRWS, filter.AdaptConfig{}, true},
-		{"vose, fixed", kernels.AlgoVose, filter.AdaptConfig{}, true},
-		{"rws, adaptive", kernels.AlgoRWS, adapt, false},
-	}
-	t := &Table{
-		Title:  "§IV ablation — adaptive allocation (ring 32×32, t=1)",
-		Header: []string{"configuration", "mean error [m]"},
-		Notes: []string{
-			fmt.Sprintf("%d runs × %d steps; adaptive: ESS-driven window re-division every 4 rounds", o.Runs, o.Steps),
-		},
-	}
-	r := &AdaptiveResult{Table: t, Baseline: math.Inf(1)}
-	for _, c := range configs {
-		c := c
-		e, err := meanError(o, sc, func(seed uint64) (filter.Filter, error) {
-			dev := device.New(device.Config{Workers: o.Workers, LocalMemBytes: -1})
-			return filter.NewParallel(dev, m, filter.ParallelConfig{
-				SubFilters: 32, ParticlesPer: 32,
-				Scheme: exchange.Ring, ExchangeCount: 1,
-				Resampler: c.algo,
-				Adapt:     c.adapt,
-			}, seed)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Append(c.name, e)
-		if c.baseline {
-			if e < r.Baseline {
-				r.Baseline = e
-			}
-		} else if e > r.Worst {
-			r.Worst = e
-		}
-	}
-	return r, nil
 }
 
 // EstimatorAblation compares the max-weight global estimate (the paper's

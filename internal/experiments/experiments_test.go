@@ -266,27 +266,6 @@ func TestPolicyAblation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveAblation(t *testing.T) {
-	r, err := AdaptiveAblation(smallAcc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Table.Rows) != 3 {
-		t.Fatalf("%d configurations", len(r.Table.Rows))
-	}
-	if !(r.Baseline > 0) || !(r.Worst > 0) {
-		t.Fatalf("implausible gate numbers: baseline %v, worst %v", r.Baseline, r.Worst)
-	}
-	// The acceptance criterion at CI budget: adaptive allocation may not
-	// blow up accuracy.
-	if err := r.Gate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := (&AdaptiveResult{Baseline: 1, Worst: 5}).Gate(2); err == nil {
-		t.Fatal("gate must reject worst >> baseline")
-	}
-}
-
 func TestVariantsAblation(t *testing.T) {
 	o := smallAcc()
 	o.Runs = 2

@@ -18,10 +18,6 @@ type Options struct {
 	// Full runs the performance figures at paper scale (up to 2M
 	// particles).
 	Full bool
-	// Gate, when positive, fails the adaptive experiment unless the
-	// adaptive allocator's error is within Gate × the fixed RWS/Vose
-	// baseline.
-	Gate float64
 	// Plot prints Fig. 8 as an ASCII chart instead of its table.
 	Plot bool
 }
@@ -74,15 +70,13 @@ var Registry = []Experiment{
 	{"precision", accTable(PrecisionAblation)},
 	{"embedded", accTable(EmbeddedScaleDown)},
 	{"closedloop", accTable(ClosedLoopAblation)},
-	{"adaptive", runAdaptive},
 	{"cluster-scaling", accTable(func(o AccuracyOptions) (*Table, error) { return ClusterScaling(o, nil) })},
 	{"cluster-failure", accTable(ClusterFailure)},
 }
 
 // Select returns the named experiments in the order given, or the whole
-// Registry when names is empty. A positive o.Gate needs the adaptive
-// experiment among them.
-func Select(names []string, o Options) ([]Experiment, error) {
+// Registry when names is empty.
+func Select(names []string) ([]Experiment, error) {
 	if len(names) == 0 {
 		return Registry, nil
 	}
@@ -93,9 +87,6 @@ func Select(names []string, o Options) ([]Experiment, error) {
 			return nil, fmt.Errorf("unknown experiment %q (want one of: %s)", name, Names())
 		}
 		sel = append(sel, Registry[i])
-	}
-	if o.Gate > 0 && !slices.Contains(names, "adaptive") {
-		return nil, fmt.Errorf("-gate needs the adaptive experiment")
 	}
 	return sel, nil
 }
@@ -155,22 +146,4 @@ func runFig8(w io.Writer, o Options) ([]*Table, error) {
 	fmt.Fprintf(w, "high-particle trace: trailing error %.3f m, converged=%v\n", res.HighTrailing, res.HighConverged)
 	fmt.Fprintf(w, "low-particle trace:  trailing error %.3f m, converged=%v\n", res.LowTrailing, res.LowConverged)
 	return []*Table{res.Table}, nil
-}
-
-// runAdaptive prints the adaptive-resampling ablation and, under a
-// positive o.Gate, fails unless it passes the gate.
-func runAdaptive(w io.Writer, o Options) ([]*Table, error) {
-	r, err := AdaptiveAblation(o.accuracy())
-	if err != nil {
-		return nil, err
-	}
-	r.Table.Fprint(w)
-	if o.Gate > 0 {
-		if err := r.Gate(o.Gate); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "adaptive gate: ok — worst candidate %.4g vs baseline %.4g (ratio limit %.2f)\n",
-			r.Worst, r.Baseline, o.Gate)
-	}
-	return []*Table{r.Table}, nil
 }

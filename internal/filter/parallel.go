@@ -16,14 +16,8 @@ import (
 // algorithm is the same as Distributed; the two are cross-validated by
 // tests.
 type Parallel struct {
-	p    *kernels.Pipeline
-	dim  int
-	k    int
-	seed uint64
-	// adapt is the resolved ESS-driven allocator config (Every == 0 when
-	// disabled); essScratch is its reused SubESSFrac buffer.
-	adapt      AdaptConfig
-	essScratch []float64
+	p   *kernels.Pipeline
+	dim int
 }
 
 // ParallelConfig maps DistributedConfig onto the kernel pipeline.
@@ -44,10 +38,6 @@ type ParallelConfig struct {
 	// Estimator selects the global-estimate reduction (default
 	// MaxWeight; WeightedMean uses the weighted-average kernel).
 	Estimator Estimator
-	// Adapt enables ESS-driven adaptive particle allocation when
-	// Adapt.Every > 0: every k rounds the per-sub-filter windows are
-	// re-divided by degeneracy (see AdaptConfig).
-	Adapt AdaptConfig
 }
 
 // NewParallel builds the filter on dev.
@@ -73,30 +63,20 @@ func NewParallel(dev *device.Device, m model.Model, cfg ParallelConfig, seed uin
 	if err != nil {
 		return nil, err
 	}
-	f := &Parallel{p: pipe, dim: m.StateDim(), seed: seed}
-	if cfg.Adapt.Every > 0 {
-		f.adapt = cfg.Adapt.withDefaults(cfg.ParticlesPer, pipe.MinWindowFloor())
-	}
-	return f, nil
+	return &Parallel{p: pipe, dim: m.StateDim()}, nil
 }
 
 // Name implements Filter.
 func (f *Parallel) Name() string { return "parallel" }
 
 // Reset implements Filter.
-func (f *Parallel) Reset(seed uint64) {
-	f.seed = seed
-	f.k = 0
-	f.p.Reset(seed)
-}
+func (f *Parallel) Reset(seed uint64) { f.p.Reset(seed) }
 
 // Step implements Filter. It drives the fused round (kernels.Pipeline.
 // RoundFused): bit-identical to the unfused kernel-per-launch sequence,
 // but with the group-local phases collapsed into one launch.
 func (f *Parallel) Step(u, z []float64) Estimate {
-	f.k++
-	state, lw := f.p.RoundFused(u, z, f.k)
-	f.maybeAdapt()
+	state, lw := f.p.RoundFused(u, z, f.StepIndex()+1)
 	// The pipeline reuses its estimate buffer; the Estimate escapes to
 	// the caller, so copy.
 	return Estimate{State: append([]float64(nil), state...), LogWeight: lw}
@@ -106,44 +86,9 @@ func (f *Parallel) Step(u, z []float64) Estimate {
 // breakdown experiments and the serve layer's batch scheduler).
 func (f *Parallel) Pipeline() *kernels.Pipeline { return f.p }
 
-// StepIndex returns the number of rounds stepped since the last Reset.
-func (f *Parallel) StepIndex() int { return f.k }
-
-// Seed returns the seed of the last Reset (or construction).
-func (f *Parallel) Seed() uint64 { return f.seed }
-
-// ParallelSnapshot is a deep copy of a Parallel filter's state: the step
-// counter plus the pipeline snapshot. Restoring it into a filter with the
-// same configuration resumes the run bit-identically.
-type ParallelSnapshot struct {
-	Seed uint64            `json:"seed"`
-	Step int               `json:"step"`
-	Pipe *kernels.Snapshot `json:"pipe"`
-}
-
-// Snapshot captures the filter's state. Not safe to call concurrently
-// with Step or Reset.
-func (f *Parallel) Snapshot() *ParallelSnapshot {
-	return &ParallelSnapshot{Seed: f.seed, Step: f.k, Pipe: f.p.Snapshot()}
-}
-
-// RestoreSnapshot overwrites the filter's state from a snapshot taken
-// from an identically configured filter. Not safe to call concurrently
-// with Step or Reset.
-func (f *Parallel) RestoreSnapshot(s *ParallelSnapshot) error {
-	if s == nil || s.Pipe == nil {
-		return fmt.Errorf("filter: nil parallel snapshot")
-	}
-	if s.Step < 0 {
-		return fmt.Errorf("filter: negative snapshot step %d", s.Step)
-	}
-	if err := f.p.Restore(s.Pipe); err != nil {
-		return err
-	}
-	f.seed = s.Seed
-	f.k = s.Step
-	return nil
-}
+// StepIndex returns the number of rounds stepped since the last Reset,
+// or since the restored snapshot's round.
+func (f *Parallel) StepIndex() int { return int(f.p.Rounds()) }
 
 // BatchStepper carries the reusable scratch of the batched stepping
 // path: the kernels.Batcher (merged-launch tables and closures) and the
@@ -176,26 +121,16 @@ func (bs *BatchStepper) StepBatch(fs []*Parallel, us, zs [][]float64) ([]Estimat
 	}
 	bs.batch = bs.batch[:0]
 	for i, f := range fs {
-		f.k++
 		e := &bs.entries[i]
-		e.P, e.U, e.Z, e.K = f.p, us[i], zs[i], f.k
+		e.P, e.U, e.Z, e.K = f.p, us[i], zs[i], f.StepIndex()+1
 		bs.batch = append(bs.batch, e)
 	}
 	if err := bs.batcher.Round(bs.batch); err != nil {
-		// Roll the step counters back so a rejected batch is a no-op.
-		for _, f := range fs {
-			f.k--
-		}
 		return nil, err
 	}
 	out := make([]Estimate, len(fs))
 	for i := range fs {
 		e := &bs.entries[i]
-		// Adaptive filters resize between rounds on this path too, so a
-		// batched run tracks the solo Step sequence exactly. (The batcher
-		// re-partitions by group size each round, so diverging window
-		// shapes across filters are fine.)
-		fs[i].maybeAdapt()
 		// The entry's State buffer is reused next batch; the Estimate
 		// escapes to the caller, so copy.
 		out[i] = Estimate{State: append([]float64(nil), e.State...), LogWeight: e.LogW}

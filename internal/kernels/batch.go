@@ -77,9 +77,8 @@ func NewBatcher(dev *device.Device) *Batcher {
 
 // Round runs one filtering round for every entry. Every pipeline must
 // have been created on the Batcher's device. Pipelines with different
-// work-group sizes (the largest per-sub-filter window — ParticlesPer
-// under uniform allocation) cannot share a grid; Round partitions the
-// batch by group size and merges within each partition. A pipeline
+// work-group sizes (ParticlesPer) cannot share a grid; Round partitions
+// the batch by group size and merges within each partition. A pipeline
 // must appear at most once per batch (a session's steps are ordered;
 // coalescing two rounds of the same filter would reorder its kernels).
 // A failed validation leaves every pipeline unstepped.

@@ -87,7 +87,8 @@ func (p *Pipeline) KernelSampleWeight(u, z []float64, k int) {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) sampleGroup(g *device.Group, s int, u, z []float64, k int, xin, xout *soaBuf) {
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	vm := p.vms[s]
 	r := p.rands[s]
@@ -97,14 +98,6 @@ func (p *Pipeline) sampleGroup(g *device.Group, s int, u, z []float64, k int, xi
 	lws := p.logw[off : off+m : off+m]
 	lls := p.ll[off : off+m : off+m]
 	g.StepVec(func(lo, hi int) {
-		// The launch group size is the largest window; smaller windows
-		// clamp their span and idle the tail lanes (same in every body).
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		for c := 0; c < dim; c++ {
 			vs[c] = src[c][lo:hi:hi]
 			vd[c] = dst[c][lo:hi:hi]
@@ -146,7 +139,8 @@ func (p *Pipeline) KernelSortLocal() {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	src := xin.sub[s]
 	dst := xout.sub[s]
@@ -154,12 +148,6 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 	keys := g.AllocLocalF64(m)
 	idx := g.AllocLocalInt(m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		k := keys[lo:hi:hi]
 		ix := idx[lo:hi:hi]
 		lw := lws[lo:hi:hi]
@@ -175,12 +163,6 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 	// (non-contiguous reads, contiguous unit-stride writes), then write
 	// back sorted weights.
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		ix := idx[lo:hi:hi]
 		for c := 0; c < dim; c++ {
 			sc := src[c]
@@ -194,12 +176,6 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 	g.GlobalRead(8 * dim * m)
 	g.GlobalWrite(8 * dim * m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		lw := lws[lo:hi:hi]
 		k := keys[lo:hi:hi]
 		for i := range lw {
@@ -241,11 +217,11 @@ func (p *Pipeline) estGrid() device.Grid {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) estHeadGroup(g *device.Group) {
-	N := p.cfg.SubFilters
+	N, m := p.cfg.SubFilters, p.cfg.ParticlesPer
 	heads := p.heads
 	g.StepSpan(func(lo, hi int) {
 		for i := 0; i < N; i++ {
-			heads[i] = p.logw[p.winOff[i]]
+			heads[i] = p.logw[i*m]
 		}
 	})
 	g.GlobalRead(8 * N)
@@ -325,19 +301,14 @@ func (p *Pipeline) kernelEstimateMean() ([]float64, float64) {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) estMeanGroup(g *device.Group, s int) {
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	maxLW := p.estMaxLW
 	cols := p.cur.sub[s]
 	lws := p.logw[off : off+m : off+m]
 	wsum := g.AllocLocalF64(m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		w := wsum[lo:hi:hi]
 		lw := lws[lo:hi:hi]
 		for i := range w {
@@ -408,7 +379,7 @@ func (p *Pipeline) KernelExchange() {
 //esthera:hotpath noalloc bce
 func (p *Pipeline) exchPublishGroup(g *device.Group, s int) {
 	t := p.cfg.ExchangeCount
-	off := p.winOff[s]
+	off := s * p.cfg.ParticlesPer
 	dim := p.dim
 	stride := dim + 1
 	cols := p.cur.sub[s]
@@ -431,7 +402,8 @@ func (p *Pipeline) exchPublishGroup(g *device.Group, s int) {
 //esthera:hotpath noalloc bce
 func (p *Pipeline) exchPullGroup(g *device.Group, s int) {
 	t := p.cfg.ExchangeCount
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	stride := dim + 1
 	cols := p.cur.sub[s]
@@ -491,7 +463,8 @@ func (p *Pipeline) exchPoolGroup(g *device.Group) {
 //esthera:hotpath noalloc bce
 func (p *Pipeline) exchBroadcastGroup(g *device.Group, s int) {
 	t := p.cfg.ExchangeCount
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	stride := dim + 1
 	cols := p.cur.sub[s]
@@ -527,7 +500,8 @@ func (p *Pipeline) KernelResample() {
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) resampleGroup(g *device.Group, s int) {
-	off, m := p.winOff[s], p.winLen[s]
+	m := p.cfg.ParticlesPer
+	off := s * m
 	dim := p.dim
 	src := p.cur.sub[s]
 	dst := p.nxt.sub[s]
@@ -539,12 +513,6 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 	// received particle may beat it, so reduce properly).
 	w := g.AllocLocalF64(m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		wl := w[lo:hi:hi]
 		lw := lws[lo:hi:hi]
 		for i := range wl {
@@ -557,12 +525,6 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 	maxLW := w[maxIdx]
 	degenerate := math.IsInf(maxLW, -1) || math.IsNaN(maxLW)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		wl := w[lo:hi:hi]
 		if degenerate {
 			for i := range wl {
@@ -579,24 +541,6 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 
 	resampled := false
 	g.StepOne(func() {
-		// Record the honest degeneracy signal while it still exists: the
-		// ESS fraction of the weights the resampler is about to consume.
-		// After this kernel the weights are uniform and the signal is
-		// gone. Degenerate windows (NaN/±Inf max) read 0.
-		if degenerate {
-			p.essAtResample[s] = 0
-		} else {
-			var sum, sumSq float64
-			for _, v := range w[:m] {
-				sum += v
-				sumSq += v * v
-			}
-			if sumSq == 0 {
-				p.essAtResample[s] = 0
-			} else {
-				p.essAtResample[s] = sum * sum / sumSq / float64(m)
-			}
-		}
 		resampled = p.cfg.Policy.ShouldResample(w, r)
 		// Record the policy decision for health sampling; each group
 		// owns its own flag slot, and readers wait for the launch.
@@ -606,18 +550,15 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 			p.resampleFlags[s] = 0
 		}
 	})
+	// The decision is charged one read of every weight (the ESS policy's
+	// sum and sum of squares) whatever the policy, so the cost model does
+	// not depend on the policy choice.
 	g.Ops(3 * m)
 	g.LocalRead(8 * m)
 	if !resampled {
 		// Keep the population; copy through so the double buffer
 		// stays coherent.
 		g.StepVec(func(lo, hi int) {
-			if hi > m {
-				hi = m
-			}
-			if lo >= hi {
-				return
-			}
 			for c := 0; c < dim; c++ {
 				copy(dst[c][lo:hi], src[c][lo:hi])
 			}
@@ -639,12 +580,6 @@ func (p *Pipeline) resampleGroup(g *device.Group, s int) {
 
 	// Gather survivors column by column and reset weights.
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		ix := sel[lo:hi:hi]
 		for c := 0; c < dim; c++ {
 			sc := src[c]
@@ -671,12 +606,6 @@ func (p *Pipeline) rwsSelect(g *device.Group, w []float64, sel []int, s int) {
 	r := p.rands[s]
 	cdf := g.AllocLocalF64(m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		c := cdf[lo:hi:hi]
 		wl := w[lo:hi:hi]
 		for i := range c {
@@ -688,12 +617,6 @@ func (p *Pipeline) rwsSelect(g *device.Group, w []float64, sel []int, s int) {
 	total := p.scans[s].Exclusive(g, cdf) // exclusive prefix sums + total
 	if !(total > 0) {
 		g.StepVec(func(lo, hi int) {
-			if hi > m {
-				hi = m
-			}
-			if lo >= hi {
-				return
-			}
 			ix := sel[lo:hi:hi]
 			for i := range ix {
 				ix[i] = lo + i
@@ -724,12 +647,6 @@ func (p *Pipeline) rwsSelect(g *device.Group, w []float64, sel []int, s int) {
 	sortnet.KeyImages(icdf, cdf)
 	laneIters := g.ScratchInt(m)
 	g.StepSpan(func(spanLo, spanHi int) {
-		if spanHi > m {
-			spanHi = m
-		}
-		if spanLo >= spanHi {
-			return
-		}
 		lane := spanLo
 		if m&(m-1) == 0 {
 			// For power-of-two m the halving recurrence visits interval
@@ -808,12 +725,6 @@ func (p *Pipeline) systematicSelect(g *device.Group, w []float64, sel []int, s i
 	r := p.rands[s]
 	cdf := g.AllocLocalF64(m)
 	g.StepVec(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			return
-		}
 		c := cdf[lo:hi:hi]
 		wl := w[lo:hi:hi]
 		for i := range c {
@@ -825,12 +736,6 @@ func (p *Pipeline) systematicSelect(g *device.Group, w []float64, sel []int, s i
 	total := p.scans[s].Exclusive(g, cdf)
 	if !(total > 0) {
 		g.StepVec(func(lo, hi int) {
-			if hi > m {
-				hi = m
-			}
-			if lo >= hi {
-				return
-			}
 			ix := sel[lo:hi:hi]
 			for i := range ix {
 				ix[i] = lo + i
@@ -848,9 +753,6 @@ func (p *Pipeline) systematicSelect(g *device.Group, w []float64, sel []int, s i
 	// scratch and are summed host-side after the barrier.
 	laneIters := g.ScratchInt(m)
 	g.StepSpan(func(spanLo, spanHi int) {
-		if spanHi > m {
-			spanHi = m
-		}
 		for lane := spanLo; lane < spanHi; lane++ {
 			u := (u0 + float64(lane)) * step
 			lo, hi := 0, m-1
@@ -903,12 +805,6 @@ func (p *Pipeline) voseSelect(g *device.Group, w []float64, sel []int, s int) {
 	})
 	if !(total > 0) {
 		g.StepVec(func(lo, hi int) {
-			if hi > m {
-				hi = m
-			}
-			if lo >= hi {
-				return
-			}
 			ix := sel[lo:hi:hi]
 			for i := range ix {
 				ix[i] = lo + i
@@ -981,9 +877,6 @@ func (p *Pipeline) voseSelect(g *device.Group, w []float64, sel []int, s int) {
 		g.Ops(2 * m)
 	})
 	g.StepSpan(func(lo, hi int) {
-		if hi > m {
-			hi = m
-		}
 		for lane := lo; lane < hi; lane++ {
 			i := int(us[2*lane] * float64(m))
 			if i >= m {

@@ -135,19 +135,6 @@ func newSoaBuf(dim, groups, m int) *soaBuf {
 	return b
 }
 
-// cut re-slices the per-sub-filter views to the given window partition
-// (offs[s], lens[s] in rows). The arena and columns are untouched — only
-// where each sub-filter's rows begin and end changes, which is what makes
-// adaptive reallocation cheap: no particle storage moves here.
-func (b *soaBuf) cut(offs, lens []int) {
-	for s := range b.sub {
-		o, l := offs[s], lens[s]
-		for c := range b.cols {
-			b.sub[s][c] = b.cols[c][o : o+l : o+l]
-		}
-	}
-}
-
 // Pipeline owns the device-resident state of a parallel distributed
 // filter and launches the kernels. It is created by New and driven by
 // Round; the filter layer (internal/filter.Parallel) wraps it.
@@ -205,18 +192,6 @@ type Pipeline struct {
 	// kernel does not recompute (and reallocate) them every round.
 	nbrs [][]int
 
-	// Adaptive allocation state: the per-sub-filter windows of the SoA
-	// arena. winOff[s]/winLen[s] locate sub-filter s's rows; the windows
-	// always partition the arena exactly (Σ winLen = SubFilters ×
-	// ParticlesPer). Under the default uniform allocation winLen[s] ==
-	// ParticlesPer for every s and the kernels behave exactly as before;
-	// Reallocate resizes the windows in place. maxWin is the largest
-	// window — the launch group size, so every window fits one group's
-	// lanes. reallocs counts applied resizes (telemetry).
-	winOff, winLen []int
-	maxWin         int
-	reallocs       int64
-
 	bestSub int
 	bestLW  float64
 
@@ -242,13 +217,6 @@ type Pipeline struct {
 	round         int64
 	lastHealth    telemetry.FilterHealth
 	resampleFlags []uint8
-	// essAtResample is each sub-filter's ESS fraction measured inside the
-	// most recent round at the resample decision point — before the
-	// resampler resets weights to uniform. The post-round log-weights lie
-	// about degeneracy (an always-resample round always looks healthy);
-	// this is the honest signal the adaptive allocator reads. One writer
-	// per group slot, read host-side after the launch.
-	essAtResample []float64
 }
 
 // New validates cfg and allocates the pipeline on dev.
@@ -311,15 +279,7 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	p.scans = make([]*scan.Plan, N)
 	p.sorts = make([]*sortnet.Net, N)
 	p.resampleFlags = make([]uint8, N)
-	p.essAtResample = make([]float64, N)
 	p.nbrs = make([][]int, N)
-	p.winOff = make([]int, N)
-	p.winLen = make([]int, N)
-	for s := 0; s < N; s++ {
-		p.winOff[s] = s * m
-		p.winLen[s] = m
-	}
-	p.maxWin = m
 	for s := 0; s < N; s++ {
 		p.vsrc[s] = make([][]float64, p.dim)
 		p.vdst[s] = make([][]float64, p.dim)
@@ -382,9 +342,6 @@ func (p *Pipeline) Reset(seed uint64) {
 	for i := range p.resampleFlags {
 		p.resampleFlags[i] = 0
 	}
-	for i := range p.essAtResample {
-		p.essAtResample[i] = 1 // fresh prior: fully healthy
-	}
 	p.round = 0
 	p.lastHealth = telemetry.FilterHealth{}
 	p.bestSub, p.bestLW = 0, math.Inf(-1)
@@ -396,18 +353,16 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // Device returns the device the pipeline runs on.
 func (p *Pipeline) Device() *device.Device { return p.dev }
 
-// grid returns the one-group-per-sub-filter launch shape. The group size
-// is the largest window so every sub-filter's particles fit its group's
-// lanes; groups with smaller windows leave their tail lanes idle (the
-// kernel bodies clamp their spans to the window length).
+// grid returns the one-group-per-sub-filter launch shape: one lane per
+// particle of the sub-filter.
 func (p *Pipeline) grid() device.Grid {
-	return device.Grid{Groups: p.cfg.SubFilters, GroupSize: p.maxWin}
+	return device.Grid{Groups: p.cfg.SubFilters, GroupSize: p.cfg.ParticlesPer}
 }
 
 // groupLanes returns the work-group size the pipeline's launches need —
 // the batch scheduler's partition key (pipelines sharing a grid must
 // agree on it).
-func (p *Pipeline) groupLanes() int { return p.maxWin }
+func (p *Pipeline) groupLanes() int { return p.cfg.ParticlesPer }
 
 // Round runs one full filtering round (all six kernels) for control u,
 // measurement z, step index k, and returns the global best particle's

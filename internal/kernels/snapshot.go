@@ -7,8 +7,9 @@ import (
 )
 
 // Snapshot is a deep copy of a pipeline's mutable state: the particle
-// population, accumulated log-weights, last estimate bookkeeping, and
-// the exact position of every per-sub-filter random stream. A pipeline
+// population, accumulated log-weights, last estimate bookkeeping, the
+// round count, and the exact position of every per-sub-filter random
+// stream. A pipeline
 // restored from a Snapshot continues bit-identically to the pipeline the
 // snapshot was taken from — the property the serve layer's
 // checkpoint/restore relies on.
@@ -23,11 +24,11 @@ type Snapshot struct {
 	LogW         []float64 `json:"-"`
 	BestSub      int       `json:"best_sub"`
 	BestLW       float64   `json:"-"`
-	// Windows is the per-sub-filter window partition when the adaptive
-	// allocator has resized it; nil means uniform (ParticlesPer each), so
-	// uniform pipelines serialize byte-identically to pre-adaptive ones.
-	Windows []int       `json:"windows,omitempty"`
-	Rands   []rng.State `json:"rands"`
+	// Round is the number of rounds completed (Rounds); the restored
+	// pipeline's round count, health-sample rounds and stride phase
+	// continue from it.
+	Round int64       `json:"round"`
+	Rands []rng.State `json:"rands"`
 }
 
 // Snapshot captures the pipeline's current state. It must not be called
@@ -41,10 +42,8 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		LogW:         append([]float64(nil), p.logw...),
 		BestSub:      p.bestSub,
 		BestLW:       p.bestLW,
+		Round:        p.round,
 		Rands:        make([]rng.State, p.cfg.SubFilters),
-	}
-	if !p.uniformWindows() {
-		s.Windows = append([]int(nil), p.winLen...)
 	}
 	for i, r := range p.rands {
 		s.Rands[i] = r.SaveState()
@@ -73,10 +72,8 @@ func (p *Pipeline) Restore(s *Snapshot) error {
 	if s.BestSub < 0 || s.BestSub >= p.cfg.SubFilters {
 		return fmt.Errorf("kernels: snapshot best sub-filter %d out of range", s.BestSub)
 	}
-	if s.Windows != nil {
-		if err := p.validateWindows(s.Windows); err != nil {
-			return fmt.Errorf("kernels: snapshot windows: %w", err)
-		}
+	if s.Round < 0 {
+		return fmt.Errorf("kernels: negative snapshot round %d", s.Round)
 	}
 	// Validate every stream before mutating anything, so a malformed
 	// snapshot cannot leave the pipeline half-restored.
@@ -92,21 +89,9 @@ func (p *Pipeline) Restore(s *Snapshot) error {
 			return fmt.Errorf("kernels: stream %d: %w", i, err)
 		}
 	}
-	// Install the snapshot's window partition (nil = uniform) before the
-	// state lands: Snapshot.X rows are in arena order, which the windows
-	// define. unpackFrom itself is window-agnostic (whole columns), so
-	// only the sub-filter views need re-cutting.
-	if s.Windows != nil {
-		p.applyWindows(s.Windows)
-	} else if !p.uniformWindows() {
-		uni := make([]int, p.cfg.SubFilters)
-		for i := range uni {
-			uni[i] = p.cfg.ParticlesPer
-		}
-		p.applyWindows(uni)
-	}
 	p.unpackFrom(s.X)
 	copy(p.logw, s.LogW)
 	p.bestSub, p.bestLW = s.BestSub, s.BestLW
+	p.round = s.Round
 	return nil
 }

@@ -30,9 +30,9 @@ func (p *Pipeline) SetHealthEvery(k int) {
 // first sample).
 func (p *Pipeline) LastHealth() telemetry.FilterHealth { return p.lastHealth }
 
-// Rounds returns the number of filtering rounds completed (counted at
-// the estimate kernel, which every round path passes through exactly
-// once).
+// Rounds returns the number of filtering rounds completed since Reset,
+// continuing from a restored Snapshot's Round (counted at the estimate
+// kernel, which every round path passes through exactly once).
 func (p *Pipeline) Rounds() int64 { return p.round }
 
 // observeRound advances the round counter and, when the stride fires,
@@ -50,7 +50,5 @@ func (p *Pipeline) observeRound() {
 	}
 	h := telemetry.HealthFromLogWeights(p.logw, accepted, p.cfg.SubFilters)
 	h.Round = p.round
-	h.MinWindow, h.MaxWindow = p.windowBounds()
-	h.Reallocations = p.reallocs
 	p.lastHealth = h
 }

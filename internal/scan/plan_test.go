@@ -17,8 +17,8 @@ import (
 //   - Exclusive visits 2(p−1) tree nodes in 2L+1 barrier steps (up-sweep,
 //     root clear, down-sweep); each visit reads two slots, the up-sweep
 //     writes one and the down-sweep two, and the clear writes the root.
-//   - MaxIndex and SumTree visit p−1 nodes in L+1 steps (the load, then
-//     one per level), after loading p (value, index) or n value slots.
+//   - MaxIndex visits p−1 nodes in L+1 steps (the load, then one per
+//     level), after loading p (value, index) slots.
 func TestPlanOnDeviceGroup(t *testing.T) {
 	r := rng.New(rng.NewPhilox(5))
 	pl := NewPlan()
@@ -53,7 +53,5 @@ func TestPlanOnDeviceGroup(t *testing.T) {
 			2*L+1, 2*(p-1), 32*(p-1), 24*(p-1)+8)
 		check(t, fmt.Sprintf("n=%d MaxIndex", n), run(func(ctx device.Ctx) { pl.MaxIndex(ctx, src) }),
 			L+1, p-1, 24*(p-1), 12*p+12*(p-1))
-		check(t, fmt.Sprintf("n=%d SumTree", n), run(func(ctx device.Ctx) { pl.SumTree(ctx, src) }),
-			L+1, p-1, 16*(p-1), 8*n+8*(p-1))
 	}
 }

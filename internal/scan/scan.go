@@ -51,8 +51,8 @@ func nextPow2(n int) int {
 }
 
 // Plan is a reusable execution context for the barrier-phased primitives:
-// it pre-binds the lane closures once, so repeated Exclusive/MaxIndex/
-// SumTree calls on hot kernel paths allocate nothing (a closure created
+// it pre-binds the lane closures once, so repeated Exclusive/MaxIndex
+// calls on hot kernel paths allocate nothing (a closure created
 // per call would escape through the device.Ctx interface to the heap).
 //
 // A Plan carries per-call mutable state and must not be shared between
@@ -69,7 +69,7 @@ type Plan struct {
 	sweep struct{ stride, dd, nodes int }
 	red   struct{ s int }
 
-	up, down, clear, initMax, initSum, reduceMax, reduceSum func(lo, hi int)
+	up, down, clear, initMax, reduceMax func(lo, hi int)
 }
 
 // NewPlan returns a Plan with its lane closures bound.
@@ -85,12 +85,6 @@ func NewPlan() *Plan {
 				val[i] = negInf
 			}
 			idx[i] = i
-		}
-	}
-	pl.initSum = func(lo, hi int) {
-		val, keys := pl.val, pl.keys
-		for i := 0; i < pl.n; i++ {
-			val[i] = keys[i]
 		}
 	}
 	pl.up = func(lo, hi int) {
@@ -120,12 +114,6 @@ func NewPlan() *Plan {
 			if val[b] > val[a] || (val[b] == val[a] && idx[b] < idx[a]) {
 				val[a], idx[a] = val[b], idx[b]
 			}
-		}
-	}
-	pl.reduceSum = func(lo, hi int) {
-		val, s := pl.val, pl.red.s
-		for i := 0; i < s; i++ {
-			val[i] += val[i+s]
 		}
 	}
 	return pl
@@ -225,33 +213,6 @@ func (pl *Plan) MaxIndex(ctx device.Ctx, keys []float64) int {
 	ctx.LocalRead(24 * visited)
 	ctx.LocalWrite(12 * visited)
 	return idx[0]
-}
-
-// SumTree performs a barrier-phased tree reduction and returns the sum of
-// keys. It is used by the weighted-average estimate operator.
-//
-//esthera:hotpath noalloc bce
-func (pl *Plan) SumTree(ctx device.Ctx, keys []float64) float64 {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	p := nextPow2(n)
-	val := ctx.ScratchF64(p)
-	pl.ctx, pl.val, pl.keys = ctx, val, keys
-	pl.n = n
-	ctx.StepSpan(pl.initSum)
-	ctx.LocalWrite(8 * n)
-	visited := 0
-	for stride := p >> 1; stride >= 1; stride >>= 1 {
-		pl.red.s = stride
-		ctx.StepSpan(pl.reduceSum)
-		visited += stride
-	}
-	ctx.Ops(visited)
-	ctx.LocalRead(16 * visited)
-	ctx.LocalWrite(8 * visited)
-	return val[0]
 }
 
 const negInf = -1.7976931348623157e308

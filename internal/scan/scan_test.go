@@ -125,24 +125,6 @@ func TestMaxIndexFewerLanesThanElements(t *testing.T) {
 	}
 }
 
-func TestSumTree(t *testing.T) {
-	r := rng.New(rng.NewPhilox(3))
-	pl := NewPlan()
-	for _, n := range []int{1, 2, 5, 64, 100} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()
-		}
-		got := pl.SumTree(device.Serial{N: 4}, xs)
-		if math.Abs(got-Sum(xs)) > 1e-9 {
-			t.Fatalf("SumTree n=%d: %v want %v", n, got, Sum(xs))
-		}
-	}
-	if pl.SumTree(device.Serial{N: 1}, nil) != 0 {
-		t.Fatal("SumTree(empty) != 0")
-	}
-}
-
 // Property: the parallel exclusive scan agrees with the sequential one on
 // arbitrary inputs.
 func TestQuickExclusiveEquivalence(t *testing.T) {

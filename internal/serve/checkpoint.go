@@ -47,12 +47,6 @@ type Checkpoint struct {
 	LastState  string `json:"last_state,omitempty"`
 	LastLWBits uint64 `json:"last_lw_bits"`
 
-	// Windows is the per-sub-filter window partition when the adaptive
-	// allocator has resized it; absent means uniform (ParticlesPer
-	// each), so non-adaptive checkpoints are byte-identical to the
-	// pre-adaptive wire format.
-	Windows []int `json:"windows,omitempty"`
-
 	// Rands is the exact position of every per-sub-filter random stream.
 	Rands []rng.State `json:"rands"`
 }
@@ -128,26 +122,24 @@ func (s *Server) Export(id string) (*Checkpoint, error) {
 
 // checkpointLocked serializes a session; the caller holds sess.stepMu.
 func (s *Server) checkpointLocked(id string, sess *Session) *Checkpoint {
-	snap := sess.f.Snapshot()
+	snap := sess.f.Pipeline().Snapshot()
 	last := sess.lastResult()
-	cp := &Checkpoint{
+	return &Checkpoint{
 		Version:      CheckpointVersion,
 		ID:           id,
 		Spec:         sess.spec,
-		Step:         snap.Step,
-		SubFilters:   snap.Pipe.SubFilters,
-		ParticlesPer: snap.Pipe.ParticlesPer,
-		Dim:          snap.Pipe.Dim,
-		Particles:    encodeF64s(snap.Pipe.X),
-		LogWeights:   encodeF64s(snap.Pipe.LogW),
-		BestSub:      snap.Pipe.BestSub,
-		BestLWBits:   math.Float64bits(snap.Pipe.BestLW),
+		Step:         int(snap.Round),
+		SubFilters:   snap.SubFilters,
+		ParticlesPer: snap.ParticlesPer,
+		Dim:          snap.Dim,
+		Particles:    encodeF64s(snap.X),
+		LogWeights:   encodeF64s(snap.LogW),
+		BestSub:      snap.BestSub,
+		BestLWBits:   math.Float64bits(snap.BestLW),
 		LastState:    encodeF64s(last.State),
 		LastLWBits:   math.Float64bits(last.LogWeight),
-		Windows:      snap.Pipe.Windows,
-		Rands:        snap.Pipe.Rands,
+		Rands:        snap.Rands,
 	}
-	return cp
 }
 
 // Restore creates a new session from a checkpoint and returns its id.
@@ -181,20 +173,16 @@ func (s *Server) Restore(cp *Checkpoint) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	err = f.RestoreSnapshot(&filter.ParallelSnapshot{
-		Seed: sp.Seed,
-		Step: cp.Step,
-		Pipe: &kernels.Snapshot{
-			SubFilters:   cp.SubFilters,
-			ParticlesPer: cp.ParticlesPer,
-			Dim:          cp.Dim,
-			X:            x,
-			LogW:         logw,
-			BestSub:      cp.BestSub,
-			BestLW:       math.Float64frombits(cp.BestLWBits),
-			Windows:      cp.Windows,
-			Rands:        cp.Rands,
-		},
+	err = f.Pipeline().Restore(&kernels.Snapshot{
+		SubFilters:   cp.SubFilters,
+		ParticlesPer: cp.ParticlesPer,
+		Dim:          cp.Dim,
+		X:            x,
+		LogW:         logw,
+		BestSub:      cp.BestSub,
+		BestLW:       math.Float64frombits(cp.BestLWBits),
+		Round:        int64(cp.Step),
+		Rands:        cp.Rands,
 	})
 	if err != nil {
 		return "", err

@@ -171,9 +171,12 @@ func SanitizeResult(res StepResult) StepReply {
 }
 
 // ReadJSON decodes a request body into dst, answering 400 itself (and
-// returning false) when the body is malformed or over 64 MiB.
+// returning false) when the body is malformed, over 64 MiB, or carries
+// a field dst does not declare: a spec or checkpoint field this server
+// does not implement is rejected, never silently dropped.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return false

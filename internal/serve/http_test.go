@@ -206,6 +206,12 @@ func TestHTTPLifecycleAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
+	// A spec field this server does not implement (the retired adaptive
+	// allocator's adapt_every) → 400, not silently dropped.
+	retired := map[string]any{"spec": map[string]any{"model": "ungm", "adapt_every": 4}}
+	if code := postJSON(t, ts.URL+"/v1/sessions", retired, nil); code != http.StatusBadRequest {
+		t.Fatalf("spec with adapt_every: status %d, want 400", code)
+	}
 
 	id := createSession(t, ts.URL, FilterSpec{Model: "ungm", SubFilters: 4, ParticlesPer: 16, Seed: 2})
 
@@ -309,6 +315,35 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 	unknown.Spec.Resampler = "metropolis"
 	if code := postJSON(t, tsB.URL+"/v1/restore", unknown, nil); code != http.StatusBadRequest {
 		t.Fatalf("restore naming resampler %q: status %d, want 400", unknown.Spec.Resampler, code)
+	}
+
+	// A checkpoint carrying a field this server does not implement → 400:
+	// an adaptive session's window partition, or its adapt_every spec,
+	// would otherwise restore as a fixed-window session and diverge.
+	windows := make([]int, cp.SubFilters)
+	for i := range windows {
+		windows[i] = cp.ParticlesPer
+	}
+	windows[0], windows[1] = cp.ParticlesPer-1, cp.ParticlesPer+1
+	for _, row := range []struct {
+		name string
+		add  func(body map[string]any)
+	}{
+		{"windows", func(body map[string]any) { body["windows"] = windows }},
+		{"spec.adapt_every", func(body map[string]any) { body["spec"].(map[string]any)["adapt_every"] = 3 }},
+	} {
+		wire, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		if err := json.Unmarshal(wire, &body); err != nil {
+			t.Fatal(err)
+		}
+		row.add(body)
+		if code := postJSON(t, tsB.URL+"/v1/restore", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("restore with %s: status %d, want 400", row.name, code)
+		}
 	}
 
 	// Restoring garbage → 400.

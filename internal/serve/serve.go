@@ -131,13 +131,6 @@ type FilterSpec struct {
 	Streams string `json:"streams,omitempty"`
 	// Estimator is "max-weight" (default) or "weighted-mean".
 	Estimator string `json:"estimator,omitempty"`
-	// AdaptEvery enables the ESS-driven adaptive allocator: every
-	// AdaptEvery rounds the per-sub-filter particle windows are
-	// re-divided toward the degenerating sub-filters (gain and clamp
-	// defaults from filter.AdaptConfig). 0, the default, keeps fixed
-	// uniform windows. Reallocations show up in the session's health
-	// sample and as esthera_filter_reallocations_total on /metrics.
-	AdaptEvery int `json:"adapt_every,omitempty"`
 	// Seed derives every random stream of the session.
 	Seed uint64 `json:"seed"`
 }
@@ -321,9 +314,6 @@ func (s *Server) buildFilter(sp FilterSpec) (*filter.Parallel, model.Model, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	if sp.AdaptEvery < 0 {
-		return nil, nil, fmt.Errorf("serve: adapt_every must be >= 0, got %d", sp.AdaptEvery)
-	}
 	switch sp.Streams {
 	case "", "philox", "mtgp":
 	default:
@@ -338,7 +328,6 @@ func (s *Server) buildFilter(sp FilterSpec) (*filter.Parallel, model.Model, erro
 		Policy:        policy,
 		Streams:       sp.Streams,
 		Estimator:     est,
-		Adapt:         filter.AdaptConfig{Every: sp.AdaptEvery},
 	}, sp.Seed)
 	if err != nil {
 		return nil, nil, err

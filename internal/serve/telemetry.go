@@ -67,14 +67,6 @@ func (s *Server) collectMetrics(e *telemetry.Emitter) {
 			float64(h.Round), "session", sess.ID)
 		e.Gauge("esthera_filter_non_finite_weights", "NaN/+Inf log-weights at the last health sample (poisoned filter indicator).",
 			float64(h.NonFiniteWeights), "session", sess.ID)
-		if h.MaxWindow > 0 {
-			e.Gauge("esthera_filter_min_window", "Smallest per-sub-filter particle window.",
-				float64(h.MinWindow), "session", sess.ID)
-			e.Gauge("esthera_filter_max_window", "Largest per-sub-filter particle window.",
-				float64(h.MaxWindow), "session", sess.ID)
-			e.Counter("esthera_filter_reallocations_total", "Adaptive-allocator window resizes applied.",
-				float64(h.Reallocations), "session", sess.ID)
-		}
 	}
 
 	st.Device.Collect(e)

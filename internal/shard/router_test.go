@@ -390,6 +390,29 @@ func TestRouterHTTPRetryableStates(t *testing.T) {
 	}
 }
 
+// TestRouterHTTPRejectsUnknownSpecFields checks that the router's create
+// endpoint decodes as strictly as a replica's: a spec field no replica
+// implements (the retired adaptive allocator's adapt_every) is a 400,
+// and no session is placed.
+func TestRouterHTTPRejectsUnknownSpecFields(t *testing.T) {
+	a := startReplica(t, "a")
+	router := newTestRouter(t, RouterConfig{}, a)
+	front := httptest.NewServer(NewRouterHandler(router))
+	defer front.Close()
+	resp, err := http.Post(front.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"spec":{"model":"ungm","adapt_every":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with adapt_every through the router: status %d, want 400", resp.StatusCode)
+	}
+	if n := len(router.Sessions()); n != 0 {
+		t.Fatalf("rejected create left %d sessions", n)
+	}
+}
+
 // TestRouterRelaysRetryHint puts the router in front of a stub replica
 // that refuses everything with a bare 429 or 503: once the forwarding
 // client gives up, the relayed status must carry both retry headers.

@@ -31,14 +31,6 @@ type FilterHealth struct {
 	// not silently healthy — and distinguishes numerical poisoning from
 	// benign all-underflow (which also reads ESS 0 but with a 0 here).
 	NonFiniteWeights int `json:"non_finite_weights,omitempty"`
-	// MinWindow and MaxWindow are the smallest and largest per-sub-filter
-	// particle windows at the sample point; equal under uniform (fixed)
-	// allocation. Zero when the filter does not expose windows.
-	MinWindow int `json:"min_window,omitempty"`
-	MaxWindow int `json:"max_window,omitempty"`
-	// Reallocations counts adaptive-allocator window resizes applied so
-	// far (cumulative over the filter's lifetime).
-	Reallocations int64 `json:"reallocations,omitempty"`
 }
 
 // HealthFromLogWeights computes a FilterHealth from raw log-weights.

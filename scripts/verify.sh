@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full verification, the one pre-merge gate: build + vet + the
 # esthera-vet static-analysis suite, then tests everywhere, then every
-# package again under the race detector, a benchmark smoke run, the
-# adaptive accuracy gate and the fused-round benchmark guard.
+# package again under the race detector, a benchmark smoke run and the
+# fused-round benchmark guard.
 # esthera-vet enforces the determinism and work-group safety invariants
 # (see DESIGN.md "Static guarantees"); any diagnostic fails the run.
 set -eux
@@ -47,11 +47,6 @@ go test -race -count=3 ./internal/serve/...
 # Benchmark smoke: one short iteration of every benchmark, asserting they
 # still run (not measuring them).
 go test -run '^$' -bench . -benchtime 1x ./...
-# Adaptive-resampling accuracy gate: the ESS-driven adaptive allocator
-# must match the fixed-allocation RWS/Vose baseline on the arm model. The
-# 2x ratio is deliberately loose for the reduced CI budget — it catches a
-# broken allocator (order-of-magnitude divergence), not run-to-run noise.
-go run ./cmd/esthera run -runs 3 -steps 30 -gate 2.0 adaptive
 # Observability must be free when disabled: assert the fused round hot
 # path is within tolerance of the newest recorded benchmark baseline.
 scripts/bench_guard.sh
