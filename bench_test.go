@@ -350,11 +350,10 @@ func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer i
 			pipe.Round(nil, z, i+1)
 		}
 	}
-	// Warm-up rounds fill the device's launch-task and Group lists before
-	// timing. With two or more workers the task list keeps growing for
-	// several rounds, as queued helpers lag their launches, so a short
-	// run (a low -benchtime, or the slow n=256 series) would otherwise
-	// read those first-round allocations as allocs/op.
+	// Warm-up rounds fill the device's Group stack and local-memory
+	// arenas before timing (New fills the launch-task list), so a short
+	// run (a low -benchtime, or the slow n=256 series) does not read
+	// those first-round allocations as allocs/op.
 	const warm = 10
 	for i := 0; i < warm; i++ {
 		round(i)
@@ -406,10 +405,10 @@ func BenchmarkRoundFusedTraced(b *testing.B) {
 // BenchmarkRoundBatch is the serve-path variant: B concurrent sessions'
 // rounds executed either as B independent unfused rounds (what serving
 // cost before cross-session batching) or as one fused batched round
-// (kernels.Batcher.Round, what the serve scheduler issues).
+// (kernels.Batcher.Round, what the serve scheduler issues). The last
+// row is serve-busy's shape: 32 UNGM 16×64 ring t=1 sessions.
 func BenchmarkRoundBatch(b *testing.B) {
-	const sessions, subFilters, particlesPer = 8, 16, 128
-	mk := func(b *testing.B, dev *device.Device) []*kernels.Pipeline {
+	mk := func(b *testing.B, dev *device.Device, sessions, subFilters, particlesPer int) []*kernels.Pipeline {
 		b.Helper()
 		ps := make([]*kernels.Pipeline, sessions)
 		for i := range ps {
@@ -429,15 +428,15 @@ func BenchmarkRoundBatch(b *testing.B) {
 		}
 		return ps
 	}
-	report := func(b *testing.B) {
+	report := func(b *testing.B, particles int) {
 		if sec := b.Elapsed().Seconds(); sec > 0 {
-			b.ReportMetric(float64(b.N)*float64(sessions*subFilters*particlesPer)/sec, "particles/s")
+			b.ReportMetric(float64(b.N)*float64(particles)/sec, "particles/s")
 		}
 	}
 	b.Run("sequential-unfused", func(b *testing.B) {
 		dev := device.New(device.Config{LocalMemBytes: -1})
 		defer dev.Close()
-		ps := mk(b, dev)
+		ps := mk(b, dev, 8, 16, 128)
 		z := []float64{0}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -447,12 +446,12 @@ func BenchmarkRoundBatch(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		report(b)
+		report(b, 8*16*128)
 	})
-	b.Run("batched-fused", func(b *testing.B) {
+	batched := func(b *testing.B, sessions, subFilters, particlesPer int) {
 		dev := device.New(device.Config{LocalMemBytes: -1})
 		defer dev.Close()
-		ps := mk(b, dev)
+		ps := mk(b, dev, sessions, subFilters, particlesPer)
 		// A persistent Batcher with reused entries is how a long-lived
 		// scheduler drives this path; the steady-state round is
 		// allocation-free (pinned by TestRoundBatchSteadyStateAllocs).
@@ -472,16 +471,22 @@ func BenchmarkRoundBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// One warmup round grows the batcher's tables to steady state,
-		// so the measured loop reflects the long-lived scheduler.
-		step(0)
+		// Warm-up rounds grow the batcher's tables and the device's
+		// Group stack to steady state (see benchRoundPath).
+		const warm = 10
+		for i := 0; i < warm; i++ {
+			step(i)
+		}
+		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step(i + 1)
+		for i := warm; i < warm+b.N; i++ {
+			step(i)
 		}
 		b.StopTimer()
-		report(b)
-	})
+		report(b, sessions*subFilters*particlesPer)
+	}
+	b.Run("batched-fused", func(b *testing.B) { batched(b, 8, 16, 128) })
+	b.Run("batched-fused-b=32-n=16-m=64", func(b *testing.B) { batched(b, 32, 16, 64) })
 }
 
 func byteSize(n int) string {

@@ -76,9 +76,11 @@ type Device struct {
 	groups   []*Group
 
 	// free recycles launchTask objects (with their completion channel and
-	// phase-accounting slices), so steady-state launches allocate nothing.
-	// A task is only reused once no stale submission-queue reference to it
-	// remains (tracked by launchTask.refs).
+	// phase-accounting slices), so launches allocate nothing. New fills
+	// it: at most 2·workers queued references plus one per draining
+	// worker can pin a task, so a launcher always finds an unpinned one.
+	// A task is only reused once no stale submission-queue reference to
+	// it remains (tracked by launchTask.refs).
 	free chan *launchTask
 
 	// tracer, when set and enabled, receives one span per launch plus
@@ -116,6 +118,9 @@ func New(cfg Config) *Device {
 		quit:          make(chan struct{}),
 		free:          make(chan *launchTask, 4*w),
 		groups:        make([]*Group, 0, 4*w),
+	}
+	for i := 0; i < cap(d.free); i++ {
+		d.free <- d.newTask()
 	}
 	// The compute units reference only the two channels, never the Device
 	// itself, so an abandoned Device becomes unreachable, its finalizer
@@ -295,13 +300,30 @@ func (d *Device) putGroup(g *Group) {
 	}
 }
 
+// taskPhases is the fused-phase capacity a task is built with, enough
+// for every fused launch the kernels issue, so reusing a task for a
+// wider launch than its last one allocates nothing.
+const taskPhases = 4
+
+// newTask builds an idle launch task.
+func (d *Device) newTask() *launchTask {
+	return &launchTask{
+		dev:         d,
+		done:        make(chan struct{}, 1),
+		phaseTotals: make([]Counters, 0, taskPhases),
+		phaseTimes:  make([]time.Duration, 0, taskPhases),
+		statsBuf:    make([]LaunchStats, 0, taskPhases),
+	}
+}
+
 // getTask pops a recycled launchTask, or allocates one. A task is never
 // reused while a submission-queue reference to it is live: that happens
 // whenever the launcher drained the whole grid before a queued helper
-// woke up, which at two or more workers is most launches. Such a task
-// goes back on the free list for a later launch and the next one is
-// tried, so the launch allocates only when every free task is still
-// referenced.
+// woke up, which at two or more workers is most launches (and at one P,
+// where a woken helper waits for the launcher to block, nearly all).
+// Such a task goes back on the free list for a later launch and the next
+// one is tried, so the launch allocates only when every free task is
+// still referenced, which with one launcher cannot happen.
 func (d *Device) getTask() *launchTask {
 	for n := len(d.free); n > 0; n-- {
 		select {
@@ -313,7 +335,7 @@ func (d *Device) getTask() *launchTask {
 		default:
 		}
 	}
-	return &launchTask{dev: d, done: make(chan struct{}, 1)}
+	return d.newTask()
 }
 
 // putTask returns a finished, fully-read task to the freelist.

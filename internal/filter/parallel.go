@@ -93,7 +93,9 @@ func (f *Parallel) StepIndex() int { return int(f.p.Rounds()) }
 // BatchStepper carries the reusable scratch of the batched stepping
 // path: the kernels.Batcher (merged-launch tables and closures) and the
 // BatchRound entries with their estimate buffers. Steady-state batches
-// allocate only the returned estimates. Not safe for concurrent use.
+// allocate only the returned estimates. Between batches it keeps no
+// filter or input reachable, so a closed session can be collected. Not
+// safe for concurrent use.
 type BatchStepper struct {
 	batcher *kernels.Batcher
 	entries []kernels.BatchRound
@@ -125,6 +127,11 @@ func (bs *BatchStepper) StepBatch(fs []*Parallel, us, zs [][]float64) ([]Estimat
 		e.P, e.U, e.Z, e.K = f.p, us[i], zs[i], f.StepIndex()+1
 		bs.batch = append(bs.batch, e)
 	}
+	defer func() {
+		for _, e := range bs.batch {
+			e.P, e.U, e.Z = nil, nil, nil
+		}
+	}()
 	if err := bs.batcher.Round(bs.batch); err != nil {
 		return nil, err
 	}

@@ -20,47 +20,41 @@ type BatchRound struct {
 	LogW  float64
 }
 
-// Batcher runs one filtering round for many pipelines at once,
-// coalescing the per-sub-filter kernels (rand, sampling, local sort,
-// resampling) of all of them into shared launches on dev. This is the
-// mechanism the serve scheduler uses to keep a shared device saturated:
-// B sessions of N sub-filters each become launches of B·N work-groups,
-// so the device's workers drain one large grid instead of B small ones
-// with B launch barriers per kernel. The group-local kernels
-// additionally run fused (see Pipeline.RoundFused), so one round of B
-// sessions costs a single shared launch for rand+sampling+local sort
-// plus one shared resampling launch, instead of 4·B.
+// Batcher runs one filtering round for many pipelines at once: the
+// fused round of Pipeline.RoundFused over the concatenated grid of all
+// of them. This is the mechanism the serve scheduler uses to keep a
+// shared device saturated: B sessions of N sub-filters each share two
+// launches of B·N work-groups, with only each pipeline's one-group
+// reductions between them, so a batch costs 2 + B launches (2 + 2B for
+// all-to-all) instead of a set per session.
 //
-// The estimate and exchange kernels involve pipeline-global reductions
-// (a single-group reduction launch, and topology-dependent neighbor
-// pulls), so they remain per-pipeline launches between the shared ones.
-//
-// Its scratch — the duplicate-detection map, the per-group-size
-// partitions, the merged group tables, and the launch closures —
-// persists across rounds, so a steady-state round performs no heap
-// allocations. The serve scheduler holds one Batcher per device for
-// the lifetime of the server.
+// Its scratch — the per-group-size partitions, the merged group tables,
+// and the launch closures — persists across rounds, so a steady-state
+// round performs no heap allocations. It keeps no reference to a
+// pipeline or batch entry after Round returns, so a closed session is
+// collectable. The serve scheduler holds one Batcher per device for the
+// lifetime of the server.
 //
 // A Batcher is not safe for concurrent use; like the pipelines it
 // steps, it belongs to a single scheduling goroutine.
 type Batcher struct {
 	dev   *device.Device
-	round int               // current round stamp
-	seen  map[*Pipeline]int // round at which each pipeline was last batched
+	round int // current round stamp (see Pipeline.batchRound)
 	parts map[int]*mergedPart
 	live  []*mergedPart // parts used this round, in first-seen order
 }
 
-// mergedPart is the reusable per-group-size partition: the entries
-// sharing one work-group size, their flattened group table, and the two
-// launch bodies (built once, reading the current tables through the
-// part pointer).
+// mergedPart is one fused round over pipelines sharing a work-group
+// size: the entries, their flattened group table, the two launch
+// bodies (built once, reading the current tables through the part
+// pointer), and the current round's launch-wide phase layout. A Batcher
+// keeps one per group size; every Pipeline keeps a one-entry part for
+// RoundFused.
 type mergedPart struct {
-	round    int
-	entries  []*BatchRound
-	groups   []batchSlot
-	fused    func(g *device.Group)
-	resample func(g *device.Group)
+	entries     []*BatchRound
+	groups      []batchSlot
+	local, tail device.KernelFunc
+	mean, exch  bool // tailPhases layout of the current round
 }
 
 // batchSlot maps one merged work-group to (entry index, local sub-filter).
@@ -68,11 +62,7 @@ type batchSlot struct{ e, s int }
 
 // NewBatcher returns a Batcher for pipelines living on dev.
 func NewBatcher(dev *device.Device) *Batcher {
-	return &Batcher{
-		dev:   dev,
-		seen:  make(map[*Pipeline]int),
-		parts: make(map[int]*mergedPart),
-	}
+	return &Batcher{dev: dev, parts: make(map[int]*mergedPart)}
 }
 
 // Round runs one filtering round for every entry. Every pipeline must
@@ -89,7 +79,6 @@ func (b *Batcher) Round(batch []*BatchRound) error {
 		return nil
 	}
 	b.round++
-	b.live = b.live[:0]
 	for _, e := range batch {
 		if e == nil || e.P == nil {
 			return fmt.Errorf("kernels: nil batch entry")
@@ -97,11 +86,14 @@ func (b *Batcher) Round(batch []*BatchRound) error {
 		if e.P.dev != b.dev {
 			return fmt.Errorf("kernels: batched pipeline lives on a different device")
 		}
-		if b.seen[e.P] == b.round {
+		if e.P.batcher == b && e.P.batchRound == b.round {
 			return fmt.Errorf("kernels: pipeline appears twice in one batch")
 		}
-		b.seen[e.P] = b.round
-		m := e.P.groupLanes()
+		e.P.batcher, e.P.batchRound = b, b.round
+	}
+	defer b.release()
+	for _, e := range batch {
+		m := e.P.cfg.ParticlesPer
 		p := b.parts[m]
 		if p == nil {
 			// Amortized: a merged part is built once per distinct group
@@ -110,9 +102,7 @@ func (b *Batcher) Round(batch []*BatchRound) error {
 			p = newMergedPart()
 			b.parts[m] = p
 		}
-		if p.round != b.round {
-			p.round = b.round
-			p.entries = p.entries[:0]
+		if len(p.entries) == 0 {
 			b.live = append(b.live, p)
 		}
 		p.entries = append(p.entries, e)
@@ -123,57 +113,78 @@ func (b *Batcher) Round(batch []*BatchRound) error {
 	return nil
 }
 
+// release empties the round's parts, dropping their entry pointers, so
+// the Batcher holds no pipeline between rounds. It runs even when a
+// kernel panics.
+func (b *Batcher) release() {
+	for _, p := range b.live {
+		clear(p.entries)
+		p.entries = p.entries[:0]
+	}
+	b.live = b.live[:0]
+}
+
 // newMergedPart builds a partition with its two launch bodies. The
 // closures are allocated here, once, and index the part's current
 // tables on every launch.
 func newMergedPart() *mergedPart {
 	p := &mergedPart{}
-	p.fused = func(g *device.Group) {
+	p.local = func(g *device.Group) {
 		sl := p.groups[g.ID()]
 		e := p.entries[sl.e]
 		e.P.fusedGroup(g, sl.s, e.U, e.Z, e.K)
 	}
-	p.resample = func(g *device.Group) {
+	p.tail = func(g *device.Group) {
 		sl := p.groups[g.ID()]
-		p.entries[sl.e].P.resampleGroup(g, sl.s)
+		p.entries[sl.e].P.tailGroup(g, sl.s, p.mean, p.exch)
 	}
 	return p
 }
 
-// run executes one round for the partition's pipelines, all sharing one
-// work-group size. The three group-local kernels (rand, sampling, local
-// sort) of all pipelines run as one merged *fused* launch — the batched
-// serving path compounds both optimizations: B·N work-groups share a
-// single grid (one launch instead of B), and the grid runs one fused
-// body instead of three barrier-separated kernels (one launch instead
-// of 3·B).
+// run executes one fused round for the part's pipelines, all sharing
+// one work-group size: the first shared launch (fusedGroup), each
+// pipeline's one-group launches in entry order (the global estimate's
+// head reduction, all-to-all's pool sort; a one-group launch wakes no
+// device helper), the second shared launch (tailGroup), then each
+// pipeline's host-side estimate combine and buffer swap.
 //
 //esthera:hotpath noalloc bce
 func (p *mergedPart) run(dev *device.Device) {
 	p.groups = p.groups[:0]
+	p.exch = false
 	for i, e := range p.entries {
 		for s := 0; s < e.P.cfg.SubFilters; s++ {
 			p.groups = append(p.groups, batchSlot{e: i, s: s})
 		}
+		p.exch = p.exch || e.P.exch
 	}
-	grid := device.Grid{Groups: len(p.groups), GroupSize: p.entries[0].P.groupLanes()}
+	grid := device.Grid{Groups: len(p.groups), GroupSize: p.entries[0].P.cfg.ParticlesPer}
 
-	dev.LaunchFused(fusedPhases, grid, p.fused)
-	// No buffer swaps: each pipeline's fused body chains x → x2 → x.
+	dev.LaunchFused(localPhases[b2i(p.exch)], grid, p.local)
+	// No buffer swap: each pipeline's fused body chains cur → nxt → cur.
 
-	// Global estimate and particle exchange reduce across a pipeline's
-	// whole sub-filter network; they stay per-pipeline.
+	p.mean = false
 	for _, e := range p.entries {
-		state, lw := e.P.KernelEstimate()
+		e.P.estimateHeads()
+		e.P.exchangeSelect()
+		p.mean = p.mean || e.P.meanDue
+	}
+
+	dev.LaunchFused(tailPhases[b2i(p.mean)][b2i(p.exch)], grid, p.tail)
+	for _, e := range p.entries {
+		state, lw := e.P.estimateOut()
 		// The estimate buffer is pipeline-owned and reused next round;
 		// the batch entry outlives it, so copy.
 		e.State = append(e.State[:0], state...)
 		e.LogW = lw
-		e.P.KernelExchange()
-	}
-
-	dev.Launch("resampling", grid, p.resample)
-	for _, e := range p.entries {
 		e.P.cur, e.P.nxt = e.P.nxt, e.P.cur
 	}
+}
+
+// b2i indexes the phase tables by a flag.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -206,10 +206,11 @@ func TestRoundBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRoundFusedMultiWorkerMallocs pins the fused round allocation-free
-// on a 2-worker device with two Ps. It counts mallocs with
-// runtime.ReadMemStats because testing.AllocsPerRun sets GOMAXPROCS to
-// 1, where a launch never races its queued helper for the recycled
-// launch task and so never allocates a fresh one.
+// on a 2-worker device with two Ps, solo and batched at the serve-busy
+// shape (32 UNGM 16×64 ring t=1 sessions in one Batcher round). It
+// counts mallocs with runtime.ReadMemStats because testing.AllocsPerRun
+// sets GOMAXPROCS to 1, where a launch never races its queued helper
+// for the recycled launch task and so never allocates a fresh one.
 func TestRoundFusedMultiWorkerMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on allocation-free paths")
@@ -218,24 +219,45 @@ func TestRoundFusedMultiWorkerMallocs(t *testing.T) {
 	dev := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
 	defer dev.Close()
 	p := newPipe(t, dev, 64, 128, 1)
+	batcher := kernels.NewBatcher(dev)
+	batch := make([]*kernels.BatchRound, 32)
+	for i := range batch {
+		batch[i] = &kernels.BatchRound{P: newPipe(t, dev, 16, 64, uint64(i+2))}
+	}
 	z := []float64{0}
 	k := 0
-	round := func() {
-		k++
-		z[0] = float64(k % 7)
-		p.RoundFused(nil, z, k)
-	}
-	for i := 0; i < 10; i++ {
-		round()
-	}
-	const rounds = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		round()
-	}
-	runtime.ReadMemStats(&after)
-	if perRound := float64(after.Mallocs-before.Mallocs) / rounds; perRound > 0.5 {
-		t.Fatalf("fused round on 2 workers mallocs %.2f objects/round, want ~0", perRound)
+	for _, c := range []struct {
+		name  string
+		round func()
+	}{
+		{"solo 64x128", func() { p.RoundFused(nil, z, k) }},
+		{"batch 32 x 16x64", func() {
+			for _, e := range batch {
+				e.Z, e.K = z, k
+			}
+			if err := batcher.Round(batch); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		k = 0
+		round := func() {
+			k++
+			z[0] = float64(k % 7)
+			c.round()
+		}
+		for i := 0; i < 10; i++ {
+			round()
+		}
+		const rounds = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		if perRound := float64(after.Mallocs-before.Mallocs) / rounds; perRound > 0.5 {
+			t.Errorf("%s fused round on 2 workers mallocs %.2f objects/round, want ~0", c.name, perRound)
+		}
 	}
 }

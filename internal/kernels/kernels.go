@@ -4,8 +4,8 @@ import (
 	"math"
 
 	"esthera/internal/device"
-	"esthera/internal/exchange"
 	"esthera/internal/sortnet"
+	"esthera/internal/telemetry"
 )
 
 // KernelRand is kernel 1 (§VI-A): each sub-filter's block buffer is
@@ -34,23 +34,39 @@ func (p *Pipeline) randGroup(g *device.Group, s int) {
 	})
 }
 
-// fusedPhases names the group-local phases of a fused round in launch
-// order; the indices are the Group.Phase arguments used by fusedGroup.
-// The names match the separate launches exactly, so the profiler's
-// per-kernel breakdown is unchanged by fusion.
-var fusedPhases = []string{"rand", "sampling", "local sort"}
+// localPhases and tailPhases name the phases of a fused round's two
+// launches in launch order; the indices are the Group.Phase arguments
+// of fusedGroup and tailGroup. The names match the separate launches
+// exactly, so the profiler's per-kernel breakdown is unchanged by
+// fusion. A launch lists a phase only when some group of it runs that
+// kernel, so a solo fused round records exactly Round's launches.
+var (
+	// localPhases[publish]: publish when some pipeline exchanges.
+	localPhases = [2][]string{
+		{"rand", "sampling", "local sort"},
+		{"rand", "sampling", "local sort", "exchange"},
+	}
+	// tailPhases[mean][exchange]: mean when some pipeline's
+	// weighted-mean partials are due, exchange when some pipeline
+	// exchanges.
+	tailPhases = [2][2][]string{
+		{{"resampling"}, {"exchange", "resampling"}},
+		{{"global estimate", "resampling"}, {"global estimate", "exchange", "resampling"}},
+	}
+)
 
-// fusedGroup runs the three group-local kernel bodies (rand → sample /
-// weight → local sort) back to back for sub-filter s, as one fused kernel
-// execution. The phases only touch the sub-filter's own columns of global
-// memory and its private random stream, so the launch boundaries the
-// unfused path places between them are pure synchronization overhead —
-// only the barrier *after* local sort is load-bearing (estimate and
-// exchange read across groups). Buffers chain explicitly (cur → nxt →
-// cur), so the fused round needs no double-buffer swaps for these phases
-// and ends in the same buffer state as the unfused sequence of launches +
-// swaps; per-phase RNG consumption order is untouched, keeping results
-// bit-identical.
+// fusedGroup runs the group-local kernel bodies of a round's first
+// launch back to back for sub-filter s: rand → sample / weight → local
+// sort, then the exchange kernel's publish of the top t when the
+// pipeline exchanges. The phases only touch the sub-filter's own columns
+// of global memory, its outbox records and its private random stream,
+// so the launch boundaries the unfused path places between them are pure
+// synchronization overhead — only the barrier *after* the publish is
+// load-bearing (estimate and exchange read across groups). Buffers chain
+// explicitly (cur → nxt → cur), so the fused round needs no
+// double-buffer swaps for these phases and ends in the same buffer state
+// as the unfused sequence of launches + swaps; per-phase RNG consumption
+// order is untouched, keeping results bit-identical.
 //
 //esthera:hotpath noalloc bce
 func (p *Pipeline) fusedGroup(g *device.Group, s int, u, z []float64, k int) {
@@ -60,6 +76,40 @@ func (p *Pipeline) fusedGroup(g *device.Group, s int, u, z []float64, k int) {
 	p.sampleGroup(g, s, u, z, k, p.cur, p.nxt)
 	g.Phase(2)
 	p.sortGroup(g, s, p.nxt, p.cur)
+	if p.exch {
+		g.Phase(3)
+		p.exchPublishGroup(g, s)
+	}
+}
+
+// tailGroup runs the group-local kernel bodies of a round's second
+// launch for sub-filter s, in the phase layout tailPhases[mean][exch]:
+// the weighted-mean partial sums when due, the pull or broadcast of
+// exchanged particles into the worst slots, then resampling. The
+// partials read the group's own particles before the exchange
+// overwrites its worst slots, as the unfused estimate → exchange order
+// does; the exchange reads only outbox records the first launch
+// published.
+//
+//esthera:hotpath noalloc bce
+func (p *Pipeline) tailGroup(g *device.Group, s int, mean, exch bool) {
+	phase := 0
+	if mean {
+		g.Phase(phase)
+		if p.meanDue {
+			p.estMeanGroup(g, s)
+		}
+		phase++
+	}
+	if exch {
+		g.Phase(phase)
+		if p.exch {
+			p.exchInGroup(g, s)
+		}
+		phase++
+	}
+	g.Phase(phase)
+	p.resampleGroup(g, s)
 }
 
 // KernelSampleWeight is kernel 2 (§VI-B): propagate every particle
@@ -184,6 +234,11 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 	})
 	g.LocalRead(8 * m)
 	g.GlobalWrite(8 * m)
+	// The health sample's share of this group, taken from the sorted
+	// weights outside any Step: telemetry charges no device counter.
+	if p.samples(p.round + 1) {
+		p.healthParts[s] = telemetry.GroupHealth(lws)
+	}
 }
 
 // KernelEstimate is kernel 4 (§VI-D): since every sub-filter just sorted,
@@ -191,15 +246,16 @@ func (p *Pipeline) sortGroup(g *device.Group, s int, xin, xout *soaBuf) {
 // the N local bests remain. They run as one small launch, and the winning
 // particle's state is copied out host-side (the only device-to-host
 // traffic besides the measurement upload, per §VI). With
-// Config.MeanEstimate the kernel instead reduces to the globally
-// weight-averaged state. The returned slice is the pipeline's reused
+// Config.MeanEstimate a second launch accumulates each sub-filter's
+// weighted partial sums against the global max log-weight, and the host
+// combines the N partials. The returned slice is the pipeline's reused
 // estimate buffer, overwritten by the next round.
 func (p *Pipeline) KernelEstimate() ([]float64, float64) {
-	p.observeRound()
-	if p.cfg.MeanEstimate {
-		return p.kernelEstimateMean()
+	p.estimateHeads()
+	if p.meanDue {
+		p.dev.Launch("global estimate", p.grid(), p.estMeanBody)
 	}
-	return p.kernelEstimateMax()
+	return p.estimateOut()
 }
 
 // estGrid is the single-group reduction launch shape over the N block
@@ -229,56 +285,40 @@ func (p *Pipeline) estHeadGroup(g *device.Group) {
 	p.estBest = p.estScan.MaxIndex(g, heads)
 }
 
-// kernelEstimateMax reduces to the max-weight particle.
-func (p *Pipeline) kernelEstimateMax() ([]float64, float64) {
+// estimateHeads opens a round's global estimate: it advances the round
+// counter (combining a due health sample), runs the head reduction and
+// records the best sub-filter. It completes the max-weight estimate, or
+// a weighted mean whose best log-weight is −Inf or NaN, by copying out
+// the best particle; otherwise it arms the weighted-mean partial sums
+// (meanDue), which estimateOut combines.
+func (p *Pipeline) estimateHeads() {
+	p.observeRound()
 	p.dev.Launch("global estimate", p.estGrid(), p.estHeadBody)
 	best := p.estBest
 	p.bestSub, p.bestLW = best, p.heads[best]
-	out := p.estState
-	for d, col := range p.cur.sub[best] {
-		out[d] = col[0]
+	p.meanDue = p.cfg.MeanEstimate && !math.IsInf(p.bestLW, -1) && !math.IsNaN(p.bestLW)
+	if !p.meanDue {
+		for d, col := range p.cur.sub[best] {
+			p.estState[d] = col[0]
+		}
+		return
 	}
-	return out, p.bestLW
+	clear(p.partial)
 }
 
-// kernelEstimateMean reduces to the globally weighted-average state: a
-// first launch finds the global max log-weight (for stable
-// exponentiation, using the sorted block heads), a second accumulates
-// each sub-filter's weighted partial sums, and the host combines the N
-// partials.
-func (p *Pipeline) kernelEstimateMean() ([]float64, float64) {
-	N := p.cfg.SubFilters
-	dim := p.dim
-
-	// Launch A: global max over the sorted block heads.
-	p.dev.Launch("global estimate", p.estGrid(), p.estHeadBody)
-	best := p.estBest
-	maxLW := p.heads[best]
-	p.bestSub, p.bestLW = best, maxLW
+// estimateOut returns the round's estimate. A due weighted mean is
+// combined host-side over the N partial sums, in sub-filter order (the
+// last reduction round).
+func (p *Pipeline) estimateOut() ([]float64, float64) {
 	out := p.estState
-	if math.IsInf(maxLW, -1) || math.IsNaN(maxLW) {
-		for d, col := range p.cur.sub[best] {
-			out[d] = col[0]
-		}
-		return out, maxLW
+	if !p.meanDue {
+		return out, p.bestLW
 	}
-
-	// Launch B: per-sub-filter partial weighted sums (Σw·x per dim, then
-	// Σw), accumulated into the pipeline's reusable scratch.
-	p.estMaxLW = maxLW
-	partial := p.partial
-	for i := range partial {
-		partial[i] = 0
-	}
-	p.dev.Launch("global estimate", p.grid(), p.estMeanBody)
-
-	// Host-side final combine over N partials (the last reduction round).
-	for d := range out {
-		out[d] = 0
-	}
+	dim := p.dim
+	clear(out)
 	total := 0.0
-	for s := 0; s < N; s++ {
-		part := partial[s*(dim+1) : (s+1)*(dim+1)]
+	for s := 0; s < p.cfg.SubFilters; s++ {
+		part := p.partial[s*(dim+1) : (s+1)*(dim+1)]
 		for d := 0; d < dim; d++ {
 			out[d] += part[d]
 		}
@@ -289,11 +329,11 @@ func (p *Pipeline) kernelEstimateMean() ([]float64, float64) {
 			out[d] /= total
 		}
 	}
-	return out, maxLW
+	return out, p.bestLW
 }
 
 // estMeanGroup is the per-sub-filter body of the weighted-average
-// estimate's second launch: exponentiate the block's log-weights against
+// estimate's partial sums: exponentiate the block's log-weights against
 // the global max, then accumulate Σw·x per dimension and Σw. The
 // accumulation runs column-major over the SoA storage; each partial sum
 // still receives its additions in ascending particle order, so the float
@@ -304,7 +344,7 @@ func (p *Pipeline) estMeanGroup(g *device.Group, s int) {
 	m := p.cfg.ParticlesPer
 	off := s * m
 	dim := p.dim
-	maxLW := p.estMaxLW
+	maxLW := p.bestLW
 	cols := p.cur.sub[s]
 	lws := p.logw[off : off+m : off+m]
 	wsum := g.AllocLocalF64(m)
@@ -354,23 +394,36 @@ func (p *Pipeline) estMeanGroup(g *device.Group, s int) {
 // are the wire format the shard/cluster layers ship between processes,
 // so the SoA storage is packed/unpacked at this boundary.
 func (p *Pipeline) KernelExchange() {
-	t := p.cfg.ExchangeCount
-	if t == 0 || p.cfg.SubFilters == 1 || p.cfg.Topology.Scheme() == exchange.None {
+	if !p.exch {
 		return
 	}
-
-	// Launch A: publish top-t.
 	p.dev.Launch("exchange", p.grid(), p.exchPubBody)
+	p.exchangeSelect()
+	p.dev.Launch("exchange", p.grid(), p.exchInBody)
+}
 
-	if p.cfg.Topology.Scheme() == exchange.AllToAll {
-		p.dev.Launch("exchange", p.poolGrid(), p.exchPoolBody)
-		copy(p.poolSel, p.poolIdx[:t])
-		p.dev.Launch("exchange", p.grid(), p.exchBcastBody)
+// exchangeSelect runs all-to-all's one-group selection between the
+// publish and the broadcast: it sorts the pooled outbox records and
+// keeps the best t. Other schemes select nothing.
+func (p *Pipeline) exchangeSelect() {
+	if !p.pool {
 		return
 	}
+	p.dev.Launch("exchange", p.poolGrid(), p.exchPoolBody)
+	copy(p.poolSel, p.poolIdx[:p.cfg.ExchangeCount])
+}
 
-	// Launch B: pull from neighbors into the worst slots.
-	p.dev.Launch("exchange", p.grid(), p.exchPullBody)
+// exchInGroup moves exchanged particles into sub-filter s's worst
+// slots: the all-to-all broadcast of the selected records, or the pull
+// from the neighbours' outboxes.
+//
+//esthera:hotpath noalloc bce
+func (p *Pipeline) exchInGroup(g *device.Group, s int) {
+	if p.pool {
+		p.exchBroadcastGroup(g, s)
+		return
+	}
+	p.exchPullGroup(g, s)
 }
 
 // exchPublishGroup stages sub-filter s's top-t particles (which sit in

@@ -189,33 +189,49 @@ type Pipeline struct {
 	poolSort *sortnet.Net
 
 	// nbrs caches the static topology's neighbor lists so the exchange
-	// kernel does not recompute (and reallocate) them every round.
-	nbrs [][]int
+	// kernel does not recompute (and reallocate) them every round. exch
+	// says whether the round exchanges at all (t > 0, more than one
+	// sub-filter, a topology), pool whether it is all-to-all's pooled
+	// selection rather than a neighbour pull.
+	nbrs       [][]int
+	exch, pool bool
 
 	bestSub int
 	bestLW  float64
 
 	// Launch bodies, bound once in New. The per-round inputs they read
-	// (curU, curZ, curK, estMaxLW, estBest) are plain fields: launches
-	// are synchronous, so writing them between launches is race-free.
+	// (curU, curZ, curK, estBest, bestLW, meanDue) are plain fields:
+	// launches are synchronous, so writing them between launches is
+	// race-free. meanDue says the weighted-mean estimate's partial sums
+	// run this round (MeanEstimate with a finite best log-weight).
 	curU, curZ []float64
 	curK       int
 	estBest    int
-	estMaxLW   float64
+	meanDue    bool
 
-	fusedBody, randBody, sampleBody, sortBody, resampleBody device.KernelFunc
-	estHeadBody, estMeanBody                                device.KernelFunc
-	exchPubBody, exchPullBody, exchPoolBody, exchBcastBody  device.KernelFunc
+	randBody, sampleBody, sortBody, resampleBody device.KernelFunc
+	estHeadBody, estMeanBody                     device.KernelFunc
+	exchPubBody, exchInBody, exchPoolBody        device.KernelFunc
+
+	// solo is RoundFused's one-entry merged round: the solo and batched
+	// fused rounds run the same launch sequence (mergedPart.run).
+	// batcher and batchRound stamp the pipeline's last Batcher round,
+	// which is how a Batcher rejects a pipeline batched twice.
+	solo       *mergedPart
+	soloEntry  BatchRound
+	batcher    *Batcher
+	batchRound int
 
 	// Observability state (see telemetry.go): an optional span tracer,
-	// a stride-gated filter-health sample, and the per-sub-filter
-	// resample-policy decisions of the most recent resampling kernel.
-	// All of it is read-only with respect to filter state, so golden
-	// traces are unaffected.
+	// a stride-gated filter-health sample with its per-sub-filter
+	// partials, and the per-sub-filter resample-policy decisions of the
+	// most recent resampling kernel. All of it is read-only with respect
+	// to filter state, so golden traces are unaffected.
 	tracer        *telemetry.Tracer
 	healthEvery   int
 	round         int64
 	lastHealth    telemetry.FilterHealth
+	healthParts   []telemetry.HealthPartial
 	resampleFlags []uint8
 }
 
@@ -279,7 +295,11 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	p.scans = make([]*scan.Plan, N)
 	p.sorts = make([]*sortnet.Net, N)
 	p.resampleFlags = make([]uint8, N)
+	p.healthParts = make([]telemetry.HealthPartial, N)
 	p.nbrs = make([][]int, N)
+	scheme := cfg.Topology.Scheme()
+	p.exch = cfg.ExchangeCount > 0 && N > 1 && scheme != exchange.None
+	p.pool = p.exch && scheme == exchange.AllToAll
 	for s := 0; s < N; s++ {
 		p.vsrc[s] = make([][]float64, p.dim)
 		p.vdst[s] = make([][]float64, p.dim)
@@ -291,6 +311,9 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	p.estScan = scan.NewPlan()
 	p.poolSort = sortnet.NewNet()
 	p.bindBodies()
+	p.soloEntry.P = p
+	p.solo = newMergedPart()
+	p.solo.entries = append(p.solo.entries, &p.soloEntry)
 	p.Reset(seed)
 	return p, nil
 }
@@ -301,9 +324,6 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 // called through concrete *device.Group methods and stay on the stack).
 func (p *Pipeline) bindBodies() {
 	p.randBody = func(g *device.Group) { p.randGroup(g, g.ID()) }
-	p.fusedBody = func(g *device.Group) {
-		p.fusedGroup(g, g.ID(), p.curU, p.curZ, p.curK)
-	}
 	p.sampleBody = func(g *device.Group) {
 		p.sampleGroup(g, g.ID(), p.curU, p.curZ, p.curK, p.cur, p.nxt)
 	}
@@ -312,9 +332,8 @@ func (p *Pipeline) bindBodies() {
 	p.estHeadBody = func(g *device.Group) { p.estHeadGroup(g) }
 	p.estMeanBody = func(g *device.Group) { p.estMeanGroup(g, g.ID()) }
 	p.exchPubBody = func(g *device.Group) { p.exchPublishGroup(g, g.ID()) }
-	p.exchPullBody = func(g *device.Group) { p.exchPullGroup(g, g.ID()) }
+	p.exchInBody = func(g *device.Group) { p.exchInGroup(g, g.ID()) }
 	p.exchPoolBody = func(g *device.Group) { p.exchPoolGroup(g) }
-	p.exchBcastBody = func(g *device.Group) { p.exchBroadcastGroup(g, g.ID()) }
 }
 
 // Reset reseeds every stream and redraws the particle population from the
@@ -359,11 +378,6 @@ func (p *Pipeline) grid() device.Grid {
 	return device.Grid{Groups: p.cfg.SubFilters, GroupSize: p.cfg.ParticlesPer}
 }
 
-// groupLanes returns the work-group size the pipeline's launches need —
-// the batch scheduler's partition key (pipelines sharing a grid must
-// agree on it).
-func (p *Pipeline) groupLanes() int { return p.cfg.ParticlesPer }
-
 // Round runs one full filtering round (all six kernels) for control u,
 // measurement z, step index k, and returns the global best particle's
 // state and log-weight. Each kernel is issued as its own global launch,
@@ -382,30 +396,30 @@ func (p *Pipeline) Round(u, z []float64, k int) ([]float64, float64) {
 	return best, lw
 }
 
-// RoundFused runs one full filtering round with the three group-local
-// kernels (rand, sampling, local sort) fused into a single launch,
-// collapsing their intermediate global barriers — which only ever
-// synchronized independent sub-filters — into per-group sequencing. The
-// estimate, exchange, and resampling kernels remain separate launches:
-// they read data written by other work-groups, so the global barrier
-// before each of them is semantically required.
+// RoundFused runs one full filtering round as two fused multi-group
+// launches with one-group launches between them, the same sequence a
+// Batcher runs for a batch (mergedPart.run):
 //
-// RoundFused consumes the per-sub-filter random streams in exactly the
-// same order as Round and is bit-identical to it (asserted by the
-// golden-trace tests); the profiler still sees per-phase entries under
-// the same kernel names. The returned state slice is owned by the
-// pipeline and overwritten by the next round — copy it to retain it.
+//  1. rand → sampling → local sort → exchange publish, per sub-filter;
+//  2. the global estimate's one-group reduction over the N block heads
+//     (and all-to-all's one-group pool sort);
+//  3. weighted-mean partials (MeanEstimate only) → exchange pull or
+//     broadcast → resampling, per sub-filter.
+//
+// Only the two barriers that order cross-group reads remain: everything
+// the global kernels read is final once each group's local sort and
+// publish end. RoundFused consumes the per-sub-filter random streams in
+// exactly the same order as Round and is bit-identical to it (asserted
+// by the golden-trace tests); every kernel keeps its profiler entry,
+// launch count and work counters. The returned state slice is owned by
+// the pipeline and overwritten by the next round — copy it to retain it.
 func (p *Pipeline) RoundFused(u, z []float64, k int) ([]float64, float64) {
 	sp := p.tracer.Begin("filter", "round").Arg("k", int64(k))
-	p.curU, p.curZ, p.curK = u, z, k
-	p.dev.LaunchFused(fusedPhases, p.grid(), p.fusedBody)
-	// No buffer swap: the fused body chains cur → nxt → cur, leaving the
-	// buffers exactly where Round's two swaps would.
-	best, lw := p.KernelEstimate()
-	p.KernelExchange()
-	p.KernelResample()
+	e := &p.soloEntry
+	e.U, e.Z, e.K = u, z, k
+	p.solo.run(p.dev)
 	sp.End()
-	return best, lw
+	return e.State, e.LogW
 }
 
 // Best returns the sub-filter index and log-weight of the last estimate.

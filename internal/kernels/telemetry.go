@@ -14,10 +14,13 @@ import "esthera/internal/telemetry"
 func (p *Pipeline) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
 // SetHealthEvery enables stride-gated filter-health sampling: every
-// k-th round, the estimate kernel snapshots ESS, weight degeneracy and
-// resample acceptance from the current log-weights (after weighting,
-// before exchange/resampling — the point where degeneracy shows).
-// k <= 0 disables sampling; the gate costs one branch per round.
+// k-th round samples ESS, weight degeneracy and resample acceptance
+// from the log-weights after weighting, before exchange/resampling —
+// the point where degeneracy shows. Each sub-filter's local sort
+// computes its share in parallel (telemetry.GroupHealth), and the
+// estimate kernel combines the N shares host-side, in sub-filter order
+// (telemetry.CombineHealth). k <= 0 disables sampling; the gate costs
+// one branch per sub-filter and round.
 func (p *Pipeline) SetHealthEvery(k int) {
 	if k < 0 {
 		k = 0
@@ -35,20 +38,26 @@ func (p *Pipeline) LastHealth() telemetry.FilterHealth { return p.lastHealth }
 // kernel, which every round path passes through exactly once).
 func (p *Pipeline) Rounds() int64 { return p.round }
 
+// samples reports whether round r (counted from 1) takes a health
+// sample.
+func (p *Pipeline) samples(r int64) bool {
+	return p.healthEvery > 0 && r%int64(p.healthEvery) == 0
+}
+
 // observeRound advances the round counter and, when the stride fires,
-// captures a health sample. Called at the top of KernelEstimate: the
-// log-weights are final for the round there, and the estimate kernel
-// itself never modifies them.
+// combines the health partials this round's local sort left. Called at
+// the top of the global estimate, which every round path passes through
+// once, after the local sort.
 func (p *Pipeline) observeRound() {
 	p.round++
-	if p.healthEvery <= 0 || p.round%int64(p.healthEvery) != 0 {
+	if !p.samples(p.round) {
 		return
 	}
 	accepted := 0
 	for _, f := range p.resampleFlags {
 		accepted += int(f)
 	}
-	h := telemetry.HealthFromLogWeights(p.logw, accepted, p.cfg.SubFilters)
+	h := telemetry.CombineHealth(p.healthParts, len(p.logw), accepted, p.cfg.SubFilters)
 	h.Round = p.round
 	p.lastHealth = h
 }

@@ -177,8 +177,15 @@ func (m *Bearings) WrapResidual(res []float64) {
 	}
 }
 
-// wrapAngle maps an angle to (-π, π].
+// wrapAngle maps an angle to (-π, π]. A residual within maxTurnAngle
+// takes the turn-by-turn loop; a larger one (a huge measurement) is
+// first reduced with math.Remainder, because the loop would spin once
+// per turn, and forever once 2π falls below the angle's float spacing.
+// A non-finite angle comes out NaN.
 func wrapAngle(a float64) float64 {
+	if !(math.Abs(a) <= maxTurnAngle) {
+		a = math.Remainder(a, 2*math.Pi)
+	}
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}
@@ -187,6 +194,9 @@ func wrapAngle(a float64) float64 {
 	}
 	return a
 }
+
+// maxTurnAngle bounds the angles wrapAngle reduces turn by turn.
+const maxTurnAngle = 1 << 20
 
 // StepVec implements VecModel: two acceleration draws per row, consumed
 // row-major exactly as Step draws them.

@@ -166,6 +166,18 @@ func TestWrapAngle(t *testing.T) {
 			t.Errorf("wrapAngle(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
+	// Huge and non-finite angles return at once (the turn-by-turn loop
+	// never ended on 1e200 or +Inf).
+	for _, a := range []float64{1e200, -1e200, 1e7 + 0.5} {
+		if got := wrapAngle(a); !(got > -math.Pi && got <= math.Pi) {
+			t.Errorf("wrapAngle(%v) = %v, want a value in (-π, π]", a, got)
+		}
+	}
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := wrapAngle(a); !math.IsNaN(got) {
+			t.Errorf("wrapAngle(%v) = %v, want NaN", a, got)
+		}
+	}
 }
 
 func TestVolatilityStationaryInit(t *testing.T) {

@@ -10,7 +10,11 @@
 // the sequential references.
 package scan
 
-import "esthera/internal/device"
+import (
+	"math"
+
+	"esthera/internal/device"
+)
 
 // ExclusiveSum writes into dst the exclusive prefix sums of src:
 // dst[i] = src[0] + ... + src[i-1], dst[0] = 0. dst and src may alias.
@@ -82,7 +86,7 @@ func NewPlan() *Plan {
 			if i < n {
 				val[i] = keys[i]
 			} else {
-				val[i] = negInf
+				val[i] = math.Inf(-1)
 			}
 			idx[i] = i
 		}
@@ -188,7 +192,9 @@ func (pl *Plan) upDownSweep() float64 {
 // the index of the maximum element (ties resolved to the lower index).
 // This is the paper's global-estimate operator: select the particle with
 // the highest weight (§IV, §VI-D). A level visits exactly stride pairs,
-// so the node count is accumulated host-side.
+// so the node count is accumulated host-side. The reduction pads keys to
+// a power of two with −Inf, which ties every padding lane with a real
+// −Inf key and so loses to it on index: an all −Inf input returns 0.
 //
 //esthera:hotpath noalloc bce
 func (pl *Plan) MaxIndex(ctx device.Ctx, keys []float64) int {
@@ -214,5 +220,3 @@ func (pl *Plan) MaxIndex(ctx device.Ctx, keys []float64) int {
 	ctx.LocalWrite(12 * visited)
 	return idx[0]
 }
-
-const negInf = -1.7976931348623157e308

@@ -103,6 +103,11 @@ func TestMaxIndex(t *testing.T) {
 		{[]float64{5, 9, 9, 1}, 1}, // tie → lower index
 		{[]float64{-3, -1, -2}, 1},
 		{[]float64{0, 0, 0, 0, 0, 0, 7}, 6},
+		// Every key −Inf on a non-power-of-two length: the padding
+		// lanes must not win.
+		{[]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}, 0},
+		{[]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}, 0},
+		{[]float64{math.Inf(-1), math.Inf(-1), -math.MaxFloat64}, 2},
 	}
 	pl := NewPlan()
 	for _, c := range cases {

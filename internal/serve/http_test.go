@@ -270,6 +270,33 @@ func TestHTTPLifecycleAndErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPStepUnderflowingMeasurement steps sessions whose sub-filter
+// count (12) or size (24) is not a power of two with a finite
+// measurement every UNGM likelihood underflows on. The step answers 200
+// with the −Inf log-weight omitted and its bits in log_weight_bits, and
+// the session steps on normally.
+func TestHTTPStepUnderflowingMeasurement(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Workers: 2})
+	for _, sp := range []FilterSpec{
+		{Model: "ungm", SubFilters: 12, Seed: 3},
+		{Model: "ungm", ParticlesPer: 24, Seed: 4},
+	} {
+		sp = sp.withDefaults()
+		url := ts.URL + "/v1/sessions/" + createSession(t, ts.URL, sp) + "/step"
+		var poisoned StepReply
+		if code := postJSON(t, url, map[string]any{"z": []float64{1e200}}, &poisoned); code != http.StatusOK {
+			t.Fatalf("%d×%d: underflowing step: status %d, want 200", sp.SubFilters, sp.ParticlesPer, code)
+		}
+		if poisoned.LogWeight != nil || poisoned.LogWeightBits != math.Float64bits(math.Inf(-1)) {
+			t.Fatalf("%d×%d: underflowing step reply %+v, want log-weight -Inf", sp.SubFilters, sp.ParticlesPer, poisoned)
+		}
+		var next StepReply
+		if code := postJSON(t, url, map[string]any{"z": []float64{0.5}}, &next); code != http.StatusOK || next.LogWeight == nil {
+			t.Fatalf("%d×%d: step after it: status %d, reply %+v", sp.SubFilters, sp.ParticlesPer, code, next)
+		}
+	}
+}
+
 // TestHTTPCheckpointRestore drives the checkpoint roundtrip through the
 // HTTP endpoints: GET the checkpoint from one server, POST it to a
 // second, and require the resumed estimate series to match bit-for-bit.

@@ -167,3 +167,41 @@ func TestBacklogCoalesces(t *testing.T) {
 		t.Fatalf("%d batches of %d steps in all, want 2 batches of %d", st.Batches, st.BatchedSteps, k+1)
 	}
 }
+
+// TestClosedSessionsAreCollectable creates, steps and closes sessions
+// over and over: once closed, a session's filter must not stay
+// reachable from the scheduler's batching state, so the live heap grows
+// by at most a few KB per cycle (a 16×64 session's pipeline is ~100 KB).
+func TestClosedSessionsAreCollectable(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	cycle := func() {
+		id, err := s.Create(FilterSpec{Model: "ungm", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(id, nil, []float64{0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	before := liveHeap()
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	if perSession := (liveHeap() - before) / cycles; perSession > 4<<10 {
+		t.Fatalf("live heap grew %d bytes per closed session, want < 4 KiB", perSession)
+	}
+}

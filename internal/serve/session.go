@@ -88,12 +88,6 @@ func (sess *Session) setHealth(h telemetry.FilterHealth) {
 	sess.mu.Unlock()
 }
 
-func (sess *Session) healthSample() telemetry.FilterHealth {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.health
-}
-
 // seedResult primes the bookkeeping of a restored session so Estimate
 // and Stats reflect the checkpointed run.
 func (sess *Session) seedResult(steps int64, est filter.Estimate) {

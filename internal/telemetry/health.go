@@ -87,3 +87,78 @@ func HealthFromLogWeights(logw []float64, resampledGroups, groups int) FilterHea
 	}
 	return h
 }
+
+// HealthPartial is one work-group's share of a FilterHealth sample:
+// its non-finite count, and Σw, Σw² over w_i = exp(logw_i - Head)
+// against the group's own largest log-weight Head. The particle
+// filter's local sort computes one per sub-filter in parallel;
+// CombineHealth folds them into the sample HealthFromLogWeights
+// computes in one serial pass.
+type HealthPartial struct {
+	Head, Sum, SumSq float64
+	NonFinite        int
+}
+
+// GroupHealth computes the partial of one group's log-weights, which
+// must be sorted descending (the local sort's output), so logw[0] is
+// the group's maximum whenever the group holds no NaN or +Inf. Sum and
+// SumSq are meaningless when NonFinite > 0 or Head is −Inf;
+// CombineHealth ignores them then.
+//
+//esthera:hotpath noalloc
+func GroupHealth(logw []float64) HealthPartial {
+	if len(logw) == 0 {
+		return HealthPartial{Head: math.Inf(-1)}
+	}
+	hp := HealthPartial{Head: logw[0]}
+	for _, lw := range logw {
+		// True for NaN and +Inf only: −Inf is an underflowed weight.
+		if !(lw <= math.MaxFloat64) {
+			hp.NonFinite++
+		}
+		w := math.Exp(lw - hp.Head)
+		hp.Sum += w
+		hp.SumSq += w * w
+	}
+	return hp
+}
+
+// CombineHealth folds per-group partials, in group order, into the
+// sample HealthFromLogWeights would compute over the concatenated
+// log-weights of particles total: NonFiniteWeights, ResampleAccept and
+// Particles match it exactly, ESS, ESSFrac and MaxWeightRatio to
+// rounding (each group's sums are rescaled by exp(Head - max Head)).
+func CombineHealth(parts []HealthPartial, particles, resampledGroups, groups int) FilterHealth {
+	h := FilterHealth{Particles: particles}
+	if groups > 0 {
+		h.ResampleAccept = float64(resampledGroups) / float64(groups)
+	}
+	maxLW := math.Inf(-1)
+	for _, hp := range parts {
+		h.NonFiniteWeights += hp.NonFinite
+		if hp.Head > maxLW {
+			maxLW = hp.Head
+		}
+	}
+	if h.NonFiniteWeights > 0 || math.IsInf(maxLW, -1) {
+		return h // poisoned or fully underflowed, as in HealthFromLogWeights
+	}
+	var sum, sumSq float64
+	for _, hp := range parts {
+		if math.IsInf(hp.Head, -1) {
+			continue // every weight of the group underflowed
+		}
+		e := math.Exp(hp.Head - maxLW)
+		sum += e * hp.Sum
+		sumSq += e * e * hp.SumSq
+	}
+	if sumSq > 0 {
+		h.ESS = sum * sum / sumSq
+		h.ESSFrac = h.ESS / float64(particles)
+	}
+	if sum > 0 {
+		// The heaviest weight is exp(maxLW - maxLW) = 1.
+		h.MaxWeightRatio = float64(particles) / sum
+	}
+	return h
+}
