@@ -335,7 +335,7 @@ func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer i
 		b.Fatal(err)
 	}
 	if traced {
-		tr := telemetry.New(telemetry.Config{})
+		tr := telemetry.New()
 		tr.SetEnabled(true)
 		dev.SetTracer(tr)
 		pipe.SetTracer(tr)

@@ -111,7 +111,7 @@ func (d *demoOptions) flags(fs *flag.FlagSet) {
 func demoEvents(d demoOptions) ([]telemetry.Event, error) {
 	dev := device.New(device.Config{LocalMemBytes: -1})
 	defer dev.Close()
-	tr := telemetry.New(telemetry.Config{})
+	tr := telemetry.New()
 	tr.SetEnabled(true)
 	dev.SetTracer(tr)
 

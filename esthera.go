@@ -97,12 +97,15 @@ func (cfg Config) Validate() error {
 	if _, err := filter.EstimatorByName(cfg.Estimator); err != nil {
 		return err
 	}
-	switch cfg.Streams {
+	return checkStreams(cfg.Streams)
+}
+
+func checkStreams(name string) error {
+	switch name {
 	case "", "philox", "mtgp":
-	default:
-		return fmt.Errorf("esthera: unknown streams %q (philox, mtgp)", cfg.Streams)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("esthera: unknown streams %q (philox, mtgp)", name)
 }
 
 // NewFilter builds the paper's distributed particle filter over the
@@ -144,6 +147,11 @@ func NewFilter(m Model, cfg Config) (Filter, error) {
 // the same distributed algorithm (useful for validation and platforms
 // where goroutine parallelism is undesirable).
 func NewSequentialFilter(m Model, cfg Config) (Filter, error) {
+	// The sequential filter draws from one stream family whatever the
+	// name, but an unknown name is an error here as everywhere else.
+	if err := checkStreams(cfg.Streams); err != nil {
+		return nil, err
+	}
 	scheme, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring"))
 	if err != nil {
 		return nil, err

@@ -119,11 +119,15 @@ func TestConfigValidation(t *testing.T) {
 		{SubFilters: 8, ParticlesPerSubFilter: 16, ExchangeScheme: "bogus", ExchangeCount: 1},
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Resampler: "bogus"},
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Policy: "bogus"},
+		{SubFilters: 8, ParticlesPerSubFilter: 16, Streams: "xorshift"},
 		{SubFilters: 0, ParticlesPerSubFilter: 16},
 	}
 	for i, cfg := range bad {
 		if _, err := esthera.NewFilter(m, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+		if _, err := esthera.NewSequentialFilter(m, cfg); err == nil {
+			t.Errorf("config %d accepted by the sequential filter: %+v", i, cfg)
 		}
 	}
 	if _, err := esthera.Track(nil, nil, 0, 0); err == nil {

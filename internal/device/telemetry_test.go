@@ -16,7 +16,7 @@ func TestLaunchRecordsSpans(t *testing.T) {
 
 	d.Launch("untraced", Grid{Groups: 2, GroupSize: 4}, func(g *Group) {})
 
-	tr := telemetry.New(telemetry.Config{})
+	tr := telemetry.New()
 	d.SetTracer(tr)
 	d.Launch("disabled", Grid{Groups: 2, GroupSize: 4}, func(g *Group) {})
 	if evs := tr.Drain(); len(evs) != 0 {
@@ -52,7 +52,7 @@ func TestLaunchRecordsSpans(t *testing.T) {
 func TestLaunchFusedRecordsNestedPhases(t *testing.T) {
 	d := New(Config{Workers: 2})
 	defer d.Close()
-	tr := telemetry.New(telemetry.Config{})
+	tr := telemetry.New()
 	tr.SetEnabled(true)
 	d.SetTracer(tr)
 

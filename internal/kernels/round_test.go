@@ -266,7 +266,7 @@ func launchCounts(tr *telemetry.Tracer) (launches, multiGroup int) {
 func TestFusedRoundLaunchCounts(t *testing.T) {
 	dev := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
 	defer dev.Close()
-	tr := telemetry.New(telemetry.Config{})
+	tr := telemetry.New()
 	tr.SetEnabled(true)
 	dev.SetTracer(tr)
 

@@ -17,7 +17,7 @@ func TestTelemetryLeavesTraceBitIdentical(t *testing.T) {
 		name := map[bool]string{false: "unfused", true: "fused"}[fused]
 		t.Run(name, func(t *testing.T) {
 			bare, traced := fusedTracePair(t, AlgoRWS, false, 11)
-			tr := telemetry.New(telemetry.Config{})
+			tr := telemetry.New()
 			tr.SetEnabled(true)
 			traced.Device().SetTracer(tr)
 			traced.SetTracer(tr)

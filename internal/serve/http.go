@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"esthera/internal/telemetry"
-	tlog "esthera/internal/telemetry/log"
 )
 
 // NewHandler exposes a Server as a JSON-over-HTTP API (stdlib only):
@@ -121,7 +120,7 @@ func NewHandler(s *Server) http.Handler {
 	})
 	mux.Handle("GET /metrics", s.reg)
 	mux.Handle("/trace", telemetry.TraceHandler(s.tracer))
-	mux.Handle("/logz", tlog.Handler(s.log))
+	mux.Handle("/logz", s.logz)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
 	})

@@ -561,3 +561,33 @@ func TestHTTPErrorMapping(t *testing.T) {
 	check(ErrNotFound, http.StatusNotFound)
 	check(errors.New("bad spec"), http.StatusBadRequest)
 }
+
+// TestHTTPLogz pins serve's /logz wiring: a create through NewHandler
+// lands in the log ring as one "session created" line stamped with the
+// server's name.
+func TestHTTPLogz(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Workers: 1, Name: "replica-a"})
+	id := createSession(t, ts.URL, FilterSpec{Model: "ungm", SubFilters: 4, ParticlesPer: 16, Seed: 2})
+	resp, err := http.Get(ts.URL + "/logz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("GET /logz: %d %q", resp.StatusCode, ct)
+	}
+	var created []map[string]any
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var line map[string]any
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line["msg"] == "session created" {
+			created = append(created, line)
+		}
+	}
+	if len(created) != 1 || created[0]["proc"] != "replica-a" || created[0]["session"] != id || created[0]["model"] != "ungm" {
+		t.Fatalf("session created lines = %v, want one for %s from replica-a", created, id)
+	}
+}

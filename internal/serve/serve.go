@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,11 +79,11 @@ type Config struct {
 	// Name identifies this process in traces and structured logs (the
 	// shard name in a swarm). "" leaves exports unnamed.
 	Name string
-	// LogLevel is the structured logger's minimum severity (zero =
-	// info); LogSink, when non-nil, additionally mirrors warn+ records
-	// there as they happen (the binaries pass stderr). The ring-buffered
-	// log is always available at /logz regardless.
-	LogLevel tlog.Level
+	// LogLevel is the structured log's minimum level (zero = info);
+	// LogSink, when non-nil, additionally mirrors warn+ records there as
+	// they happen (the binaries pass stderr). The ring-buffered log is
+	// always available at /logz regardless.
+	LogLevel slog.Level
 	LogSink  io.Writer
 }
 
@@ -226,7 +227,8 @@ type Server struct {
 	// tracker plus predicted-cost histogram.
 	tracer   *telemetry.Tracer
 	reg      *telemetry.Registry
-	log      *tlog.Logger
+	log      *slog.Logger
+	logz     *tlog.Handler
 	sloStep  *telemetry.SLOTracker
 	costHist *telemetry.Histogram
 }
@@ -243,14 +245,15 @@ func NewServer(cfg Config, models map[string]ModelFactory) *Server {
 		queue:    make(chan *stepReq, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-		tracer:   telemetry.New(telemetry.Config{}),
+		tracer:   telemetry.New(),
 		reg:      telemetry.NewRegistry(),
 	}
 	s.stepper = filter.NewBatchStepper(s.dev)
 	s.tracer.SetEnabled(cfg.Trace)
 	s.tracer.SetProcess(cfg.Name)
 	s.dev.SetTracer(s.tracer)
-	s.log = tlog.New(tlog.Config{Level: cfg.LogLevel, Process: cfg.Name, Sink: cfg.LogSink})
+	s.logz = tlog.New(cfg.Name, cfg.LogLevel, cfg.LogSink)
+	s.log = slog.New(s.logz)
 	// The step endpoint's latency objective takes the telemetry
 	// defaults: a step over 50ms counts against a 99% good fraction.
 	// Burn rates are exported via /metrics (esthera_slo_*).
@@ -365,10 +368,10 @@ func (s *Server) install(sp FilterSpec, f *filter.Parallel, mdl model.Model) (st
 	}
 	sess := newSession(id, sp, f, mdl)
 	s.sessions[id] = sess
-	s.log.Info("session created",
-		tlog.Str("session", id), tlog.Str("model", sp.Model),
-		tlog.Int("sub_filters", int64(sp.SubFilters)), tlog.Int("particles_per", int64(sp.ParticlesPer)),
-		tlog.Int("cost_laneops", sess.cost))
+	s.log.LogAttrs(context.TODO(), slog.LevelInfo, "session created",
+		slog.String("session", id), slog.String("model", sp.Model),
+		slog.Int("sub_filters", sp.SubFilters), slog.Int("particles_per", sp.ParticlesPer),
+		slog.Int64("cost_laneops", sess.cost))
 	return id, nil
 }
 
@@ -477,7 +480,7 @@ func (s *Server) StepCtx(ctx context.Context, id string, u, z []float64) (StepRe
 	}
 	select {
 	case res := <-req.done:
-		return s.finish(sess, req, res, start)
+		return s.finish(ctx, sess, req, res, start)
 	case <-ctx.Done():
 		if req.abandon() {
 			// Still queued: the scheduler will skip it; the step is
@@ -488,7 +491,7 @@ func (s *Server) StepCtx(ctx context.Context, id string, u, z []float64) (StepRe
 		// The scheduler claimed the step first: it will be applied and a
 		// result is guaranteed on done. Take it — reporting failure here
 		// would desynchronize the session from its own filter.
-		return s.finish(sess, req, <-req.done, start)
+		return s.finish(ctx, sess, req, <-req.done, start)
 	case <-s.quit:
 		if req.abandon() {
 			// Still queued at shutdown: never applied.
@@ -497,17 +500,17 @@ func (s *Server) StepCtx(ctx context.Context, id string, u, z []float64) (StepRe
 		// The batch completed (or is completing) concurrently with
 		// shutdown: prefer the ready result over quit, so an applied
 		// step is never reported as failed and recordStep always runs.
-		return s.finish(sess, req, <-req.done, start)
+		return s.finish(ctx, sess, req, <-req.done, start)
 	}
 }
 
 // finish delivers one completed step to the caller, recording it in the
 // session bookkeeping so Estimate and Stats stay consistent with the
 // filter state.
-func (s *Server) finish(sess *Session, req *stepReq, res stepResult, start time.Time) (StepResult, error) {
+func (s *Server) finish(ctx context.Context, sess *Session, req *stepReq, res stepResult, start time.Time) (StepResult, error) {
 	if res.err != nil {
-		s.log.Warn("step failed",
-			tlog.Str("session", sess.id), tlog.Trace(req.tc), tlog.Str("error", res.err.Error()))
+		s.log.LogAttrs(ctx, slog.LevelWarn, "step failed",
+			slog.String("session", sess.id), tlog.Trace(req.tc), slog.String("error", res.err.Error()))
 		return StepResult{}, res.err
 	}
 	elapsed := time.Since(start)
@@ -528,10 +531,10 @@ func (s *Server) finish(sess *Session, req *stepReq, res stepResult, start time.
 		ev.SetArg("cost_laneops", sess.cost)
 		s.tracer.Record(ev)
 	}
-	if s.log.Enabled(tlog.LevelDebug) {
-		s.log.Debug("step",
-			tlog.Str("session", sess.id), tlog.Int("step", int64(res.step)),
-			tlog.Dur("latency", elapsed), tlog.Int("cost_laneops", sess.cost),
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.LogAttrs(ctx, slog.LevelDebug, "step",
+			slog.String("session", sess.id), slog.Int("step", res.step),
+			slog.Duration("latency", elapsed), slog.Int64("cost_laneops", sess.cost),
 			tlog.Trace(telemetry.TraceContext{Trace: req.tc.Trace, Span: req.span}))
 	}
 	return StepResult{Step: res.step, State: res.est.State, LogWeight: res.est.LogWeight}, nil
@@ -582,7 +585,7 @@ func (s *Server) Close(id string) error {
 	s.mu.Lock()
 	delete(s.sessions, id)
 	s.mu.Unlock()
-	s.log.Info("session closed", tlog.Str("session", id))
+	s.log.LogAttrs(context.TODO(), slog.LevelInfo, "session closed", slog.String("session", id))
 	return nil
 }
 
@@ -606,7 +609,7 @@ func (s *Server) Sessions() []string {
 // concurrently.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.Swap(true) {
-		s.log.Info("drain started", tlog.Int("inflight", s.inflight.Load()))
+		s.log.LogAttrs(ctx, slog.LevelInfo, "drain started", slog.Int64("inflight", s.inflight.Load()))
 	}
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()

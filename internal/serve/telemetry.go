@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"log/slog"
+
 	"esthera/internal/telemetry"
-	tlog "esthera/internal/telemetry/log"
 )
 
 // Observability accessors and the metrics collector unifying the
@@ -21,7 +22,7 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Logger returns the server's structured logger (ring-buffered,
 // drained over /logz). Never nil.
-func (s *Server) Logger() *tlog.Logger { return s.log }
+func (s *Server) Logger() *slog.Logger { return s.log }
 
 // collectMetrics is the registry collector: it renders one Stats()
 // snapshot — the only read of serve state for exposition — under

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -135,8 +137,8 @@ func (a *Agent) span(traceparent, name, sessionID string, start time.Time, faile
 		}
 		tr.Record(ev)
 	}
-	a.srv.Logger().Info(name, tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
-		tlog.Str("session", sessionID), tlog.Dur("took", elapsed), tlog.Bool("failed", failed))
+	a.srv.Logger().LogAttrs(context.TODO(), slog.LevelInfo, name, tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
+		slog.String("session", sessionID), slog.Duration("took", elapsed), slog.Bool("failed", failed))
 }
 
 // export runs the source half of a migration. With req.Close the

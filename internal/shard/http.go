@@ -7,7 +7,6 @@ import (
 
 	"esthera/internal/serve"
 	"esthera/internal/telemetry"
-	tlog "esthera/internal/telemetry/log"
 )
 
 // NewRouterHandler exposes a Router over the same JSON-over-HTTP
@@ -131,7 +130,7 @@ func NewRouterHandler(r *Router) http.Handler {
 	})
 	mux.Handle("GET /metrics", reg)
 	mux.Handle("/trace", telemetry.TraceHandler(r.Tracer()))
-	mux.Handle("/logz", tlog.Handler(r.Logger()))
+	mux.Handle("/logz", r.logz)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "build": telemetry.BuildString()})
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,7 +61,7 @@ type RouterConfig struct {
 	Trace bool
 	// LogLevel / LogSink shape the router's structured log (drained
 	// over /logz; Sink mirrors warnings+ to a writer, typically stderr).
-	LogLevel tlog.Level
+	LogLevel slog.Level
 	LogSink  io.Writer
 }
 
@@ -165,7 +166,8 @@ type Router struct {
 	ring   *Ring
 
 	tracer *telemetry.Tracer
-	log    *tlog.Logger
+	log    *slog.Logger
+	logz   *tlog.Handler
 	// sloStep tracks forwarded steps against the telemetry defaults:
 	// 50ms at 99%.
 	sloStep *telemetry.SLOTracker
@@ -205,10 +207,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:    NewRing(cfg.Vnodes),
 		routes:  make(map[string]*route),
 		quit:    make(chan struct{}),
-		tracer:  telemetry.New(telemetry.Config{}),
-		log:     tlog.New(tlog.Config{Level: cfg.LogLevel, Process: cfg.Name, Sink: cfg.LogSink}),
+		tracer:  telemetry.New(),
+		logz:    tlog.New(cfg.Name, cfg.LogLevel, cfg.LogSink),
 		sloStep: telemetry.NewSLOTracker(telemetry.SLO{}),
 	}
+	r.log = slog.New(r.logz)
 	r.tracer.SetEnabled(cfg.Trace)
 	r.tracer.SetProcess(cfg.Name)
 	for _, sp := range cfg.Shards {
@@ -361,8 +364,8 @@ func (r *Router) Step(ctx context.Context, id string, u, z []float64) (serve.Ste
 		r.mu.Unlock()
 		return res, nil
 	}
-	r.log.Warn("step forward failed", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
-		tlog.Str("session", id), tlog.Str("shard", shardName), tlog.Str("error", err.Error()))
+	r.log.LogAttrs(ctx, slog.LevelWarn, "step forward failed", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
+		slog.String("session", id), slog.String("shard", shardName), slog.String("error", err.Error()))
 	return serve.StepResult{}, r.stepError(ctx, id, sh, remoteID, err)
 }
 
@@ -627,8 +630,8 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 		r.mu.Unlock()
 		holdSpan(true)
 		r.migrationErrors.Add(1)
-		r.log.Warn("migrate export failed", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
-			tlog.Str("session", id), tlog.Str("source", source), tlog.Str("error", err.Error()))
+		r.log.LogAttrs(ctx, slog.LevelWarn, "migrate export failed", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
+			slog.String("session", id), slog.String("source", source), slog.String("error", err.Error()))
 		var rerr *RemoteError
 		if !errors.As(err, &rerr) {
 			r.strike(ssh)
@@ -651,8 +654,8 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 		holdSpan(true)
 		r.migrationErrors.Add(1)
 		r.parked.Add(1)
-		r.log.Warn("migrate restore failed, session parked", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
-			tlog.Str("session", id), tlog.Str("target", target), tlog.Str("error", err.Error()))
+		r.log.LogAttrs(ctx, slog.LevelWarn, "migrate restore failed, session parked", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
+			slog.String("session", id), slog.String("target", target), slog.String("error", err.Error()))
 		r.strike(tsh)
 		go r.placeParked()
 		return fmt.Errorf("shard: migrate %s: restore on %s: %w", id, target, err)
@@ -666,9 +669,9 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 	r.mu.Unlock()
 	holdSpan(false)
 	r.migrations.Add(1)
-	r.log.Info("migrated", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
-		tlog.Str("session", id), tlog.Str("source", source), tlog.Str("target", target),
-		tlog.Dur("hold", time.Since(holdStart)))
+	r.log.LogAttrs(ctx, slog.LevelInfo, "migrated", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
+		slog.String("session", id), slog.String("source", source), slog.String("target", target),
+		slog.Duration("hold", time.Since(holdStart)))
 	return nil
 }
 
@@ -744,7 +747,8 @@ func (r *Router) parkRoute(id, shardName, remoteID string) {
 func (r *Router) strike(sh *shardState) {
 	if n := sh.strikes.Add(1); int(n) >= r.cfg.FailAfter {
 		if !sh.down.Swap(true) {
-			r.log.Warn("shard marked down", tlog.Str("shard", sh.spec.Name), tlog.Int("strikes", int64(n)))
+			r.log.LogAttrs(context.TODO(), slog.LevelWarn, "shard marked down",
+				slog.String("shard", sh.spec.Name), slog.Int("strikes", int(n)))
 			r.kickFailover(sh)
 		}
 	}
@@ -786,7 +790,8 @@ func (r *Router) failoverShard(sh *shardState) {
 		return
 	}
 	r.failovers.Add(1)
-	r.log.Warn("shard failover", tlog.Str("shard", name), tlog.Int("sessions", int64(len(victims))))
+	r.log.LogAttrs(context.TODO(), slog.LevelWarn, "shard failover",
+		slog.String("shard", name), slog.Int("sessions", len(victims)))
 	sort.Strings(victims)
 	for _, id := range victims {
 		r.placeRoute(id)
@@ -832,8 +837,8 @@ func (r *Router) placeRoute(id string) {
 		rt.migrating = false
 		r.mu.Unlock()
 		r.recordSpan("failover.place", tc, span, 0, start, shard == "")
-		r.log.Info("failover placement", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
-			tlog.Str("session", id), tlog.Str("shard", shard), tlog.Str("outcome", outcome))
+		r.log.LogAttrs(context.TODO(), slog.LevelInfo, "failover placement", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: span}),
+			slog.String("session", id), slog.String("shard", shard), slog.String("outcome", outcome))
 	}
 	if target == "" {
 		finish("", "", "parked")
@@ -997,7 +1002,7 @@ func (r *Router) probe(sh *shardState, seq int64) {
 			sh.lastPong.Store(&pong)
 			sh.strikes.Store(0)
 			if sh.down.Swap(false) {
-				r.log.Info("shard recovered", tlog.Str("shard", sh.spec.Name))
+				r.log.LogAttrs(ctx, slog.LevelInfo, "shard recovered", slog.String("shard", sh.spec.Name))
 				// The shard is back: give parked sessions a home and,
 				// if enabled, level load onto it.
 				r.wg.Add(1)
@@ -1108,10 +1113,6 @@ func (r *Router) Stats() RouterStats {
 
 // Tracer returns the router's span tracer (drained over /trace).
 func (r *Router) Tracer() *telemetry.Tracer { return r.tracer }
-
-// Logger returns the router's structured logger (drained over /logz).
-// Never nil.
-func (r *Router) Logger() *tlog.Logger { return r.log }
 
 // Ready reports whether the router can serve: at least one live shard.
 func (r *Router) Ready() bool {

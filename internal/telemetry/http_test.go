@@ -10,7 +10,7 @@ import (
 )
 
 func TestTraceHandler(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 64})
+	tr := newTracer(1, 64)
 	h := TraceHandler(tr)
 
 	// Enable via POST.
@@ -60,13 +60,20 @@ func TestTraceHandler(t *testing.T) {
 
 func TestServePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("esthera_demo_total", "demo").Add(2)
+	reg.NewHistogram("esthera_demo_seconds", "demo latency", []float64{0.01, 0.1}).Observe(0.05)
+	reg.RegisterCollector(func(e *Emitter) { e.Counter("esthera_demo_total", "demo", 2) })
 	rec := httptest.NewRecorder()
 	reg.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != PrometheusContentType {
 		t.Fatalf("content type = %q", ct)
 	}
-	if err := LintPrometheus(rec.Body); err != nil {
+	text := rec.Body.String()
+	for _, want := range []string{"esthera_demo_total 2", `esthera_demo_seconds_bucket{le="0.1"} 1`} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q in:\n%s", want, text)
+		}
+	}
+	if err := LintPrometheus(strings.NewReader(text)); err != nil {
 		t.Fatalf("lint: %v", err)
 	}
 }

@@ -1,437 +1,200 @@
-// Package log is the serving stack's structured logger: leveled,
-// ring-buffered JSON lines with trace/session/shard correlation
-// fields. It follows the telemetry package's discipline — a disabled
-// call site costs one atomic load and zero allocations, so loggers can
-// sit on request paths — while keeping the dependency footprint at
-// stdlib only.
-//
-// Records land in a fixed-capacity ring drained on demand (the /logz
-// endpoint), so a quiet process holds no log I/O at all; an optional
-// sink additionally mirrors records at or above a level to a writer
-// (stderr in the binaries) as they happen.
-//
-// Import as tlog to avoid shadowing the stdlib log package:
-//
-//	tlog "esthera/internal/telemetry/log"
+// Package log (imported as tlog) is the serving stack's log/slog.Handler:
+// it keeps the newest records in a fixed ring, drained as JSON lines
+// over /logz, and mirrors warn-and-above records to an optional sink
+// (stderr in the binaries). A LogAttrs call below the enabled level
+// allocates nothing unless it builds a Trace attribute.
 package log
 
 import (
-	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
+	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"esthera/internal/telemetry"
 )
 
-// Level orders log severities. The zero value is Info, so a zero
-// Config logs at the conventional default.
-type Level int32
+const ringCap = 2048 // records kept; older ones are overwritten and counted as dropped
 
-const (
-	LevelDebug Level = -1
-	LevelInfo  Level = 0
-	LevelWarn  Level = 1
-	LevelError Level = 2
-	// LevelOff is above every severity; setting it silences the logger.
-	LevelOff Level = 3
-)
+const levelOff = slog.Level(math.MaxInt32) // above every record's level: silences the log
 
-// String renders the level the way the JSON schema spells it.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	case LevelOff:
-		return "off"
+// Handler is the slog.Handler behind /logz; its ServeHTTP serves /logz.
+// Handlers derived by WithAttrs and WithGroup share the ring and level.
+type Handler struct {
+	*ring
+	frames []slog.Attr // one group per WithAttrs (key "") or WithGroup call
+}
+
+type ring struct {
+	level   slog.LevelVar
+	opts    slog.HandlerOptions
+	sink    slog.Handler // JSON onto the sink; nil without one
+	mu      sync.Mutex
+	recs    []slog.Record // ringCap records, allocated by New
+	n       int           // records handled since the last drain
+	dropped int64         // records overwritten before earlier drains
+}
+
+// New builds the handler for process proc. It records at level and
+// above, and mirrors warn-and-above records to sink when it is non-nil.
+func New(proc string, level slog.Level, sink io.Writer) *Handler {
+	r := &ring{recs: make([]slog.Record, ringCap), opts: slog.HandlerOptions{ReplaceAttr: schema(proc)}}
+	r.level.Set(level)
+	if sink != nil {
+		r.sink = slog.NewJSONHandler(sink, &r.opts)
 	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
+	return &Handler{ring: r}
 }
 
-// ParseLevel parses the String spelling.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	case "off":
-		return LevelOff, nil
-	}
-	return LevelInfo, fmt.Errorf("log: unknown level %q (debug, info, warn, error, off)", s)
-}
-
-// Field kinds. Fields are plain values (no interface boxing) so
-// building them below the enabled level allocates nothing.
-const (
-	kindStr = iota
-	kindInt
-	kindUint
-	kindBool
-	kindDur
-	kindTrace
-)
-
-// Field is one key/value attached to a record.
-type Field struct {
-	Key  string
-	kind uint8
-	str  string
-	num  int64
-	tc   telemetry.TraceContext
-}
-
-// Str is a string field.
+// Enabled reports whether records at lv are kept: one atomic load.
 //
 //esthera:hotpath noalloc
-func Str(k, v string) Field { return Field{Key: k, kind: kindStr, str: v} }
-
-// Int is an integer field.
-//
-//esthera:hotpath noalloc
-func Int(k string, v int64) Field { return Field{Key: k, kind: kindInt, num: v} }
-
-// Uint is an unsigned integer field.
-//
-//esthera:hotpath noalloc
-func Uint(k string, v uint64) Field { return Field{Key: k, kind: kindUint, num: int64(v)} }
-
-// Bool is a boolean field.
-//
-//esthera:hotpath noalloc
-func Bool(k string, v bool) Field {
-	f := Field{Key: k, kind: kindBool}
-	if v {
-		f.num = 1
-	}
-	return f
+func (h *Handler) Enabled(_ context.Context, lv slog.Level) bool {
+	return lv >= h.level.Level()
 }
 
-// Dur is a duration field, rendered in nanoseconds as <key>_ns.
-//
-//esthera:hotpath noalloc
-func Dur(k string, d time.Duration) Field { return Field{Key: k, kind: kindDur, num: int64(d)} }
-
-// Trace correlates the record with a distributed trace: it expands to
-// "trace" and "span" keys in the JSON line.
-//
-//esthera:hotpath noalloc
-func Trace(tc telemetry.TraceContext) Field { return Field{Key: "trace", kind: kindTrace, tc: tc} }
-
-// maxFields caps per-record fields (scope plus call site); extras are
-// dropped rather than allocated for.
-const maxFields = 10
-
-// Entry is one buffered record.
-type Entry struct {
-	TimeUnixNano int64
-	Level        Level
-	Msg          string
-	N            int
-	Fields       [maxFields]Field
-}
-
-// Config shapes a Logger.
-type Config struct {
-	// Level is the minimum severity recorded. Zero means Info.
-	Level Level
-	// Cap is the ring capacity in records; 0 means 2048.
-	Cap int
-	// Process is stamped on every drained JSON line.
-	Process string
-	// Sink, when non-nil, receives the JSON line of every record at or
-	// above SinkLevel as it is logged (the binaries pass stderr).
-	Sink io.Writer
-	// SinkLevel defaults to Warn.
-	SinkLevel Level
-}
-
-// core is the ring shared by a logger and its With-derived children.
-type core struct {
-	mu        sync.Mutex
-	buf       []Entry
-	head      int
-	dropped   int64
-	process   string
-	sink      io.Writer
-	sinkLevel Level
-	level     atomic.Int32
-}
-
-// Logger records structured entries. A nil *Logger is valid and
-// discards everything, so call sites can hold one unconditionally.
-type Logger struct {
-	c     *core
-	scope []Field
-}
-
-// New builds a Logger.
-func New(cfg Config) *Logger {
-	capN := cfg.Cap
-	if capN <= 0 {
-		capN = 2048
+// Handle stores rec in the ring, overwriting the oldest record when
+// full, and mirrors it to the sink at warn and above.
+func (h *Handler) Handle(ctx context.Context, rec slog.Record) error {
+	if len(h.frames) > 0 {
+		rec = h.scoped(rec)
 	}
-	sinkLv := cfg.SinkLevel
-	if sinkLv == 0 {
-		sinkLv = LevelWarn
-	}
-	c := &core{
-		buf:       make([]Entry, 0, capN),
-		process:   cfg.Process,
-		sink:      cfg.Sink,
-		sinkLevel: sinkLv,
-	}
-	c.level.Store(int32(cfg.Level))
-	return &Logger{c: c}
-}
-
-// With returns a child logger whose records carry the given fields in
-// addition to its parent's. The child shares the parent's ring and
-// level.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
-	}
-	scope := make([]Field, 0, len(l.scope)+len(fields))
-	scope = append(scope, l.scope...)
-	scope = append(scope, fields...)
-	return &Logger{c: l.c, scope: scope}
-}
-
-// SetLevel changes the minimum recorded severity for this logger and
-// everything sharing its ring.
-func (l *Logger) SetLevel(v Level) {
-	if l != nil {
-		l.c.level.Store(int32(v))
-	}
-}
-
-// Level returns the current minimum severity (Off for a nil logger).
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelOff
-	}
-	return Level(l.c.level.Load())
-}
-
-// Enabled reports whether records at lv would be kept. One atomic
-// load; false for a nil logger.
-//
-//esthera:hotpath noalloc
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= Level(l.c.level.Load())
-}
-
-// Debug records at debug level. Below the enabled level the call
-// allocates nothing.
-//
-//esthera:hotpath noalloc
-func (l *Logger) Debug(msg string, fields ...Field) {
-	if l.Enabled(LevelDebug) {
-		l.write(LevelDebug, msg, fields)
-	}
-}
-
-// Info records at info level.
-//
-//esthera:hotpath noalloc
-func (l *Logger) Info(msg string, fields ...Field) {
-	if l.Enabled(LevelInfo) {
-		l.write(LevelInfo, msg, fields)
-	}
-}
-
-// Warn records at warn level.
-//
-//esthera:hotpath noalloc
-func (l *Logger) Warn(msg string, fields ...Field) {
-	if l.Enabled(LevelWarn) {
-		l.write(LevelWarn, msg, fields)
-	}
-}
-
-// Error records at error level.
-//
-//esthera:hotpath noalloc
-func (l *Logger) Error(msg string, fields ...Field) {
-	if l.Enabled(LevelError) {
-		l.write(LevelError, msg, fields)
-	}
-}
-
-// write copies the record into the ring (and mirrors it to the sink
-// when configured). Fields are copied by value; the variadic slice
-// never escapes, which is what keeps disabled call sites
-// allocation-free.
-func (l *Logger) write(lv Level, msg string, fields []Field) {
-	e := Entry{TimeUnixNano: time.Now().UnixNano(), Level: lv, Msg: msg}
-	for _, f := range l.scope {
-		if e.N == maxFields {
-			break
-		}
-		e.Fields[e.N] = f
-		e.N++
-	}
-	for _, f := range fields {
-		if e.N == maxFields {
-			break
-		}
-		e.Fields[e.N] = f
-		e.N++
-	}
-	c := l.c
-	c.mu.Lock()
-	if len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, e)
-	} else {
-		c.buf[c.head] = e
-		c.head++
-		if c.head == cap(c.buf) {
-			c.head = 0
-		}
-		c.dropped++
-	}
-	if c.sink != nil && lv >= c.sinkLevel {
-		var line bytes.Buffer
-		appendJSONLine(&line, c.process, &e)
-		c.sink.Write(line.Bytes())
-	}
-	c.mu.Unlock()
-}
-
-// Drain removes and returns the buffered records in order.
-func (l *Logger) Drain() []Entry {
-	if l == nil {
-		return nil
-	}
-	c := l.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, 0, len(c.buf))
-	out = append(out, c.buf[c.head:]...)
-	out = append(out, c.buf[:c.head]...)
-	c.buf = c.buf[:0]
-	c.head = 0
-	return out
-}
-
-// Dropped is the cumulative count of records overwritten because the
-// ring was full.
-func (l *Logger) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.c.mu.Lock()
-	defer l.c.mu.Unlock()
-	return l.c.dropped
-}
-
-// Process returns the configured process name.
-func (l *Logger) Process() string {
-	if l == nil {
-		return ""
-	}
-	return l.c.process
-}
-
-// WriteJSONLines renders entries as one JSON object per line:
-//
-//	{"ts":"...","level":"info","proc":"r1","msg":"...","session":"s-1",...}
-func WriteJSONLines(w io.Writer, process string, entries []Entry) error {
-	var buf bytes.Buffer
-	for i := range entries {
-		buf.Reset()
-		appendJSONLine(&buf, process, &entries[i])
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
+	h.mu.Lock()
+	h.recs[h.n%ringCap] = rec.Clone()
+	h.n++
+	h.mu.Unlock()
+	if h.sink != nil && rec.Level >= slog.LevelWarn {
+		return h.sink.Handle(ctx, rec)
 	}
 	return nil
 }
 
-func appendJSONLine(buf *bytes.Buffer, process string, e *Entry) {
-	buf.WriteString(`{"ts":"`)
-	buf.WriteString(time.Unix(0, e.TimeUnixNano).UTC().Format(time.RFC3339Nano))
-	buf.WriteString(`","level":"`)
-	buf.WriteString(e.Level.String())
-	buf.WriteByte('"')
-	if process != "" {
-		buf.WriteString(`,"proc":`)
-		appendJSONString(buf, process)
-	}
-	buf.WriteString(`,"msg":`)
-	appendJSONString(buf, e.Msg)
-	for i := 0; i < e.N; i++ {
-		f := &e.Fields[i]
-		switch f.kind {
-		case kindTrace:
-			buf.WriteString(`,"trace":"`)
-			buf.WriteString(f.tc.Trace.String())
-			buf.WriteString(`","span":"`)
-			buf.WriteString(strconv.FormatUint(f.tc.Span, 16))
-			buf.WriteByte('"')
-			continue
-		case kindDur:
-			buf.WriteByte(',')
-			appendJSONString(buf, f.Key+"_ns")
-		default:
-			buf.WriteByte(',')
-			appendJSONString(buf, f.Key)
-		}
-		buf.WriteByte(':')
-		switch f.kind {
-		case kindStr:
-			appendJSONString(buf, f.str)
-		case kindInt, kindDur:
-			buf.WriteString(strconv.FormatInt(f.num, 10))
-		case kindUint:
-			buf.WriteString(strconv.FormatUint(uint64(f.num), 10))
-		case kindBool:
-			if f.num != 0 {
-				buf.WriteString("true")
-			} else {
-				buf.WriteString("false")
-			}
-		}
-	}
-	buf.WriteString("}\n")
+// WithAttrs returns a handler whose records carry as.
+func (h *Handler) WithAttrs(as []slog.Attr) slog.Handler { return h.with("", as) }
+
+// WithGroup returns a handler that nests later attributes under name.
+func (h *Handler) WithGroup(name string) slog.Handler { return h.with(name, nil) }
+
+func (h *Handler) with(group string, as []slog.Attr) *Handler {
+	f := slog.Attr{Key: group, Value: slog.GroupValue(as...)}
+	return &Handler{ring: h.ring, frames: append(slices.Clip(h.frames), f)}
 }
 
-// appendJSONString writes a quoted, escaped JSON string.
-func appendJSONString(buf *bytes.Buffer, s string) {
-	buf.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			buf.WriteString(`\"`)
-		case '\\':
-			buf.WriteString(`\\`)
-		case '\n':
-			buf.WriteString(`\n`)
-		case '\r':
-			buf.WriteString(`\r`)
-		case '\t':
-			buf.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(buf, `\u%04x`, r)
-			} else {
-				buf.WriteRune(r)
+// scoped copies rec with its attributes nested inside h's frames.
+func (h *Handler) scoped(rec slog.Record) slog.Record {
+	var attrs []slog.Attr
+	rec.Attrs(func(a slog.Attr) bool { attrs = append(attrs, a); return true })
+	for i := len(h.frames) - 1; i >= 0; i-- {
+		f := h.frames[i]
+		attrs = []slog.Attr{{Key: f.Key, Value: slog.GroupValue(append(slices.Clip(f.Value.Group()), attrs...)...)}}
+	}
+	out := slog.NewRecord(rec.Time, rec.Level, rec.Message, rec.PC)
+	out.AddAttrs(attrs...)
+	return out
+}
+
+// ServeHTTP is the /logz endpoint: GET drains the ring as JSON lines
+// (the X-Esthera-Log-Dropped header counts records overwritten so far);
+// POST with {"level":"debug"} retunes the minimum level at runtime.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	switch req.Method {
+	case http.MethodGet:
+		h.mu.Lock()
+		k := h.n % ringCap // the oldest record's slot once the ring has wrapped
+		recs := append(slices.Clone(h.recs[k:min(h.n, ringCap)]), h.recs[:k]...)
+		h.dropped += int64(h.n - len(recs))
+		w.Header().Set("X-Esthera-Log-Dropped", strconv.FormatInt(h.dropped, 10))
+		clear(h.recs)
+		h.n = 0
+		h.mu.Unlock()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		out := slog.NewJSONHandler(w, &h.opts)
+		for _, rec := range recs {
+			if out.Handle(req.Context(), rec) != nil {
+				return
 			}
 		}
+	case http.MethodPost:
+		var body struct {
+			Level string `json:"level"`
+		}
+		dec := json.NewDecoder(http.MaxBytesReader(nil, req.Body, 1<<16))
+		dec.DisallowUnknownFields()
+		var lv slog.Level
+		err := dec.Decode(&body)
+		if err == nil {
+			lv, err = ParseLevel(body.Level)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		h.level.Set(lv)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"level":"` + levelName(lv) + `"}` + "\n"))
+	default:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
-	buf.WriteByte('"')
+}
+
+// schema is the JSON handler's ReplaceAttr: {"ts":RFC3339Nano UTC,
+// "level":"info","proc":proc,"msg":...} plus attributes, durations as <key>_ns.
+func schema(proc string) func([]string, slog.Attr) slog.Attr {
+	return func(groups []string, a slog.Attr) slog.Attr {
+		v := a.Value
+		switch {
+		case v.Kind() == slog.KindDuration:
+			a.Key += "_ns"
+		case len(groups) > 0: // ts, level and msg are top-level keys only
+		case a.Key == slog.TimeKey && v.Kind() == slog.KindTime:
+			a = slog.Time("ts", v.Time().UTC())
+		case a.Key == slog.LevelKey && v.Kind() == slog.KindAny:
+			if lv, ok := v.Any().(slog.Level); ok {
+				a = slog.String(slog.LevelKey, levelName(lv))
+				if proc != "" {
+					// An empty-key group renders inline: proc follows level.
+					a = slog.Attr{Value: slog.GroupValue(a, slog.String("proc", proc))}
+				}
+			}
+		}
+		return a
+	}
+}
+
+var levels = map[string]slog.Level{
+	"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
+	"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError, "off": levelOff,
+}
+
+// ParseLevel parses debug, info (or ""), warn (or warning), error or off.
+func ParseLevel(s string) (slog.Level, error) {
+	if lv, ok := levels[s]; ok {
+		return lv, nil
+	}
+	return slog.LevelInfo, fmt.Errorf("log: unknown level %q (debug, info, warn, error, off)", s)
+}
+
+// levelName spells lv the way ParseLevel reads it.
+func levelName(lv slog.Level) string {
+	if lv >= levelOff {
+		return "off"
+	}
+	return strings.ToLower(lv.String())
+}
+
+// Trace correlates a record with a distributed trace: it renders as
+// "trace" and "span" hex keys. Building it boxes tc (one allocation).
+func Trace(tc telemetry.TraceContext) slog.Attr { return slog.Any("", traceValue(tc)) }
+
+type traceValue telemetry.TraceContext
+
+func (t traceValue) LogValue() slog.Value {
+	return slog.GroupValue(slog.String("trace", t.Trace.String()), slog.String("span", strconv.FormatUint(t.Span, 16)))
 }

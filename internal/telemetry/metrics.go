@@ -6,16 +6,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Metrics registry: the one metrics model behind every /metrics
-// endpoint. Long-lived counters, gauges and histograms are owned by the
-// registry; snapshot-style sources (serve Stats, router Stats, cluster
+// endpoint. Long-lived histograms are owned by the registry;
+// snapshot-style sources (serve Stats, router Stats, cluster
 // HealthSnapshot, device Profiler stats) plug in as Collectors that
 // render the one in-process snapshot their source builds at gather
-// time. Gather produces one merged, sorted family list, and the
-// Prometheus text exposition (prom.go) is its only wire format.
+// time, counters and gauges included. Gather produces one merged,
+// sorted family list, and the Prometheus text exposition (prom.go) is
+// its only wire format.
 
 // Metric family types, matching Prometheus exposition TYPE values.
 const (
@@ -23,31 +23,6 @@ const (
 	TypeGauge     = "gauge"
 	TypeHistogram = "histogram"
 )
-
-// Counter is a monotonically increasing integer metric.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increases the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable float metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into explicit buckets. Bounds are the
 // inclusive upper edges of the finite buckets; an implicit +Inf bucket
@@ -143,7 +118,7 @@ type Family struct {
 // instruments.
 type Collector func(e *Emitter)
 
-// Registry holds owned instruments and gather-time collectors.
+// Registry holds owned histograms and gather-time collectors.
 type Registry struct {
 	mu         sync.Mutex
 	owned      []*ownedFamily
@@ -153,9 +128,6 @@ type Registry struct {
 
 type ownedFamily struct {
 	name, help string
-	typ        string
-	counter    *Counter
-	gauge      *Gauge
 	hist       *Histogram
 }
 
@@ -164,42 +136,16 @@ func NewRegistry() *Registry {
 	return &Registry{ownedByKey: make(map[string]*ownedFamily)}
 }
 
-// NewCounter registers and returns an owned counter. Registering the
-// same name twice returns the original instrument.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.ownedByKey[name]; ok {
-		return f.counter
-	}
-	f := &ownedFamily{name: name, help: help, typ: TypeCounter, counter: &Counter{}}
-	r.owned = append(r.owned, f)
-	r.ownedByKey[name] = f
-	return f.counter
-}
-
-// NewGauge registers and returns an owned gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.ownedByKey[name]; ok {
-		return f.gauge
-	}
-	f := &ownedFamily{name: name, help: help, typ: TypeGauge, gauge: &Gauge{}}
-	r.owned = append(r.owned, f)
-	r.ownedByKey[name] = f
-	return f.gauge
-}
-
 // NewHistogram registers and returns an owned histogram with the given
-// finite bucket bounds.
+// finite bucket bounds. Registering the same name twice returns the
+// original instrument.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.ownedByKey[name]; ok {
 		return f.hist
 	}
-	f := &ownedFamily{name: name, help: help, typ: TypeHistogram, hist: NewHistogram(bounds)}
+	f := &ownedFamily{name: name, help: help, hist: NewHistogram(bounds)}
 	r.owned = append(r.owned, f)
 	r.ownedByKey[name] = f
 	return f.hist
@@ -264,7 +210,7 @@ func (e *Emitter) Histogram(name, help string, s Sample, labels ...string) {
 	f.Samples = append(f.Samples, s)
 }
 
-// Gather snapshots every owned instrument, runs every collector, and
+// Gather snapshots every owned histogram, runs every collector, and
 // returns the merged families sorted by name.
 func (r *Registry) Gather() []Family {
 	r.mu.Lock()
@@ -276,14 +222,7 @@ func (r *Registry) Gather() []Family {
 
 	e := &Emitter{idx: make(map[string]int)}
 	for _, f := range owned {
-		switch f.typ {
-		case TypeCounter:
-			e.Counter(f.name, f.help, float64(f.counter.Value()))
-		case TypeGauge:
-			e.Gauge(f.name, f.help, f.gauge.Value())
-		case TypeHistogram:
-			e.Histogram(f.name, f.help, f.hist.Snapshot())
-		}
+		e.Histogram(f.name, f.help, f.hist.Snapshot())
 	}
 	for _, c := range collectors {
 		c(e)

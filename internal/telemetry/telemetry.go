@@ -70,19 +70,6 @@ func (e *Event) SetArg(name string, v int64) {
 	}
 }
 
-// Config shapes a Tracer.
-type Config struct {
-	// Shards is the number of independent ring buffers; contention-free
-	// recording wants roughly one per recording goroutine. 0 means the
-	// next power of two at or above GOMAXPROCS. Non-power-of-two values
-	// are rounded up.
-	Shards int
-	// ShardCap is the event capacity of each ring; when a ring is full
-	// the oldest event is overwritten and Dropped is incremented.
-	// 0 means 4096.
-	ShardCap int
-}
-
 type shard struct {
 	mu      sync.Mutex
 	id      int32 // 1-based track id stamped on events recorded here
@@ -109,20 +96,19 @@ type Tracer struct {
 	shards  []shard
 }
 
-// New builds a Tracer. The tracer starts disabled; flip it with
-// SetEnabled.
-func New(cfg Config) *Tracer {
-	n := cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
+// New builds a Tracer with one ring per P (the next power of two at or
+// above GOMAXPROCS, so contention-free recording gets roughly one per
+// recording goroutine) of 4096 events each; a full ring overwrites its
+// oldest event and counts it in Dropped. The tracer starts disabled;
+// flip it with SetEnabled.
+func New() *Tracer { return newTracer(runtime.GOMAXPROCS(0), 4096) }
+
+// newTracer builds a Tracer with n rings (rounded up to a power of two)
+// of capEv events each.
+func newTracer(n, capEv int) *Tracer {
 	pow := 1
 	for pow < n {
 		pow <<= 1
-	}
-	capEv := cfg.ShardCap
-	if capEv <= 0 {
-		capEv = 4096
 	}
 	t := &Tracer{epoch: time.Now(), mask: uint32(pow - 1), shards: make([]shard, pow)}
 	for i := range t.shards {

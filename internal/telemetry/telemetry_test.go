@@ -11,7 +11,7 @@ import (
 )
 
 func TestDisabledTracerZeroAlloc(t *testing.T) {
-	tr := New(Config{Shards: 2, ShardCap: 16})
+	tr := newTracer(2, 16)
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.Begin("cat", "name").Arg("k", 1).Arg("n", 2)
 		sp.End()
@@ -36,7 +36,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 }
 
 func TestTracerRecordsAndDrains(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 64})
+	tr := newTracer(1, 64)
 	tr.SetEnabled(true)
 	sp := tr.Begin("filter", "round").Arg("k", 7)
 	time.Sleep(time.Millisecond)
@@ -67,7 +67,7 @@ func TestTracerRecordsAndDrains(t *testing.T) {
 }
 
 func TestTracerRingOverflow(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 4})
+	tr := newTracer(1, 4)
 	tr.SetEnabled(true)
 	for i := 0; i < 10; i++ {
 		tr.Record(Event{Name: "e", TS: time.Duration(i)})
@@ -88,7 +88,7 @@ func TestTracerRingOverflow(t *testing.T) {
 }
 
 func TestTracerConcurrentRecord(t *testing.T) {
-	tr := New(Config{Shards: 4, ShardCap: 1024})
+	tr := newTracer(4, 1024)
 	tr.SetEnabled(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -109,7 +109,7 @@ func TestTracerConcurrentRecord(t *testing.T) {
 }
 
 func TestRecordBatchSharesTrack(t *testing.T) {
-	tr := New(Config{Shards: 4, ShardCap: 64})
+	tr := newTracer(4, 64)
 	tr.SetEnabled(true)
 	tr.RecordBatch([]Event{
 		{Name: "fused", Cat: "device", TS: 0, Dur: 30},
@@ -198,15 +198,15 @@ func TestSummarizeAndTop(t *testing.T) {
 
 func TestRegistryGatherAndPrometheus(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("esthera_test_ops_total", "ops so far")
-	g := reg.NewGauge("esthera_test_depth", "queue depth")
 	h := reg.NewHistogram("esthera_test_latency_seconds", "latency", []float64{0.001, 0.01, 0.1})
-	c.Add(3)
-	g.Set(7.5)
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(5)
+	// Counters and gauges are collector samples, rendered from the
+	// source's own state at gather time.
 	reg.RegisterCollector(func(e *Emitter) {
+		e.Counter("esthera_test_ops_total", "ops so far", 3)
+		e.Gauge("esthera_test_depth", "queue depth", 7.5)
 		e.Gauge("esthera_test_ess", "per-session ess", 42.5, "session", "s-1")
 		e.Gauge("esthera_test_ess", "per-session ess", 17.25, "session", "s-2")
 	})

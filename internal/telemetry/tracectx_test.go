@@ -137,7 +137,7 @@ func TestContextCarriesTrace(t *testing.T) {
 }
 
 func TestAmbientStampsRecordedEvents(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 16})
+	tr := newTracer(1, 16)
 	tr.SetEnabled(true)
 	tc := TraceContext{Trace: NewTraceID(), Span: 42}
 	tr.SetAmbient(tc)
@@ -167,7 +167,7 @@ func TestAmbientStampsRecordedEvents(t *testing.T) {
 }
 
 func TestSpanWithTraceChromeRoundTrip(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 16})
+	tr := newTracer(1, 16)
 	tr.SetEnabled(true)
 	tc := TraceContext{Trace: NewTraceID(), Span: NewSpanID()}
 	child := NewSpanID()
@@ -196,7 +196,7 @@ func TestSpanWithTraceChromeRoundTrip(t *testing.T) {
 }
 
 func TestRawTraceMetaRoundTrip(t *testing.T) {
-	tr := New(Config{Shards: 1, ShardCap: 4})
+	tr := newTracer(1, 4)
 	tr.SetProcess("r1")
 	tr.SetEnabled(true)
 	tr.Record(Event{Name: "e", TS: 5})

@@ -20,8 +20,9 @@ go vet ./...
 go run ./cmd/esthera-vet -list
 # -require makes the sweep fail loudly if a module-path change ever
 # silently drops a load-bearing package from ./... coverage: telemetry
-# and telemetry/log (leaf packages every hot path calls into, both under
-# the noalloc ratchet for their disabled-path helpers), shard (framed
+# (the leaf package every hot path calls into, under the noalloc ratchet
+# for its disabled-path helpers) and telemetry/log (the slog ring
+# handler, whose Enabled level gate is under the same ratchet), shard (framed
 # wire structs under checkpointcompat), the //esthera:hotpath-annotated
 # numeric core (kernels/sortnet/scan/rng/model under noalloc+bce, model
 # under draworder), and serve (lockorder).
