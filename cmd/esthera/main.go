@@ -68,9 +68,9 @@ func runTrack(args []string, stdout io.Writer) error {
 		filterName = fs.String("filter", "parallel", "filter: parallel, sequential, centralized, gaussian, ekf, ukf")
 		subFilters = fs.Int("subfilters", 120, "sub-filter count N")
 		mPer       = fs.Int("m", 128, "particles per sub-filter")
-		scheme     = fs.String("scheme", "ring", "exchange scheme: ring, torus, all-to-all, hypercube, none")
+		scheme     = fs.String("scheme", "ring", "exchange scheme: ring, torus, all-to-all, none")
 		tCount     = fs.Int("t", 1, "particles exchanged per neighbor")
-		resampler  = fs.String("resampler", "rws", "resampler: rws, vose (sequential also: systematic, stratified, multinomial, residual)")
+		resampler  = fs.String("resampler", "rws", "resampler: rws, vose, systematic")
 		policy     = fs.String("policy", "always", "resampling policy: always, ess, random, never")
 		estimator  = fs.String("estimator", "max-weight", "estimate operator: max-weight, weighted-mean")
 		particles  = fs.Int("particles", 4096, "total particles (centralized/gaussian)")

@@ -93,6 +93,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"unknown experiment", []string{"run", "fig99"}},
 		{"out under a regular file", []string{"run", "-out", filepath.Join(file, "report"), "table3"}},
 		{"track unknown model", []string{"track", "-model", "bogus"}},
+		{"track retired scheme", []string{"track", "-model", "ungm", "-scheme", "hypercube", "-steps", "1"}},
+		{"track retired sequential resampler", []string{"track", "-model", "ungm", "-filter", "sequential", "-resampler", "multinomial", "-steps", "1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,9 +6,7 @@ import (
 	"esthera/internal/cluster"
 	"esthera/internal/control"
 	"esthera/internal/device"
-	"esthera/internal/exchange"
 	"esthera/internal/filter"
-	"esthera/internal/kernels"
 	"esthera/internal/metrics"
 	"esthera/internal/model"
 	"esthera/internal/model/arm"
@@ -39,8 +37,8 @@ type Config struct {
 	SubFilters int
 	// ParticlesPerSubFilter is the sub-filter size m.
 	ParticlesPerSubFilter int
-	// ExchangeScheme is "ring" (default), "torus", "all-to-all",
-	// "hypercube" or "none".
+	// ExchangeScheme is "ring" (default), "torus", "all-to-all" or
+	// "none".
 	ExchangeScheme string
 	// ExchangeCount is t, the particles sent per neighbor pair.
 	ExchangeCount int
@@ -49,9 +47,6 @@ type Config struct {
 	// Policy is "always" (default), "never", "ess" / "ess:<frac>" or
 	// "random" / "random:<p>".
 	Policy string
-	// Streams selects the per-sub-filter PRNG: "philox" (default) or
-	// "mtgp".
-	Streams string
 	// Estimator is "max-weight" (default, the paper's operator) or
 	// "weighted-mean".
 	Estimator string
@@ -78,104 +73,57 @@ func DefaultConfig() Config {
 }
 
 // Validate checks every name-typed field of the configuration against
-// its registry — ExchangeScheme, Resampler, Policy, Streams and
-// Estimator — and returns a descriptive error naming the offending value
-// on the first mismatch. Zero values are valid (they select defaults).
-// NewFilter validates implicitly; call Validate directly to check
-// user-supplied configuration (flags, request bodies) before building
-// anything.
+// its registry — ExchangeScheme, Resampler, Policy and Estimator — and
+// returns a descriptive error naming the offending value on the first
+// mismatch. Zero values are valid (they select defaults). NewFilter and
+// NewSequentialFilter validate implicitly; call Validate directly to
+// check user-supplied configuration (flags, request bodies) before
+// building anything.
 func (cfg Config) Validate() error {
-	if _, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring")); err != nil {
-		return err
-	}
-	if _, err := kernels.AlgoByName(cfg.Resampler); err != nil {
-		return err
-	}
-	if _, err := resample.PolicyByName(cfg.Policy); err != nil {
-		return err
-	}
-	if _, err := filter.EstimatorByName(cfg.Estimator); err != nil {
-		return err
-	}
-	return checkStreams(cfg.Streams)
+	_, err := cfg.parallel()
+	return err
 }
 
-func checkStreams(name string) error {
-	switch name {
-	case "", "philox", "mtgp":
-		return nil
-	}
-	return fmt.Errorf("esthera: unknown streams %q (philox, mtgp)", name)
+// parallel parses the configuration's names, once, into the device
+// filter's configuration.
+func (cfg Config) parallel() (filter.ParallelConfig, error) {
+	pc, err := filter.ParseParallelConfig(cfg.ExchangeScheme, cfg.Resampler, cfg.Policy, cfg.Estimator)
+	pc.SubFilters, pc.ParticlesPer, pc.ExchangeCount = cfg.SubFilters, cfg.ParticlesPerSubFilter, cfg.ExchangeCount
+	return pc, err
 }
 
 // NewFilter builds the paper's distributed particle filter over the
 // many-core device substrate for the given model and configuration.
 func NewFilter(m Model, cfg Config) (Filter, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	scheme, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring"))
-	if err != nil {
-		return nil, err
-	}
-	algo, err := kernels.AlgoByName(cfg.Resampler)
-	if err != nil {
-		return nil, err
-	}
-	policy, err := resample.PolicyByName(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	est, err := filter.EstimatorByName(cfg.Estimator)
+	pc, err := cfg.parallel()
 	if err != nil {
 		return nil, err
 	}
 	dev := device.New(device.Config{Workers: cfg.Workers, LocalMemBytes: -1})
-	return filter.NewParallel(dev, m, filter.ParallelConfig{
-		SubFilters:    cfg.SubFilters,
-		ParticlesPer:  cfg.ParticlesPerSubFilter,
-		Scheme:        scheme,
-		ExchangeCount: cfg.ExchangeCount,
-		Resampler:     algo,
-		Policy:        policy,
-		Streams:       cfg.Streams,
-		Estimator:     est,
-	}, cfg.Seed)
+	return filter.NewParallel(dev, m, pc, cfg.Seed)
 }
 
 // NewSequentialFilter builds the sequential reference implementation of
 // the same distributed algorithm (useful for validation and platforms
-// where goroutine parallelism is undesirable).
+// where goroutine parallelism is undesirable). It accepts exactly the
+// names NewFilter does and runs the host resampler of the same name.
 func NewSequentialFilter(m Model, cfg Config) (Filter, error) {
-	// The sequential filter draws from one stream family whatever the
-	// name, but an unknown name is an error here as everywhere else.
-	if err := checkStreams(cfg.Streams); err != nil {
-		return nil, err
-	}
-	scheme, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring"))
+	pc, err := cfg.parallel()
 	if err != nil {
 		return nil, err
 	}
-	rs, err := resample.ByName(orDefault(cfg.Resampler, "rws"))
-	if err != nil {
-		return nil, err
-	}
-	policy, err := resample.PolicyByName(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	est, err := filter.EstimatorByName(cfg.Estimator)
+	rs, err := resample.ByName(pc.Resampler.String())
 	if err != nil {
 		return nil, err
 	}
 	return filter.NewDistributed(m, filter.DistributedConfig{
-		SubFilters:    cfg.SubFilters,
-		ParticlesPer:  cfg.ParticlesPerSubFilter,
-		Scheme:        scheme,
-		ExchangeCount: cfg.ExchangeCount,
+		SubFilters:    pc.SubFilters,
+		ParticlesPer:  pc.ParticlesPer,
+		Scheme:        pc.Scheme,
+		ExchangeCount: pc.ExchangeCount,
 		Resampler:     rs,
-		Policy:        policy,
-		Estimator:     est,
+		Policy:        pc.Policy,
+		Estimator:     pc.Estimator,
 	}, cfg.Seed)
 }
 
@@ -348,11 +296,4 @@ func Track(f Filter, sc Scenario, steps int, seed uint64) ([]float64, error) {
 		return nil, fmt.Errorf("esthera: non-positive steps %d", steps)
 	}
 	return metrics.Run(f, sc, steps, seed).Err, nil
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

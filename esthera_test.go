@@ -119,7 +119,6 @@ func TestConfigValidation(t *testing.T) {
 		{SubFilters: 8, ParticlesPerSubFilter: 16, ExchangeScheme: "bogus", ExchangeCount: 1},
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Resampler: "bogus"},
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Policy: "bogus"},
-		{SubFilters: 8, ParticlesPerSubFilter: 16, Streams: "xorshift"},
 		{SubFilters: 0, ParticlesPerSubFilter: 16},
 	}
 	for i, cfg := range bad {
@@ -151,8 +150,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("default config: %v", err)
 	}
 	good := esthera.Config{
-		ExchangeScheme: "hypercube", Resampler: "vose", Policy: "ess",
-		Streams: "mtgp", Estimator: "weighted-mean",
+		ExchangeScheme: "torus", Resampler: "vose", Policy: "ess",
+		Estimator: "weighted-mean",
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid names rejected: %v", err)
@@ -168,7 +167,6 @@ func TestConfigValidate(t *testing.T) {
 		{Resampler: "multinomial"},
 		{Resampler: "metropolis"},
 		{Policy: "sometimes"},
-		{Streams: "xorshift"},
 		{Estimator: "median"},
 	}
 	for i, cfg := range bad {

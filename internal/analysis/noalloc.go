@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // NoallocAnalyzer turns the fused round's 0 allocs/op property from a
@@ -19,6 +20,11 @@ import (
 // Any other allocation (a closure capture, a slice that outlives the
 // frame, fmt boxing) is reported and needs an explicit allow with a
 // rationale.
+//
+// Escape analysis never reports the heap growth of a builtin append
+// (runtime.growslice), so every append in a noalloc function is
+// reported too: an amortized append whose capacity settles after
+// warm-up carries an allow stating why.
 var NoallocAnalyzer = &Analyzer{
 	Name:          "noalloc",
 	Doc:           "functions marked //esthera:hotpath noalloc must show no heap allocations under escape analysis (-gcflags=-m)",
@@ -58,9 +64,25 @@ func runNoalloc(pass *Pass) error {
 				}
 				pass.Reportf(pos, "heap allocation in //esthera:hotpath noalloc function %s: %s", funcDisplayName(fn), finding.Message)
 			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isBuiltin(pass, call.Fun, "append") {
+					pass.Reportf(call.Pos(), "append in //esthera:hotpath noalloc function %s can grow its slice on the heap, which escape analysis does not report", funcDisplayName(fn))
+				}
+				return true
+			})
 		}
 	}
 	return nil
+}
+
+// isBuiltin reports whether fun names the predeclared function name.
+func isBuiltin(pass *Pass, fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 // arenaCallLines returns the source lines of fn's body that call a

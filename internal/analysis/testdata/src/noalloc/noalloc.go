@@ -50,3 +50,22 @@ func Allowed(n int) []int {
 	out := make([]int, n)
 	return out
 }
+
+var sink []int
+
+// Grows appends to a package-level slice. Escape analysis reports
+// nothing for the heap growth, so the append itself is flagged.
+//
+//esthera:hotpath noalloc
+func Grows(v int) {
+	sink = append(sink, v) // want `append in //esthera:hotpath noalloc function Grows`
+}
+
+// AllowedAppend appends into a caller-owned buffer with a reviewed
+// suppression.
+//
+//esthera:hotpath noalloc
+func AllowedAppend(dst []int, v int) []int {
+	//esthera:allow noalloc fixture-sanctioned amortized growth
+	return append(dst, v)
+}

@@ -264,9 +264,9 @@ func TestTorusDegradedMode(t *testing.T) {
 func TestSchemeValidation(t *testing.T) {
 	m, _ := armScenario(t)
 	if _, err := cluster.New(m, cluster.Config{
-		Nodes: 2, SubFiltersPerNode: 4, ParticlesPer: 16, Scheme: exchange.Hypercube,
+		Nodes: 2, SubFiltersPerNode: 4, ParticlesPer: 16, Scheme: exchange.AllToAll,
 	}, 1); err == nil {
-		t.Fatal("hypercube scheme accepted")
+		t.Fatal("all-to-all scheme accepted")
 	}
 	// Torus pulls from 4 directions: 4t must stay below m.
 	if _, err := cluster.New(m, cluster.Config{

@@ -11,8 +11,6 @@
 //   - Ring: sub-filter i exchanges with i±1 (mod N).
 //   - 2D Torus: sub-filters form a rows×cols grid with wraparound;
 //     4 neighbors each. Better for large networks (Fig. 6c).
-//   - Hypercube (an extension beyond the paper): log₂N neighbors,
-//     provided for the connectivity-scaling ablation.
 //
 // Incoming particles replace the receiver's worst-weighted slots, which
 // is why sub-filters sort by weight before exchanging (§VI-C).
@@ -29,15 +27,6 @@ const (
 	AllToAll
 	Ring
 	Torus2D
-	Hypercube
-	// RandomPairs matches sub-filters into fresh random pairs every
-	// round (gossip-style; one of the "various exchange schemes [that]
-	// can be envisioned", §III-A). Degree 1, so the per-round
-	// communication is the lowest of the pairwise schemes, but over time
-	// every pair of sub-filters eventually communicates directly.
-	// Supported by the sequential distributed filter; the device pipeline
-	// uses static topologies.
-	RandomPairs
 )
 
 // String returns the scheme name.
@@ -51,31 +40,18 @@ func (s Scheme) String() string {
 		return "ring"
 	case Torus2D:
 		return "torus"
-	case Hypercube:
-		return "hypercube"
-	case RandomPairs:
-		return "random-pairs"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
-// SchemeByName parses a scheme name.
+// SchemeByName parses a scheme name: exactly the names String returns.
 func SchemeByName(name string) (Scheme, error) {
-	switch name {
-	case "none":
-		return None, nil
-	case "all-to-all", "alltoall", "a2a":
-		return AllToAll, nil
-	case "ring":
-		return Ring, nil
-	case "torus", "torus2d", "2d-torus":
-		return Torus2D, nil
-	case "hypercube", "cube":
-		return Hypercube, nil
-	case "random-pairs", "random", "gossip":
-		return RandomPairs, nil
+	for s := None; s <= Torus2D; s++ {
+		if name == s.String() {
+			return s, nil
+		}
 	}
-	return None, fmt.Errorf("exchange: unknown scheme %q", name)
+	return None, fmt.Errorf("exchange: unknown scheme %q (none, ring, torus, all-to-all)", name)
 }
 
 // Topology is an instantiated exchange graph over n sub-filters.
@@ -88,7 +64,7 @@ type Topology struct {
 // NewTopology builds the topology for scheme over n sub-filters.
 // Torus2D factorizes n into the most-square rows×cols grid (n must not be
 // prime > 3 for a non-degenerate grid, but any n works — a 1×n grid
-// degenerates to a ring). Hypercube requires n to be a power of two.
+// degenerates to a ring).
 func NewTopology(scheme Scheme, n int) (*Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("exchange: non-positive network size %d", n)
@@ -96,9 +72,6 @@ func NewTopology(scheme Scheme, n int) (*Topology, error) {
 	t := &Topology{scheme: scheme, n: n}
 	if scheme == Torus2D {
 		t.rows, t.cols = squarestFactors(n)
-	}
-	if scheme == Hypercube && n&(n-1) != 0 {
-		return nil, fmt.Errorf("exchange: hypercube requires power-of-two size, got %d", n)
 	}
 	return t, nil
 }
@@ -120,9 +93,8 @@ func (t *Topology) Neighbors(dst []int, i int) []int {
 		panic(fmt.Sprintf("exchange: sub-filter %d out of range [0,%d)", i, t.n))
 	}
 	switch t.scheme {
-	case None, AllToAll, RandomPairs:
-		// All-to-All uses the shared pool; RandomPairs derives fresh
-		// pairings per round via Pairing.
+	case None, AllToAll:
+		// All-to-All uses the shared pool.
 		return dst
 	case Ring:
 		if t.n == 1 {
@@ -151,11 +123,6 @@ func (t *Topology) Neighbors(dst []int, i int) []int {
 		dst = add(r, c-1)
 		dst = add(r, c+1)
 		return dst
-	case Hypercube:
-		for b := 1; b < t.n; b <<= 1 {
-			dst = append(dst, i^b)
-		}
-		return dst
 	}
 	return dst
 }
@@ -165,11 +132,6 @@ func (t *Topology) Neighbors(dst []int, i int) []int {
 func (t *Topology) MaxDegree() int {
 	switch t.scheme {
 	case None, AllToAll:
-		return 0
-	case RandomPairs:
-		if t.n > 1 {
-			return 1
-		}
 		return 0
 	case Ring:
 		if t.n <= 2 {
@@ -186,12 +148,6 @@ func (t *Topology) MaxDegree() int {
 			}
 		}
 		return d
-	case Hypercube:
-		d := 0
-		for b := 1; b < t.n; b <<= 1 {
-			d++
-		}
-		return d
 	}
 	return 0
 }
@@ -202,8 +158,8 @@ func (t *Topology) MaxDegree() int {
 // degraded-mode rerouting (see RouteLive): a receiver that cannot pull
 // from its immediate neighbor in a direction keeps walking that
 // direction until it finds a live sender. Schemes without a directional
-// structure (None, AllToAll, RandomPairs, Hypercube) report 0, as does a
-// single-sub-filter network.
+// structure (None, AllToAll) report 0, as does a single-sub-filter
+// network.
 func (t *Topology) Directions() int {
 	if t.n <= 1 {
 		return 0
@@ -266,42 +222,6 @@ func (t *Topology) RouteLive(i, dir int, live func(int) bool) int {
 		}
 	}
 	return -1
-}
-
-// Pairing returns the RandomPairs matching for one round: partner[i] is
-// the sub-filter i exchanges with, or i itself when unmatched (odd n
-// leaves one out per round). The matching is a deterministic function of
-// (seed, round), symmetric (partner[partner[i]] == i), and changes every
-// round.
-func Pairing(n int, seed uint64, round int) []int {
-	partner := make([]int, n)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	// Seeded Fisher-Yates via SplitMix-style mixing, then pair adjacent
-	// entries of the permutation.
-	state := seed ^ (uint64(round)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	for i := range partner {
-		partner[i] = i
-	}
-	for i := 0; i+1 < n; i += 2 {
-		a, b := perm[i], perm[i+1]
-		partner[a] = b
-		partner[b] = a
-	}
-	return partner
 }
 
 // squarestFactors returns (rows, cols) with rows*cols == n and rows the

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSchemeRoundTrip(t *testing.T) {
-	for _, s := range []Scheme{None, AllToAll, Ring, Torus2D, Hypercube} {
+	for _, s := range []Scheme{None, AllToAll, Ring, Torus2D} {
 		got, err := SchemeByName(s.String())
 		if err != nil {
 			t.Fatalf("SchemeByName(%q): %v", s.String(), err)
@@ -15,8 +15,11 @@ func TestSchemeRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", s, got)
 		}
 	}
-	if _, err := SchemeByName("bogus"); err == nil {
-		t.Fatal("expected error for unknown scheme")
+	// The retired schemes and aliases are unknown names, not synonyms.
+	for _, name := range []string{"bogus", "hypercube", "cube", "random-pairs", "random", "gossip", "alltoall", "a2a", "torus2d", "2d-torus"} {
+		if _, err := SchemeByName(name); err == nil {
+			t.Fatalf("SchemeByName(%q) must error", name)
+		}
 	}
 	if s := Scheme(99).String(); s == "" {
 		t.Fatal("unknown scheme must still stringify")
@@ -26,12 +29,6 @@ func TestSchemeRoundTrip(t *testing.T) {
 func TestNewTopologyValidation(t *testing.T) {
 	if _, err := NewTopology(Ring, 0); err == nil {
 		t.Fatal("size 0 must error")
-	}
-	if _, err := NewTopology(Hypercube, 6); err == nil {
-		t.Fatal("non-power-of-two hypercube must error")
-	}
-	if _, err := NewTopology(Hypercube, 8); err != nil {
-		t.Fatalf("hypercube 8: %v", err)
 	}
 }
 
@@ -89,23 +86,6 @@ func TestTorusNeighbors4x4(t *testing.T) {
 	}
 }
 
-func TestHypercubeNeighbors(t *testing.T) {
-	top, _ := NewTopology(Hypercube, 8)
-	got := top.Neighbors(nil, 5) // 101 -> 100,111,001
-	want := map[int]bool{4: true, 7: true, 1: true}
-	if len(got) != 3 {
-		t.Fatalf("hypercube neighbors of 5 = %v", got)
-	}
-	for _, n := range got {
-		if !want[n] {
-			t.Fatalf("unexpected hypercube neighbor %d", n)
-		}
-	}
-	if top.MaxDegree() != 3 {
-		t.Fatalf("hypercube-8 degree = %d, want 3", top.MaxDegree())
-	}
-}
-
 func TestNoneAndAllToAllHaveNoPairwiseNeighbors(t *testing.T) {
 	for _, s := range []Scheme{None, AllToAll} {
 		top, _ := NewTopology(s, 10)
@@ -133,15 +113,7 @@ func TestNeighborsOutOfRangePanics(t *testing.T) {
 func TestQuickNeighborSymmetry(t *testing.T) {
 	f := func(rawN uint8, rawI uint8, schemeSel uint8) bool {
 		n := int(rawN)%63 + 2
-		scheme := []Scheme{Ring, Torus2D, Hypercube}[int(schemeSel)%3]
-		if scheme == Hypercube {
-			// Round n to a power of two.
-			p := 2
-			for p*2 <= n {
-				p *= 2
-			}
-			n = p
-		}
+		scheme := []Scheme{Ring, Torus2D}[int(schemeSel)%2]
 		top, err := NewTopology(scheme, n)
 		if err != nil {
 			return false
@@ -186,7 +158,7 @@ func TestDirections(t *testing.T) {
 	}{
 		{Ring, 8, 2}, {Ring, 2, 2}, {Ring, 1, 0},
 		{Torus2D, 16, 4}, {Torus2D, 2, 4},
-		{None, 8, 0}, {AllToAll, 8, 0}, {Hypercube, 8, 0}, {RandomPairs, 8, 0},
+		{None, 8, 0}, {AllToAll, 8, 0},
 	}
 	for _, c := range cases {
 		top, err := NewTopology(c.scheme, c.n)
@@ -274,67 +246,4 @@ func TestWalkOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	top.Walk(0, 2)
-}
-
-func TestPairingIsSymmetricMatching(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 17, 64} {
-		for round := 0; round < 5; round++ {
-			p := Pairing(n, 42, round)
-			if len(p) != n {
-				t.Fatalf("n=%d: pairing length %d", n, len(p))
-			}
-			unmatched := 0
-			for i, j := range p {
-				if j < 0 || j >= n {
-					t.Fatalf("n=%d: partner out of range", n)
-				}
-				if p[j] != i {
-					t.Fatalf("n=%d round=%d: asymmetric pairing %d<->%d", n, round, i, j)
-				}
-				if j == i {
-					unmatched++
-				}
-			}
-			if want := n % 2; unmatched != want {
-				t.Fatalf("n=%d: %d unmatched, want %d", n, unmatched, want)
-			}
-		}
-	}
-}
-
-func TestPairingDeterministicAndVaries(t *testing.T) {
-	a := Pairing(16, 7, 3)
-	b := Pairing(16, 7, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pairing not deterministic")
-		}
-	}
-	c := Pairing(16, 7, 4)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("pairing identical across rounds")
-	}
-}
-
-func TestRandomPairsScheme(t *testing.T) {
-	s, err := SchemeByName("gossip")
-	if err != nil || s != RandomPairs {
-		t.Fatalf("gossip alias: %v %v", s, err)
-	}
-	top, err := NewTopology(RandomPairs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := top.Neighbors(nil, 3); len(got) != 0 {
-		t.Fatal("random-pairs must have no static neighbors")
-	}
-	if top.MaxDegree() != 1 {
-		t.Fatalf("random-pairs degree %d, want 1", top.MaxDegree())
-	}
 }

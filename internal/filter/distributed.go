@@ -88,10 +88,9 @@ type Distributed struct {
 	outbox    []float64 // N*t*(dim+1): top-t states + logw per sub-filter
 	poolIdx   []int     // all-to-all selection scratch
 
-	streams  []*rng.Rand // one per sub-filter
-	hostR    *rng.Rand   // host-side randomness (policy draws for all-to-all etc.)
-	pairSeed uint64      // RandomPairs pairing seed
-	k        int
+	streams []*rng.Rand // one per sub-filter
+	hostR   *rng.Rand   // host-side randomness (policy draws for all-to-all etc.)
+	k       int
 }
 
 // NewDistributed builds the sequential distributed filter.
@@ -126,7 +125,6 @@ func (d *Distributed) TotalParticles() int { return d.cfg.SubFilters * d.cfg.Par
 // Reset implements Filter.
 func (d *Distributed) Reset(seed uint64) {
 	d.k = 0
-	d.pairSeed = seed
 	d.hostR = rng.New(rng.NewPhiloxStream(seed, 0))
 	for i := range d.streams {
 		d.streams[i] = rng.New(rng.NewPhiloxStream(seed, i+1))
@@ -249,27 +247,6 @@ func (d *Distributed) exchangeParticles() {
 			copy(rec[:d.dim], p[i*d.dim:(i+1)*d.dim])
 			rec[d.dim] = lw[i]
 		}
-	}
-
-	if d.cfg.Scheme == exchange.RandomPairs {
-		// Fresh gossip pairing every round: matched pairs swap their
-		// best t particles into each other's worst slots.
-		partner := exchange.Pairing(N, d.pairSeed, d.k)
-		for s := 0; s < N; s++ {
-			q := partner[s]
-			if q == s {
-				continue
-			}
-			p, lw := d.block(s)
-			slot := m - t
-			for i := 0; i < t; i++ {
-				rec := d.outbox[(q*t+i)*stride : (q*t+i+1)*stride]
-				copy(p[slot*d.dim:(slot+1)*d.dim], rec[:d.dim])
-				lw[slot] = rec[d.dim]
-				slot++
-			}
-		}
-		return
 	}
 
 	if d.cfg.Scheme == exchange.AllToAll {

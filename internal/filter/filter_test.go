@@ -146,8 +146,8 @@ func TestDistributedConfigValidation(t *testing.T) {
 		{SubFilters: 4, ParticlesPer: 8, ExchangeCount: -1},
 		// Ring degree 2 × t 4 = 8 incoming >= 8 particles.
 		{SubFilters: 4, ParticlesPer: 8, Scheme: exchange.Ring, ExchangeCount: 4},
-		// Hypercube needs power-of-two N.
-		{SubFilters: 6, ParticlesPer: 8, Scheme: exchange.Hypercube, ExchangeCount: 1},
+		// Torus degree 4 × t 2 = 8 incoming >= 8 particles.
+		{SubFilters: 16, ParticlesPer: 8, Scheme: exchange.Torus2D, ExchangeCount: 2},
 	}
 	for i, cfg := range cases {
 		if _, err := filter.NewDistributed(m, cfg, 1); err == nil {
@@ -234,7 +234,7 @@ func TestExchangeImprovesTinySubFilters(t *testing.T) {
 }
 
 func TestDistributedSchemesAllTrack(t *testing.T) {
-	for _, scheme := range []exchange.Scheme{exchange.AllToAll, exchange.Ring, exchange.Torus2D, exchange.Hypercube} {
+	for _, scheme := range []exchange.Scheme{exchange.AllToAll, exchange.Ring, exchange.Torus2D} {
 		f, err := filter.NewDistributed(model.NewUNGM(), filter.DistributedConfig{
 			SubFilters: 16, ParticlesPer: 16, Scheme: scheme, ExchangeCount: 1,
 		}, 1)
@@ -430,17 +430,16 @@ func TestParallelVoseKernelWorks(t *testing.T) {
 	}
 }
 
-func TestParallelAllToAllAndMTGP(t *testing.T) {
+func TestParallelAllToAllTracks(t *testing.T) {
 	dev := device.New(device.Config{Workers: 4})
 	f, err := filter.NewParallel(dev, model.NewUNGM(), filter.ParallelConfig{
 		SubFilters: 16, ParticlesPer: 32, Scheme: exchange.AllToAll, ExchangeCount: 2,
-		Streams: "mtgp",
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := meanErr(t, f, 60, 2); e > 6 {
-		t.Fatalf("all-to-all MTGP filter mean error %v, want < 6", e)
+		t.Fatalf("all-to-all filter mean error %v, want < 6", e)
 	}
 }
 
@@ -490,30 +489,5 @@ func TestParallelWeightedMeanEstimator(t *testing.T) {
 	}
 	if avg := sum / runs; avg > 6 {
 		t.Fatalf("parallel weighted-mean estimator error %v, want < 6", avg)
-	}
-}
-
-func TestRandomPairsExchangeTracks(t *testing.T) {
-	f, err := filter.NewDistributed(model.NewUNGM(), filter.DistributedConfig{
-		SubFilters: 32, ParticlesPer: 16, Scheme: exchange.RandomPairs, ExchangeCount: 1,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	const runs = 4
-	for run := 0; run < runs; run++ {
-		f.Reset(uint64(run + 1))
-		sum += meanErr(t, f, 60, run)
-	}
-	if avg := sum / runs; avg > 6 {
-		t.Fatalf("random-pairs filter mean error %v, want < 6", avg)
-	}
-	// The device pipeline must refuse the dynamic scheme.
-	dev := device.New(device.Config{Workers: 2})
-	if _, err := filter.NewParallel(dev, model.NewUNGM(), filter.ParallelConfig{
-		SubFilters: 8, ParticlesPer: 16, Scheme: exchange.RandomPairs, ExchangeCount: 1,
-	}, 1); err == nil {
-		t.Fatal("parallel filter accepted random-pairs")
 	}
 }

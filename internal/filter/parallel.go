@@ -33,11 +33,36 @@ type ParallelConfig struct {
 	Resampler kernels.Algo
 	// Policy defaults to Always.
 	Policy resample.Policy
-	// Streams selects "philox" (default) or "mtgp" sub-filter streams.
-	Streams string
 	// Estimator selects the global-estimate reduction (default
 	// MaxWeight; WeightedMean uses the weighted-average kernel).
 	Estimator Estimator
+}
+
+// ParseParallelConfig resolves the name-typed choices of a filter spec —
+// exchange scheme, resampler, resampling policy and estimate operator,
+// where "" selects ring, rws, always and max-weight — into a
+// ParallelConfig whose shape fields the caller fills in. The root
+// package's Config, serve's FilterSpec and `esthera track` all parse
+// through it, so every entry point accepts exactly the same names.
+func ParseParallelConfig(scheme, resampler, policy, estimator string) (ParallelConfig, error) {
+	if scheme == "" {
+		scheme = "ring"
+	}
+	var (
+		cfg ParallelConfig
+		err error
+	)
+	if cfg.Scheme, err = exchange.SchemeByName(scheme); err != nil {
+		return cfg, err
+	}
+	if cfg.Resampler, err = kernels.AlgoByName(resampler); err != nil {
+		return cfg, err
+	}
+	if cfg.Policy, err = resample.PolicyByName(policy); err != nil {
+		return cfg, err
+	}
+	cfg.Estimator, err = EstimatorByName(estimator)
+	return cfg, err
 }
 
 // NewParallel builds the filter on dev.
@@ -57,7 +82,6 @@ func NewParallel(dev *device.Device, m model.Model, cfg ParallelConfig, seed uin
 		Topology:      top,
 		Resampler:     cfg.Resampler,
 		Policy:        cfg.Policy,
-		Streams:       cfg.Streams,
 		MeanEstimate:  cfg.Estimator == WeightedMean,
 	}, seed)
 	if err != nil {

@@ -103,8 +103,10 @@ func (b *Batcher) Round(batch []*BatchRound) error {
 			b.parts[m] = p
 		}
 		if len(p.entries) == 0 {
+			//esthera:allow noalloc live is cut to [:0] each round; its capacity settles at the distinct group sizes
 			b.live = append(b.live, p)
 		}
+		//esthera:allow noalloc entries is cut to [:0] each round; its capacity settles at the largest batch
 		p.entries = append(p.entries, e)
 	}
 	for _, p := range b.live {
@@ -154,6 +156,7 @@ func (p *mergedPart) run(dev *device.Device) {
 	p.exch = false
 	for i, e := range p.entries {
 		for s := 0; s < e.P.cfg.SubFilters; s++ {
+			//esthera:allow noalloc groups is cut to [:0] each round; its capacity settles at the largest merged grid
 			p.groups = append(p.groups, batchSlot{e: i, s: s})
 		}
 		p.exch = p.exch || e.P.exch
@@ -175,6 +178,7 @@ func (p *mergedPart) run(dev *device.Device) {
 		state, lw := e.P.estimateOut()
 		// The estimate buffer is pipeline-owned and reused next round;
 		// the batch entry outlives it, so copy.
+		//esthera:allow noalloc the caller's State buffer is reused; it grows once to the state dimension
 		e.State = append(e.State[:0], state...)
 		e.LogW = lw
 		e.P.cur, e.P.nxt = e.P.nxt, e.P.cur

@@ -25,10 +25,12 @@ func (p *Pipeline) randGroup(g *device.Group, s int) {
 	buf := p.bufs[s]
 	g.StepOne(func() {
 		words := buf.Refill()
-		// MT-family generation plus the Box-Muller transform the
-		// paper folds into the PRNG kernel: ~10 ops per word
+		// The paper's PRNG kernel, MTGP generation plus the
+		// Box-Muller transform it folds in: ~10 ops per word
 		// (recurrence, tempering, and the transform's log/sincos
-		// amortized), with the block written to global memory.
+		// amortized), with the block written to global memory. The
+		// device model charges this cost whatever host stream fills
+		// the block.
 		g.Ops(10 * words)
 		g.GlobalWrite(4 * words)
 	})

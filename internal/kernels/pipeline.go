@@ -68,7 +68,7 @@ func AlgoByName(name string) (Algo, error) {
 	case "systematic":
 		return AlgoSystematic, nil
 	}
-	return 0, fmt.Errorf("kernels: unknown resampler %q (device pipeline supports rws, vose, systematic)", name)
+	return 0, fmt.Errorf("kernels: unknown resampler %q (rws, vose, systematic)", name)
 }
 
 // String returns the algorithm name.
@@ -94,9 +94,6 @@ type Config struct {
 	// the resampling kernel on the local weights, so no global reduction
 	// is needed (the real-time property §III-A argues for).
 	Policy resample.Policy
-	// Streams selects the per-sub-filter generator family: "philox"
-	// (default) or "mtgp".
-	Streams string
 	// MeanEstimate switches the global-estimate kernel from the paper's
 	// default max-weight particle to the weighted average (§VI-D: "the
 	// reduction operator can compute the particle with the highest
@@ -255,9 +252,6 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 		return nil, fmt.Errorf("kernels: topology size %d != sub-filters %d",
 			cfg.Topology.Size(), cfg.SubFilters)
 	}
-	if cfg.Topology.Scheme() == exchange.RandomPairs && cfg.ExchangeCount > 0 {
-		return nil, fmt.Errorf("kernels: random-pairs exchange is dynamic per round and not supported by the device pipeline; use the sequential distributed filter")
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = resample.Always{}
 	}
@@ -343,13 +337,7 @@ func (p *Pipeline) Reset(seed uint64) {
 	// Uint64) plus up to 4 for resampling draws, with headroom.
 	words := p.cfg.ParticlesPer * (2*p.dim + 8)
 	for s := 0; s < p.cfg.SubFilters; s++ {
-		var src rng.BlockSource
-		if p.cfg.Streams == "mtgp" {
-			src = rng.NewMTGP(seed, s+1)
-		} else {
-			src = rng.NewPhiloxStream(seed, s+1)
-		}
-		p.bufs[s] = rng.NewBuffer(words, src)
+		p.bufs[s] = rng.NewBuffer(words, rng.NewPhiloxStream(seed, s+1))
 		p.rands[s] = rng.New(p.bufs[s])
 	}
 	for s := 0; s < p.cfg.SubFilters; s++ {

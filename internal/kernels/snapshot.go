@@ -14,8 +14,9 @@ import (
 // snapshot was taken from — the property the serve layer's
 // checkpoint/restore relies on.
 //
-// The shape fields (SubFilters, ParticlesPer, Dim, Streams family) must
-// match the restoring pipeline's configuration; Restore validates them.
+// The shape fields (SubFilters, ParticlesPer, Dim) must match the
+// restoring pipeline's configuration; Restore validates them, and each
+// stream state must be a Philox buffer state.
 type Snapshot struct {
 	SubFilters   int       `json:"sub_filters"`
 	ParticlesPer int       `json:"particles_per"`

@@ -8,7 +8,7 @@ import (
 	"esthera/internal/rng"
 )
 
-var allResamplers = []Resampler{RWS{}, Vose{}, Multinomial{}, Systematic{}, Stratified{}, Residual{}}
+var allResamplers = []Resampler{RWS{}, Vose{}, Systematic{}}
 
 // checkProportions verifies that resampling n draws from a fixed weight
 // vector reproduces the weight proportions within sampling error.
@@ -125,23 +125,6 @@ func TestSystematicLowVariance(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("systematic with uniform weights: counts[%d] = %d, want 1", i, c)
 		}
-	}
-}
-
-func TestResidualDeterministicCopies(t *testing.T) {
-	// Particle 0 has weight 0.5 of 4 particles → at least 2 guaranteed copies.
-	weights := []float64{0.5, 0.2, 0.2, 0.1}
-	r := rng.New(rng.NewPhilox(13))
-	dst := make([]int, 4)
-	Residual{}.Resample(dst, weights, r)
-	c0 := 0
-	for _, idx := range dst {
-		if idx == 0 {
-			c0++
-		}
-	}
-	if c0 < 2 {
-		t.Fatalf("residual gave %d copies of the 0.5-weight particle, want >= 2", c0)
 	}
 }
 
@@ -288,7 +271,7 @@ func TestQuickAliasReconstruction(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"rws", "vose", "systematic", "stratified", "multinomial", "residual"} {
+	for _, name := range []string{"rws", "vose", "systematic"} {
 		rs, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -297,7 +280,7 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, rs.Name())
 		}
 	}
-	for _, name := range []string{"bogus", "metropolis"} {
+	for _, name := range []string{"bogus", "metropolis", "stratified", "multinomial", "residual"} {
 		if _, err := ByName(name); err == nil {
 			t.Fatalf("ByName(%q) must error", name)
 		}

@@ -22,7 +22,7 @@ type Buffer struct {
 	bits     []uint32
 	pos      int // next unread word
 	gen      int // words of bits materialized since the last Refill
-	fallback BlockSource
+	fallback *Philox4x32
 }
 
 // bufferChunk is the scalar-path materialization granule: enough to
@@ -34,7 +34,7 @@ const bufferChunk = 64
 // both refills the block and serves overflow draws. The buffer starts
 // exhausted; call Refill (the PRNG-kernel step) before drawing, or every
 // draw silently hits the fallback.
-func NewBuffer(capacity int, fallback BlockSource) *Buffer {
+func NewBuffer(capacity int, fallback *Philox4x32) *Buffer {
 	b := &Buffer{bits: make([]uint32, capacity), fallback: fallback}
 	b.pos = len(b.bits)
 	b.gen = len(b.bits)
@@ -42,14 +42,14 @@ func NewBuffer(capacity int, fallback BlockSource) *Buffer {
 }
 
 // Refill starts a fresh block: the fallback is advanced past the
-// unmaterialized tail of the previous block (O(1) for counter-based
-// streams) and the read position rewinds. It returns the block capacity,
+// unmaterialized tail of the previous block (O(1): Philox jumps its
+// counter) and the read position rewinds. It returns the block capacity,
 // which the PRNG kernel accounts as work — the device-model cost of the
 // paper's PRNG kernel, independent of the lazy host-side realization.
 //
 //esthera:hotpath noalloc bce
 func (b *Buffer) Refill() int {
-	skipWords(b.fallback, len(b.bits)-b.gen)
+	b.fallback.Skip(len(b.bits) - b.gen)
 	b.pos, b.gen = 0, 0
 	return len(b.bits)
 }

@@ -96,13 +96,6 @@ func TestBufferDeterministicRounds(t *testing.T) {
 	}
 }
 
-func TestMTGPStreamAccessor(t *testing.T) {
-	g := NewMTGP(1, 42)
-	if g.Stream() != 42 {
-		t.Fatalf("Stream() = %d, want 42", g.Stream())
-	}
-}
-
 func TestRandAuxiliaryMethods(t *testing.T) {
 	r := New(NewPhilox(3))
 	if v := r.Uint32(); v == r.Uint32() {
@@ -117,13 +110,5 @@ func TestRandAuxiliaryMethods(t *testing.T) {
 	}
 	if m := sum / n; m < 4.9 || m > 5.1 {
 		t.Fatalf("Normal(5,2) mean %v", m)
-	}
-	// SplitMix64 Seed.
-	sm := NewSplitMix64(1)
-	sm.Uint64()
-	sm.Seed(1)
-	a := sm.Uint64()
-	if a != NewSplitMix64(1).Uint64() {
-		t.Fatal("SplitMix64.Seed did not reset")
 	}
 }

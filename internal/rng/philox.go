@@ -5,8 +5,8 @@ package rng
 // are the modern answer to the problem the paper solves with MTGP: every
 // work-item can compute its own random numbers from (key, counter) with no
 // shared state, no warm-up, and O(1) jump-ahead, which is ideal for
-// many-core execution. The toolkit offers Philox as the default per-
-// sub-filter stream and MTGP for fidelity with the paper.
+// many-core execution. Every sub-filter stream in the toolkit is a
+// Philox stream.
 type Philox4x32 struct {
 	key [2]uint32
 	ctr [4]uint32
@@ -109,7 +109,7 @@ func (p *Philox4x32) Uint64() uint64 {
 	return hi<<32 | lo
 }
 
-// Block fills dst with consecutive outputs, satisfying BlockSource. The
+// Block fills dst with consecutive outputs (a Buffer's block fill). The
 // stream is identical to len(dst) Uint32 calls: buffered leftovers are
 // drained first, whole 4-word blocks are then generated straight into
 // dst (skipping the internal buffer and its per-word bookkeeping), and
@@ -144,5 +144,3 @@ func mul32(a, b uint32) (hi, lo uint32) {
 	prod := uint64(a) * uint64(b)
 	return uint32(prod >> 32), uint32(prod)
 }
-
-var _ BlockSource = (*Philox4x32)(nil)

@@ -4,18 +4,17 @@
 // Particle filters rely heavily on PRNGs (paper §VI-A): every sub-filter
 // needs its own uncorrelated stream, and on many-core hardware the random
 // numbers for a whole round are generated in one block by a dedicated
-// kernel. This package therefore provides:
+// kernel. The paper draws from MTGP, a Mersenne-Twister variant for
+// GPUs; this package provides instead:
 //
-//   - MT19937, the classic Mersenne Twister, used by the sequential
-//     reference filters (the paper's centralized C implementation).
-//   - MTGP, an MTGP-style block generator: the Mersenne-Twister linear
-//     recurrence with per-stream tempering parameters so that thousands of
-//     work-groups can each own a decorrelated stream, plus a block-fill
-//     API mirroring the paper's separate PRNG kernel.
-//   - Philox4x32-10, a counter-based generator in the Random123 family;
-//     the modern alternative for many-core architectures (no shared state,
-//     arbitrary jump-ahead).
-//   - SplitMix64, used exclusively for seeding and stream derivation.
+//   - Philox4x32-10, a counter-based generator in the Random123 family
+//     and the one stream family of every filter in the toolkit, device
+//     pipeline and sequential references alike: no shared state, O(1)
+//     jump-ahead, and one independent stream per (seed, stream id).
+//   - Buffer, the block of words the paper's separate PRNG kernel fills
+//     per sub-filter per round.
+//   - Mix64 and StreamSeed, the SplitMix64 finalizer used to derive
+//     decorrelated per-stream seeds.
 //
 // Normal deviates are produced by Box-Muller, as in the paper, which added
 // a Box-Muller transformation to its MTGP port.
@@ -34,15 +33,6 @@ type Source interface {
 	// Seed re-initializes the stream. A Source seeded with the same value
 	// reproduces the same sequence.
 	Seed(seed uint64)
-}
-
-// BlockSource is a Source that can also fill a whole block of 32-bit words
-// at once, mirroring the dedicated PRNG kernel of the paper's GPU
-// implementation (one block per sub-filter per round).
-type BlockSource interface {
-	Source
-	// Block fills dst with the next len(dst) 32-bit words of the stream.
-	Block(dst []uint32)
 }
 
 // New returns a Rand drawing from src. If src is nil it defaults to a

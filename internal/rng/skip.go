@@ -1,36 +1,11 @@
 package rng
 
-// Skipper is a stream that can discard the next n 32-bit words without
-// producing them. Counter-based generators implement it in O(1); the
-// lazy Buffer uses it at Refill to advance its fallback past the
-// unconsumed tail of the previous block without paying for generation.
-type Skipper interface {
-	// Skip advances the stream position by n 32-bit words, exactly as if
-	// n words had been drawn and discarded.
-	Skip(n int)
-}
-
-// skipWords advances src by n 32-bit words, using Skip when the source
-// supports it and generate-and-discard otherwise.
-func skipWords(src BlockSource, n int) {
-	if n <= 0 {
-		return
-	}
-	if s, ok := src.(Skipper); ok {
-		s.Skip(n)
-		return
-	}
-	var scratch [64]uint32
-	for n > 0 {
-		c := min(n, len(scratch))
-		src.Block(scratch[:c])
-		n -= c
-	}
-}
-
-// Skip implements Skipper in O(1): buffered words are drained, whole
+// Skip advances the stream by n 32-bit words, exactly as if n words had
+// been drawn and discarded, in O(1): buffered words are drained, whole
 // 4-word blocks advance the 128-bit counter directly, and a partial
-// block costs one bijection evaluation.
+// block costs one bijection evaluation. The lazy Buffer uses it at
+// Refill to step past the unconsumed tail of the previous block without
+// generating it.
 func (p *Philox4x32) Skip(n int) {
 	if n <= 0 {
 		return
@@ -66,27 +41,3 @@ func (p *Philox4x32) advance(blocks uint64) {
 	p.ctr[0], p.ctr[1] = uint32(lo), uint32(lo>>32)
 	p.ctr[2], p.ctr[3] = uint32(hi), uint32(hi>>32)
 }
-
-// Skip implements Skipper by advancing the twister index without the
-// per-word tempering (the recurrence must still run, but tempering is
-// stateless and can be elided for discarded words).
-func (m *MT19937) Skip(n int) {
-	for n > 0 {
-		if m.index >= mtN {
-			m.generate()
-		}
-		take := min(mtN-m.index, n)
-		m.index += take
-		n -= take
-	}
-}
-
-// Skip implements Skipper; the per-stream tempering layer is stateless,
-// so skipping reduces to skipping the underlying twister.
-func (g *MTGP) Skip(n int) { g.mt.Skip(n) }
-
-var (
-	_ Skipper = (*Philox4x32)(nil)
-	_ Skipper = (*MT19937)(nil)
-	_ Skipper = (*MTGP)(nil)
-)

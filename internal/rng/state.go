@@ -12,9 +12,9 @@ import (
 // of internal/serve persists per stream: a checkpointed filter restored
 // from a State replays bit-identically to an uninterrupted run.
 //
-// Kind identifies the concrete generator ("philox", "mtgp", "mt19937",
-// "buffer", "rand"); RestoreState rejects a mismatched Kind so a
-// checkpoint cannot be silently restored into the wrong stream family.
+// Kind identifies the concrete generator ("philox", "buffer", "rand");
+// RestoreState rejects a mismatched Kind so a checkpoint cannot be
+// silently restored into the wrong stream family.
 type State struct {
 	Kind  string   `json:"kind"`
 	Words []uint32 `json:"words,omitempty"`
@@ -80,58 +80,6 @@ func (p *Philox4x32) RestoreState(st State) error {
 	return nil
 }
 
-// SaveState implements Stateful: the full twister state plus index
-// (625 words).
-func (m *MT19937) SaveState() State {
-	w := make([]uint32, mtN+1)
-	copy(w, m.state[:])
-	w[mtN] = uint32(m.index)
-	return State{Kind: "mt19937", Words: w}
-}
-
-// RestoreState implements Stateful.
-func (m *MT19937) RestoreState(st State) error {
-	if err := checkState(st, "mt19937", mtN+1); err != nil {
-		return err
-	}
-	if st.Words[mtN] > mtN {
-		return fmt.Errorf("rng: mt19937 state index %d out of range", st.Words[mtN])
-	}
-	copy(m.state[:], st.Words[:mtN])
-	m.index = int(st.Words[mtN])
-	return nil
-}
-
-// SaveState implements Stateful: stream id, master seed and per-stream
-// tempering constants, with the underlying twister as a sub-state.
-func (g *MTGP) SaveState() State {
-	w := []uint32{
-		uint32(g.stream), uint32(g.stream >> 32),
-		uint32(g.master), uint32(g.master >> 32),
-		g.t0, g.t1,
-	}
-	return State{Kind: "mtgp", Words: w, Sub: []State{g.mt.SaveState()}}
-}
-
-// RestoreState implements Stateful.
-func (g *MTGP) RestoreState(st State) error {
-	if err := checkState(st, "mtgp", 6); err != nil {
-		return err
-	}
-	if len(st.Sub) != 1 {
-		return fmt.Errorf("rng: mtgp state has %d sub-states, want 1", len(st.Sub))
-	}
-	var mt MT19937
-	if err := mt.RestoreState(st.Sub[0]); err != nil {
-		return err
-	}
-	g.stream = uint64(st.Words[0]) | uint64(st.Words[1])<<32
-	g.master = uint64(st.Words[2]) | uint64(st.Words[3])<<32
-	g.t0, g.t1 = st.Words[4], st.Words[5]
-	g.mt = mt
-	return nil
-}
-
 // SaveState implements Stateful: the read position followed by the whole
 // buffered block, with the fallback stream as a sub-state. The block must
 // be captured verbatim — it was generated before the fallback's saved
@@ -144,11 +92,7 @@ func (b *Buffer) SaveState() State {
 	w := make([]uint32, 0, len(b.bits)+1)
 	w = append(w, uint32(b.pos))
 	w = append(w, b.bits...)
-	st := State{Kind: "buffer", Words: w}
-	if sf, ok := b.fallback.(Stateful); ok {
-		st.Sub = []State{sf.SaveState()}
-	}
-	return st
+	return State{Kind: "buffer", Words: w, Sub: []State{b.fallback.SaveState()}}
 }
 
 // RestoreState implements Stateful. The buffer's capacity must match the
@@ -165,14 +109,11 @@ func (b *Buffer) RestoreState(st State) error {
 	if pos < 0 || pos > len(b.bits) {
 		return fmt.Errorf("rng: buffer state position %d out of range [0,%d]", pos, len(b.bits))
 	}
-	if len(st.Sub) > 0 {
-		sf, ok := b.fallback.(Stateful)
-		if !ok {
-			return fmt.Errorf("rng: buffer fallback %T cannot restore state", b.fallback)
-		}
-		if err := sf.RestoreState(st.Sub[0]); err != nil {
-			return err
-		}
+	if len(st.Sub) != 1 {
+		return fmt.Errorf("rng: buffer state has %d sub-states, want 1", len(st.Sub))
+	}
+	if err := b.fallback.RestoreState(st.Sub[0]); err != nil {
+		return err
 	}
 	copy(b.bits, st.Words[1:])
 	b.pos = pos
@@ -222,8 +163,6 @@ func (r *Rand) RestoreState(st State) error {
 
 var (
 	_ Stateful = (*Philox4x32)(nil)
-	_ Stateful = (*MT19937)(nil)
-	_ Stateful = (*MTGP)(nil)
 	_ Stateful = (*Buffer)(nil)
 	_ Stateful = (*Rand)(nil)
 )

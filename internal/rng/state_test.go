@@ -28,18 +28,6 @@ func TestStateRoundtrip(t *testing.T) {
 		} {
 			return NewPhiloxStream(42, 3)
 		}},
-		{"mtgp", func() interface {
-			Source
-			Stateful
-		} {
-			return NewMTGP(42, 3)
-		}},
-		{"mt19937", func() interface {
-			Source
-			Stateful
-		} {
-			return NewMT19937(42)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,9 +93,10 @@ func TestStateRoundtripBufferAndRand(t *testing.T) {
 
 func TestStateKindMismatch(t *testing.T) {
 	p := NewPhilox(1)
-	m := NewMT19937(1)
-	if err := p.RestoreState(m.SaveState()); err == nil {
-		t.Fatal("philox accepted mt19937 state")
+	// An MTGP stream state, as checkpoints of the retired "mtgp"
+	// stream family carried.
+	if err := p.RestoreState(State{Kind: "mtgp", Words: make([]uint32, 6)}); err == nil {
+		t.Fatal("philox accepted mtgp state")
 	}
 	var r Rand
 	r.src = p
@@ -118,6 +107,11 @@ func TestStateKindMismatch(t *testing.T) {
 	big := NewBuffer(16, NewPhilox(1))
 	if err := b.RestoreState(big.SaveState()); err == nil {
 		t.Fatal("buffer accepted state with mismatched capacity")
+	}
+	noSub := b.SaveState()
+	noSub.Sub = nil
+	if err := b.RestoreState(noSub); err == nil {
+		t.Fatal("buffer accepted state without its stream's sub-state")
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestSplitMixReproducibility(t *testing.T) {
-	a, b := NewSplitMix64(0), NewSplitMix64(0)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("splitmix not deterministic")
-		}
-	}
-}
-
 func TestMix64Bijective(t *testing.T) {
 	// Spot check injectivity over a dense window (a true bijection can't
 	// collide anywhere).
@@ -35,54 +26,6 @@ func TestStreamSeedDistinct(t *testing.T) {
 			t.Fatalf("StreamSeed collision between ids %d and %d", p, id)
 		}
 		seen[s] = id
-	}
-}
-
-func TestMTGPStreamsDecorrelated(t *testing.T) {
-	a := NewMTGP(1, 0)
-	b := NewMTGP(1, 1)
-	match := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		x := a.Uint64() ^ b.Uint64()
-		for x != 0 {
-			match += int(x & 1)
-			x >>= 1
-		}
-	}
-	frac := float64(match) / float64(n*64)
-	if frac < 0.49 || frac > 0.51 {
-		t.Fatalf("MTGP inter-stream bit-difference fraction %v, want ≈ 0.5", frac)
-	}
-}
-
-func TestMTGPBlockMatchesScalar(t *testing.T) {
-	a := NewMTGP(9, 3)
-	b := NewMTGP(9, 3)
-	blk := make([]uint32, 777)
-	a.Block(blk)
-	for i, v := range blk {
-		if w := b.Uint32(); v != w {
-			t.Fatalf("MTGP block/scalar mismatch at %d", i)
-		}
-	}
-}
-
-func TestMTGPUniformity(t *testing.T) {
-	checkUniformBits(t, NewMTGP(4242, 17), 200000)
-}
-
-func TestMTGPSeedChangesStream(t *testing.T) {
-	a := NewMTGP(1, 5)
-	b := NewMTGP(2, 5)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint32() == b.Uint32() {
-			same++
-		}
-	}
-	if same > 3 {
-		t.Fatalf("different master seeds produced %d/1000 identical outputs", same)
 	}
 }
 

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -17,7 +22,6 @@ func TestCheckpointDeterminism(t *testing.T) {
 		Model:        "ungm",
 		SubFilters:   8,
 		ParticlesPer: 32,
-		Streams:      "philox",
 		Seed:         42,
 	}
 	const cut = 12   // checkpoint after this many steps
@@ -103,45 +107,81 @@ func TestCheckpointDeterminism(t *testing.T) {
 	}
 }
 
-// TestCheckpointDeterminismMTGP repeats the roundtrip with the MTGP
-// stream family, whose state machine (block-filled buffer over a
-// Mersenne-Twister master) is the hardest to serialize exactly.
-func TestCheckpointDeterminismMTGP(t *testing.T) {
-	spec := FilterSpec{Model: "ungm", SubFilters: 4, ParticlesPer: 32, Streams: "mtgp", Seed: 7}
-	a := newTestServer(t, Config{Workers: 2})
-	idA, err := a.Create(spec)
-	if err != nil {
-		t.Fatal(err)
+// TestParentCheckpointRestores restores checkpoints that the previous
+// release's server wrote (testdata/parent_*.ckpt.json, taken through
+// GET /v1/sessions/{id}/checkpoint) through POST /v1/restore. A Philox
+// session — 4×8 UNGM, ring exchange of one particle, checkpointed after
+// five steps — must resume with exactly the estimate bits that server
+// went on to produce (testdata/parent_ring.want.json), so no change to
+// the stream or checkpoint code may move a saved word. A checkpoint of
+// the retired "mtgp" stream family carries a spec field this server no
+// longer has and must be refused with 400.
+func TestParentCheckpointRestores(t *testing.T) {
+	h := NewHandler(newTestServer(t, Config{Workers: 2}))
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
 	}
-	for k := 1; k <= 9; k++ {
-		if _, err := a.Step(idA, nil, obs(0, k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp, err := a.Checkpoint(idA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newTestServer(t, Config{Workers: 2})
-	idB, err := b.Restore(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 10; k <= 24; k++ {
-		z := obs(0, k)
-		ra, err := a.Step(idA, nil, z)
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Step(idB, nil, z)
-		if err != nil {
+		return b
+	}
+
+	t.Run("ring", func(t *testing.T) {
+		rec := post("/v1/restore", read("parent_ring.ckpt.json"))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("restore: %d %s", rec.Code, rec.Body)
+		}
+		var created struct{ ID string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(ra.State[0]) != math.Float64bits(rb.State[0]) ||
-			math.Float64bits(ra.LogWeight) != math.Float64bits(rb.LogWeight) {
-			t.Fatalf("step %d diverged: (%v,%v) vs (%v,%v)", k, ra.State[0], ra.LogWeight, rb.State[0], rb.LogWeight)
+		var want []struct {
+			Z             []float64 `json:"z"`
+			Step          int       `json:"step"`
+			StateBits     []uint64  `json:"state_bits"`
+			LogWeightBits uint64    `json:"log_weight_bits"`
 		}
-	}
+		if err := json.Unmarshal(read("parent_ring.want.json"), &want); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 10 {
+			t.Fatalf("want file holds %d steps, want 10", len(want))
+		}
+		for _, w := range want {
+			body, err := json.Marshal(map[string][]float64{"z": w.Z})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := post("/v1/sessions/"+created.ID+"/step", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("step %d: %d %s", w.Step, rec.Code, rec.Body)
+			}
+			var got StepReply
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Step != w.Step || got.LogWeightBits != w.LogWeightBits || len(got.State) != len(w.StateBits) {
+				t.Fatalf("step %d: got step %d log-weight bits %#x, want step %d bits %#x",
+					w.Step, got.Step, got.LogWeightBits, w.Step, w.LogWeightBits)
+			}
+			for d, bits := range w.StateBits {
+				if math.Float64bits(got.State[d]) != bits {
+					t.Fatalf("step %d dim %d: state bits %#x, want %#x", w.Step, d, math.Float64bits(got.State[d]), bits)
+				}
+			}
+		}
+	})
+
+	t.Run("mtgp", func(t *testing.T) {
+		if rec := post("/v1/restore", read("parent_mtgp.ckpt.json")); rec.Code != http.StatusBadRequest {
+			t.Fatalf("restore of an mtgp checkpoint: %d %s, want 400", rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestRestoreRejectsBadCheckpoints(t *testing.T) {

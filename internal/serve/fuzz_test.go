@@ -12,7 +12,7 @@ func FuzzCreateSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"model":"ungm","seed":7}`,
 		`{"model":"ungm","sub_filters":4,"particles_per":16,"exchange_scheme":"torus","exchange_count":1,"seed":1}`,
-		`{"model":"ungm","sub_filters":8,"particles_per":8,"exchange_scheme":"all-to-all","exchange_count":2,"resampler":"systematic","policy":"ess:0.5","streams":"mtgp","estimator":"weighted-mean","seed":3}`,
+		`{"model":"ungm","sub_filters":8,"particles_per":8,"exchange_scheme":"all-to-all","exchange_count":2,"resampler":"systematic","policy":"ess:0.5","estimator":"weighted-mean","seed":3}`,
 		`{"model":"ungm","sub_filters":4,"particles_per":8,"exchange_count":-1}`,
 		`{"model":"ungm","sub_filters":2048,"particles_per":1025}`,
 		`{"model":"nope"}`,
@@ -52,7 +52,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	f.Cleanup(s.Shutdown)
 	for _, sp := range []FilterSpec{
 		{Model: "ungm", SubFilters: 4, ParticlesPer: 8, Seed: 1},
-		{Model: "ungm", SubFilters: 4, ParticlesPer: 8, Resampler: "systematic", Streams: "mtgp", Seed: 2},
+		{Model: "ungm", SubFilters: 4, ParticlesPer: 8, Resampler: "systematic", Seed: 2},
 	} {
 		id, err := s.Create(sp)
 		if err != nil {

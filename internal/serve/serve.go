@@ -39,11 +39,8 @@ import (
 	"time"
 
 	"esthera/internal/device"
-	"esthera/internal/exchange"
 	"esthera/internal/filter"
-	"esthera/internal/kernels"
 	"esthera/internal/model"
-	"esthera/internal/resample"
 	"esthera/internal/telemetry"
 	tlog "esthera/internal/telemetry/log"
 )
@@ -119,8 +116,8 @@ type FilterSpec struct {
 	// take the session-scale defaults (16 sub-filters × 64 particles).
 	SubFilters   int `json:"sub_filters,omitempty"`
 	ParticlesPer int `json:"particles_per,omitempty"`
-	// ExchangeScheme is "ring" (default), "torus", "all-to-all",
-	// "hypercube" or "none"; ExchangeCount is t.
+	// ExchangeScheme is "ring" (default), "torus", "all-to-all" or
+	// "none"; ExchangeCount is t.
 	ExchangeScheme string `json:"exchange_scheme,omitempty"`
 	ExchangeCount  int    `json:"exchange_count,omitempty"`
 	// Resampler is "rws" (default), "vose" or "systematic".
@@ -128,8 +125,6 @@ type FilterSpec struct {
 	// Policy is "always" (default), "never", "ess" / "ess:<frac>" or
 	// "random" / "random:<p>".
 	Policy string `json:"policy,omitempty"`
-	// Streams is "philox" (default) or "mtgp".
-	Streams string `json:"streams,omitempty"`
 	// Estimator is "max-weight" (default) or "weighted-mean".
 	Estimator string `json:"estimator,omitempty"`
 	// Seed derives every random stream of the session.
@@ -301,37 +296,12 @@ func (s *Server) buildFilter(sp FilterSpec) (*filter.Parallel, model.Model, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	scheme, err := exchange.SchemeByName(sp.ExchangeScheme)
+	pc, err := filter.ParseParallelConfig(sp.ExchangeScheme, sp.Resampler, sp.Policy, sp.Estimator)
 	if err != nil {
 		return nil, nil, err
 	}
-	algo, err := kernels.AlgoByName(sp.Resampler)
-	if err != nil {
-		return nil, nil, err
-	}
-	policy, err := resample.PolicyByName(sp.Policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	est, err := filter.EstimatorByName(sp.Estimator)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch sp.Streams {
-	case "", "philox", "mtgp":
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown streams %q (philox, mtgp)", sp.Streams)
-	}
-	f, err := filter.NewParallel(s.dev, mdl, filter.ParallelConfig{
-		SubFilters:    sp.SubFilters,
-		ParticlesPer:  sp.ParticlesPer,
-		Scheme:        scheme,
-		ExchangeCount: sp.ExchangeCount,
-		Resampler:     algo,
-		Policy:        policy,
-		Streams:       sp.Streams,
-		Estimator:     est,
-	}, sp.Seed)
+	pc.SubFilters, pc.ParticlesPer, pc.ExchangeCount = sp.SubFilters, sp.ParticlesPer, sp.ExchangeCount
+	f, err := filter.NewParallel(s.dev, mdl, pc, sp.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -116,7 +116,6 @@ func TestCreateValidation(t *testing.T) {
 		{Model: "ungm", Resampler: "bogus"},
 		{Model: "ungm", ExchangeScheme: "bogus"},
 		{Model: "ungm", Policy: "bogus"},
-		{Model: "ungm", Streams: "bogus"},
 		{Model: "ungm", Estimator: "bogus"},
 		{Model: "ungm", SubFilters: 4, ParticlesPer: 2, ExchangeCount: 3},
 		{Model: "ungm", ExchangeCount: -1},
