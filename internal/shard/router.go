@@ -138,7 +138,7 @@ func (sh *shardState) observeClock(offset, rtt int64) {
 type route struct {
 	spec serve.FilterSpec
 	// shard names the owning replica; "" parks the session (its state
-	// lives only in lastCP until a live shard takes it).
+	// lives only in lastCP, or in spec, until a live shard takes it).
 	shard    string
 	remoteID string
 	// epoch counts placements; it salts the migration id so a retried
@@ -148,9 +148,9 @@ type route struct {
 	// flight; it is the at-most-once gate for Migrate.
 	migrating bool
 	// lastCP is failover insurance: the freshest checkpoint the router
-	// holds (from create, the last migration, or Snapshot). Failover of
-	// a dead shard restores from it — rolling back to the checkpoint —
-	// or recreates from spec when nil.
+	// holds (from the last migration, Checkpoint or Snapshot). Failover
+	// of a dead shard restores from it — rolling back to the checkpoint —
+	// or, while nil (never checkpointed), recreates from spec: step 0.
 	lastCP *serve.Checkpoint
 	steps  int64
 }
@@ -262,10 +262,9 @@ func (r *Router) isLive(name string) bool {
 }
 
 // Create builds a session on the shard its id hashes to and returns
-// the router-scoped session id. The freshly created session is
-// immediately checkpointed as failover insurance (best-effort: a
-// replica without a transport endpoint still serves, it just recreates
-// from spec on failover).
+// the router-scoped session id. It takes no checkpoint: until its first
+// step a session is a pure function of its spec, so failover before any
+// checkpoint recreates it from spec.
 func (r *Router) Create(ctx context.Context, spec serve.FilterSpec) (string, error) {
 	r.mu.Lock()
 	r.nextID++
@@ -275,17 +274,11 @@ func (r *Router) Create(ctx context.Context, spec serve.FilterSpec) (string, err
 	if target == "" {
 		return "", ErrNoLiveShards
 	}
-	sh := r.shards[target]
-	remoteID, err := sh.client.Create(ctx, spec)
+	remoteID, err := r.shards[target].client.Create(ctx, spec)
 	if err != nil {
 		return "", err
 	}
 	rt := &route{spec: spec, shard: target, remoteID: remoteID, epoch: 1}
-	if sh.spec.TransportAddr != "" {
-		if cp, err := r.exportFrom(ctx, sh, "", remoteID, false, ""); err == nil {
-			rt.lastCP = cp
-		}
-	}
 	r.mu.Lock()
 	r.routes[id] = rt
 	r.mu.Unlock()
@@ -721,7 +714,7 @@ func (r *Router) leastLoadedLocked(exclude string) string {
 
 // parkRoute handles a replica that lost a session (a 404 from a shard
 // the router still believes owns it — a replica restart): the route
-// parks and placement retries from the failover-insurance checkpoint.
+// parks and placement retries from its insurance checkpoint or spec.
 // The placement check inside guards against a racing migration having
 // already repointed the route elsewhere.
 func (r *Router) parkRoute(id, shardName, remoteID string) {

@@ -26,20 +26,27 @@ func testModels() map[string]serve.ModelFactory {
 
 // replica is one in-process esthera-serve stand-in: a serve.Server, its
 // HTTP front-end, and its shard transport endpoint. hits counts the
-// HTTP requests the front-end received.
+// HTTP requests the front-end received, frames the transport request
+// frames its agent answered, by frame type.
 type replica struct {
-	name string
-	srv  *serve.Server
-	web  *httptest.Server
-	tl   *Listener
-	spec ShardSpec
-	hits atomic.Int64
+	name   string
+	srv    *serve.Server
+	web    *httptest.Server
+	tl     *Listener
+	spec   ShardSpec
+	hits   atomic.Int64
+	frames [FrameRestored + 1]atomic.Int64
 }
 
 func startReplica(t *testing.T, name string) *replica {
 	t.Helper()
 	srv := serve.NewServer(serve.Config{Workers: 2}, testModels())
-	r := &replica{name: name, srv: srv, tl: NewListener(name, NewAgent(name, srv))}
+	r := &replica{name: name, srv: srv}
+	agent := NewAgent(name, srv)
+	r.tl = NewListener(name, HandlerFunc(func(remote string, ft FrameType, payload []byte) (FrameType, []byte, error) {
+		r.frames[ft].Add(1)
+		return agent.HandleFrame(remote, ft, payload)
+	}))
 	api := serve.NewHandler(srv)
 	r.web = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r.hits.Add(1)

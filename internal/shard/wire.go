@@ -29,6 +29,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -285,11 +286,17 @@ func marshal(v any) []byte {
 	return b
 }
 
-// unmarshal decodes a control payload, tagging decode failures as
-// malformed frames.
+// unmarshal decodes a control payload as strictly as serve.ReadJSON
+// decodes an HTTP body (an unknown field, such as a retired spec option
+// in a checkpoint, is an error), tagging failures as malformed frames.
 func unmarshal(t FrameType, payload []byte, v any) error {
-	if err := json.Unmarshal(payload, v); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %s payload: %v", ErrMalformedFrame, t, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: %s payload: trailing data", ErrMalformedFrame, t)
 	}
 	return nil
 }

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -125,5 +128,66 @@ func TestRemoteErrorIs(t *testing.T) {
 	}
 	if errors.Is(error(&RemoteError{Code: CodeInternal}), serve.ErrNotFound) {
 		t.Fatal("CodeInternal must not map to serve.ErrNotFound")
+	}
+}
+
+// TestAgentRestoreDecodesStrictly holds the transport's restore to the
+// HTTP API's decoding: a checkpoint whose spec carries a retired option
+// (streams, adapt_every) is a 400 on POST /v1/restore, so over the
+// transport it must fail too, as a bad_request that keeps the
+// connection, and install no session. The unmodified checkpoint, which
+// an older tree wrote, still restores.
+func TestAgentRestoreDecodesStrictly(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "serve", "testdata", "parent_ring.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const specOpen = `"spec":{"model":"ungm",`
+	if n := bytes.Count(raw, []byte(specOpen)); n != 1 {
+		t.Fatalf("checkpoint holds %d copies of %s, want 1", n, specOpen)
+	}
+	withField := func(field string) []byte {
+		return bytes.Replace(raw, []byte(specOpen), []byte(specOpen+field), 1)
+	}
+	restoreFrame := func(mid string, cp []byte) []byte {
+		return []byte(`{"migration_id":"` + mid + `","checkpoint":` + string(cp) + `}`)
+	}
+	srv := serve.NewServer(serve.Config{Workers: 1}, testModels())
+	defer srv.Shutdown()
+	agent := NewAgent("a", srv)
+
+	for _, field := range []string{`"streams":"philox",`, `"adapt_every":4,`} {
+		if _, _, err := agent.HandleFrame("router", FrameRestore, restoreFrame("t-1#2", withField(field))); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("restore frame with %s: err = %v, want a malformed-frame error", field, err)
+		}
+		if ids := srv.Sessions(); len(ids) != 0 {
+			t.Fatalf("rejected restore with %s installed sessions %v", field, ids)
+		}
+	}
+
+	// Over the wire the rejection is a bad_request error frame, and the
+	// connection keeps serving.
+	l := startListener(t, agent)
+	ctx := context.Background()
+	conn, err := Dial(ctx, l.Addr().String(), "router")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, _, err = conn.Call(ctx, FrameRestore, restoreFrame("t-1#2", withField(`"streams":"philox",`)))
+	var rerr *RemoteError
+	if !errors.As(err, &rerr) || rerr.Code != CodeBadRequest {
+		t.Fatalf("restore frame with streams over the transport: err = %v, want a bad_request RemoteError", err)
+	}
+	ft, payload, err := conn.Call(ctx, FrameRestore, restoreFrame("t-1#2", raw))
+	if err != nil || ft != FrameRestored {
+		t.Fatalf("unmodified checkpoint on the same connection: %v %v", ft, err)
+	}
+	var msg RestoredMsg
+	if err := unmarshal(ft, payload, &msg); err != nil {
+		t.Fatal(err)
+	}
+	if ids := srv.Sessions(); len(ids) != 1 || ids[0] != msg.SessionID {
+		t.Fatalf("sessions %v after restoring the unmodified checkpoint, want [%s]", ids, msg.SessionID)
 	}
 }

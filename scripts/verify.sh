@@ -45,6 +45,9 @@ fi
 # concurrency: hammer it repeatedly under the race detector so
 # interleaving-dependent regressions surface before merge.
 go test -race -count=3 ./internal/serve/...
+# The router is concurrent the same way: failover recreates and restores
+# sessions while probes, steps and migrations run.
+go test -race -count=3 ./internal/shard/...
 # Benchmark smoke: one short iteration of every benchmark, asserting they
 # still run (not measuring them).
 go test -run '^$' -bench . -benchtime 1x ./...
