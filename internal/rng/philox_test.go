@@ -105,12 +105,48 @@ func TestPhiloxCounterCarry(t *testing.T) {
 	}
 }
 
+// TestPhiloxBlockMatchesScalar checks Block, whose four-block path runs
+// while 16 words remain and the low counter word cannot wrap, against
+// word-at-a-time generation: every length that mixes the four-block,
+// one-block and tail paths, from every count of buffered leftovers, at
+// counters that stay clear of a carry and at counters that carry into
+// the high words mid-fill. The next Uint64 must agree too, so Block
+// leaves the stream where len(dst) Uint32 calls would.
 func TestPhiloxBlockMatchesScalar(t *testing.T) {
-	a := NewPhilox(123)
-	b := NewPhilox(123)
-	blk := make([]uint32, 1003)
-	a.Block(blk)
-	for i, v := range blk {
+	counters := [][4]uint32{
+		{0, 0, 0, 0},
+		{0xFFFFFFF8, 0xFFFFFFFF, 0, 0},
+		{0xFFFFFFFB, 0xFFFFFFFF, 0, 0},
+		{0xFFFFFFFC, 0xFFFFFFFF, 0, 0},
+		{0xFFFFFFFD, 0xFFFFFFFF, 0, 0},
+	}
+	blk := make([]uint32, 70)
+	for _, ctr := range counters {
+		for leftover := 0; leftover < 4; leftover++ {
+			for n := 0; n <= len(blk); n++ {
+				a, b := NewPhilox(123), NewPhilox(123)
+				a.SetCounter(ctr[0], ctr[1], ctr[2], ctr[3])
+				b.SetCounter(ctr[0], ctr[1], ctr[2], ctr[3])
+				for i := 0; i < (4-leftover)%4; i++ {
+					a.Uint32()
+					b.Uint32()
+				}
+				a.Block(blk[:n])
+				for i, v := range blk[:n] {
+					if w := b.Uint32(); v != w {
+						t.Fatalf("ctr %x leftover %d len %d: word %d = %x, want %x", ctr, leftover, n, i, v, w)
+					}
+				}
+				if got, want := a.Uint64(), b.Uint64(); got != want {
+					t.Fatalf("ctr %x leftover %d len %d: next Uint64 %x, want %x", ctr, leftover, n, got, want)
+				}
+			}
+		}
+	}
+	a, b := NewPhilox(123), NewPhilox(123)
+	long := make([]uint32, 1003)
+	a.Block(long)
+	for i, v := range long {
 		if w := b.Uint32(); v != w {
 			t.Fatalf("block/scalar mismatch at %d: %x vs %x", i, v, w)
 		}

@@ -50,7 +50,8 @@ type RouterConfig struct {
 	// RetryAfter is the back-off hint attached to retryable router
 	// errors — a migrating session, a shard mid-failover (0 = 15ms).
 	RetryAfter time.Duration
-	// HTTPClient is the forwarding transport (nil = http.DefaultClient).
+	// HTTPClient is the forwarding transport (nil = a client the router
+	// owns, keeping idleConnsPerShard idle connections to each shard).
 	HTTPClient *http.Client
 	// Name identifies the router in transport handshakes (0 = "router").
 	Name string
@@ -64,6 +65,13 @@ type RouterConfig struct {
 	LogLevel slog.Level
 	LogSink  io.Writer
 }
+
+// idleConnsPerShard is how many idle connections the router's own
+// client keeps to each shard. Every forward in flight holds one
+// connection, so a pool smaller than the concurrent forwards to a shard
+// closes the surplus as replies come back and redials it for the next
+// forwards (http.DefaultClient keeps 2 per host).
+const idleConnsPerShard = 64
 
 // clientMaxAttempts bounds the serve.Client's per-forward retries
 // against one replica. The router keeps this short: a saturated
@@ -178,6 +186,9 @@ type Router struct {
 
 	quit chan struct{}
 	wg   sync.WaitGroup
+	// ownClient marks cfg.HTTPClient as built by NewRouter, whose idle
+	// connections Close drops.
+	ownClient bool
 
 	// Counters (atomics: Stats reads them live).
 	stepsForwarded  atomic.Int64
@@ -201,6 +212,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("shard: router needs at least one shard")
 	}
+	ownClient := cfg.HTTPClient == nil
+	if ownClient {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = idleConnsPerShard
+		t.MaxIdleConns = idleConnsPerShard * len(cfg.Shards)
+		cfg.HTTPClient = &http.Client{Transport: t}
+	}
 	r := &Router{
 		cfg:     cfg,
 		shards:  make(map[string]*shardState, len(cfg.Shards)),
@@ -210,6 +228,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		tracer:  telemetry.New(),
 		logz:    tlog.New(cfg.Name, cfg.LogLevel, cfg.LogSink),
 		sloStep: telemetry.NewSLOTracker(telemetry.SLO{}),
+
+		ownClient: ownClient,
 	}
 	r.log = slog.New(r.logz)
 	r.tracer.SetEnabled(cfg.Trace)
@@ -252,6 +272,9 @@ func (r *Router) Close() {
 	r.wg.Wait()
 	for _, sh := range r.shards {
 		sh.peer.Close()
+	}
+	if r.ownClient {
+		r.cfg.HTTPClient.CloseIdleConnections()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -683,5 +684,75 @@ func TestCreateSpreadsByHash(t *testing.T) {
 	}
 	if fmt.Sprint(names) != "[a b]" {
 		t.Fatalf("shard names %v", names)
+	}
+}
+
+// TestRouterDefaultClientKeepsConnections steps 16 sessions
+// concurrently through a router built without an HTTPClient to one
+// replica and counts the connections the replica accepts. Each forward
+// in flight holds a connection, so 16 are needed at most; a pool that
+// keeps fewer idle (http.DefaultClient keeps 2 per host) closes the rest
+// as replies come back and dials again for later steps. The replica
+// holds each reply for a millisecond so the 16 forwards overlap.
+func TestRouterDefaultClientKeepsConnections(t *testing.T) {
+	const sessions, steps = 16, 100
+	srv := serve.NewServer(serve.Config{Workers: 2}, testModels())
+	api := serve.NewHandler(srv)
+	var dials atomic.Int64
+	web := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		time.Sleep(time.Millisecond)
+		api.ServeHTTP(w, req)
+	}))
+	web.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	web.Start()
+	t.Cleanup(func() {
+		web.Close()
+		srv.Shutdown()
+	})
+	router, err := NewRouter(RouterConfig{
+		Shards:        []ShardSpec{{Name: "a", BaseURL: web.URL}},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(router.Close)
+	ctx := context.Background()
+	ids := make([]string, sessions)
+	for i := range ids {
+		if ids[i], err = router.Create(ctx, serve.FilterSpec{Model: "ungm", Seed: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for k := 0; k < steps; k++ {
+				if _, err := router.Step(ctx, id, nil, obs(k)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	n := dials.Load()
+	t.Logf("%d routed steps took %d connections", sessions*steps, n)
+	// A few more than one per session allows for the transport dialing
+	// while a busy connection frees up.
+	if limit := int64(sessions + 4); n > limit {
+		t.Fatalf("%d routed steps over %d sessions dialed %d connections, want at most %d",
+			sessions*steps, sessions, n, limit)
 	}
 }

@@ -193,7 +193,10 @@ func NewNet() *Net {
 // supported.
 //
 // The network is executed as barrier-phased steps on ctx; lanes cover the
-// compare-exchange pairs in grid-stride fashion.
+// compare-exchange pairs in grid-stride fashion. A power-of-two sort of
+// the identity index array (what the kernels pass) runs on one composite
+// word per lane instead (sortComposite), with the same result, swaps and
+// accounting.
 //
 //esthera:hotpath noalloc bce
 func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
@@ -202,6 +205,11 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 		return
 	}
 	p := nextPow2(n)
+	if p == n && idx != nil {
+		if sorted, _ := nt.sortComposite(ctx, keys, idx); sorted {
+			return
+		}
+	}
 	ks := keys
 	ix := idx
 	if p != n {
@@ -257,16 +265,38 @@ func (nt *Net) bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	KeyImages(iks, keys)
 	nt.keys, nt.idx = iks, idx
 	nt.laneSwaps = ctx.ScratchInt(p)
+	stages := nt.network(ctx)
+	sortKeysFloat(keys, iks)
+	nt.account(ctx, stages)
+}
+
+// network runs the stages of the bitonic network over nt.keys (and
+// nt.idx, when set) as barrier-phased steps on ctx and returns the stage
+// count. With a nil ctx the stages run directly, charging nothing.
+//
+//esthera:hotpath noalloc bce
+func (nt *Net) network(ctx device.Ctx) int {
+	p := len(nt.keys)
 	stages := 0
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
 			nt.st.k, nt.st.j = k, j
-			ctx.StepSpan(nt.step)
+			if ctx != nil {
+				ctx.StepSpan(nt.step)
+			} else {
+				nt.step(0, p)
+			}
 			stages++
 		}
 	}
-	sortKeysFloat(keys, iks)
-	pairs := stages * (p / 2)
+	return stages
+}
+
+// account charges the network's cost to ctx once, after the last stage.
+//
+//esthera:hotpath noalloc bce
+func (nt *Net) account(ctx device.Ctx, stages int) {
+	pairs := stages * (len(nt.keys) / 2)
 	swaps := 0
 	for _, c := range nt.laneSwaps {
 		swaps += c
@@ -278,6 +308,67 @@ func (nt *Net) bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	ctx.Ops(12 * pairs)
 	ctx.LocalRead(24 * pairs)
 	ctx.LocalWrite(24 * swaps)
+}
+
+// sortComposite is SortDescending for a power-of-two length p when idx
+// is the identity; it reports sorted false, having sorted nothing, when
+// idx is not. Each lane's word is KeyImage(key) with its low log2(p) bits
+// replaced by p-1-lane, and the words run through the keys-only
+// network. The words are distinct, and a word that is larger is a
+// larger key, or an equal key with a lower index, unless the two keys
+// differ only in those low bits. Then every compare-exchange decides as
+// the (key, index) network does, so the permutation and the per-lane
+// swap tallies are the same, and the network costs one load, compare
+// and store per side instead of two.
+//
+// Whether that held is read off the result: the (key, index) order is
+// total, so the two networks agree exactly when the keys come out of
+// the composite sort in descending order. When they do not, idx is
+// reset and the (key, index) network reruns on the untouched keys, and
+// reran reports it. The rerun charges no barrier, since the first pass
+// already charged the network's stages.
+//
+//esthera:hotpath noalloc bce
+func (nt *Net) sortComposite(ctx device.Ctx, keys []float64, idx []int) (sorted, reran bool) {
+	p := len(keys)
+	mask := p - 1
+	words := ctx.ScratchInt(p)
+	words = words[:p:p]
+	idx = idx[:p:p]
+	notIdentity := 0
+	for i, f := range keys {
+		notIdentity |= idx[i] ^ i
+		words[i] = KeyImage(f)&^mask | (mask ^ i)
+	}
+	if notIdentity != 0 {
+		return false, false
+	}
+	nt.keys, nt.idx = words, nil
+	nt.laneSwaps = ctx.ScratchInt(p)
+	stages := nt.network(ctx)
+	prev := math.MaxInt
+	for i, w := range words {
+		ix := ^w & mask
+		img := KeyImage(keys[ix])
+		if img > prev {
+			reran = true
+		}
+		prev = img
+		idx[i] = ix
+		words[i] = img
+	}
+	if reran {
+		for i := range idx {
+			idx[i] = i
+		}
+		KeyImages(words, keys)
+		clear(nt.laneSwaps)
+		nt.idx = idx
+		nt.network(nil)
+	}
+	sortKeysFloat(keys, words)
+	nt.account(ctx, stages)
+	return true, reran
 }
 
 // ArgsortDescending returns the permutation that sorts keys descending,

@@ -192,3 +192,27 @@ func BenchmarkStdlibSort512(b *testing.B) {
 		sort.Sort(sort.Reverse(sort.Float64Slice(ks)))
 	}
 }
+
+// BenchmarkBitonic64Index sorts what a kernel's local sort sorts: 64
+// log-weights with the identity index array, on a device group. Sorts
+// run 256 to a launch, since a group's scratch is recycled per launch.
+func BenchmarkBitonic64Index(b *testing.B) {
+	base := randomKeys(64, 1)
+	ks := make([]float64, len(base))
+	idx := make([]int, len(base))
+	nt := NewNet()
+	d := device.New(device.Config{Workers: 1, LocalMemBytes: -1})
+	b.ResetTimer()
+	for done := 0; done < b.N; done += 256 {
+		batch := min(256, b.N-done)
+		d.Launch("bench", device.Grid{Groups: 1, GroupSize: 64}, func(g *device.Group) {
+			for i := 0; i < batch; i++ {
+				copy(ks, base)
+				for j := range idx {
+					idx[j] = j
+				}
+				nt.SortDescending(g, ks, idx)
+			}
+		})
+	}
+}

@@ -1,39 +1,138 @@
 #!/bin/sh
-# Guards the fused round hot path against overhead creep: reruns
-# BenchmarkRoundFused (telemetry disabled — the default) and asserts
-# (a) the best-of-N ns/op at the default GOMAXPROCS, the lines
-# scripts/bench.sh records, is within BENCH_GUARD_TOLERANCE percent
-# (default 20) of the newest recorded BENCH_*.json baseline, and
-# (b) the steady-state round performs zero heap allocations at
-# GOMAXPROCS 1 and 2: only with two or more Ps can a launch overtake
-# its queued helpers, so a single-P run cannot see that path allocate.
-# Observability must be free when off; this is where that promise is
-# enforced.
+# Guards the fused round hot path against overhead creep. Two legs:
 #
-# The recorded baseline is a best-of-N on a noisy single-core host whose
-# run-to-run spread is ±15%, so the default tolerance is wide: it exists
-# to catch structural regressions (an extra pass over the particles, a
-# lost fusion — tens of percent), not single-digit drift the host cannot
-# resolve. Tighten BENCH_GUARD_TOLERANCE on a quiet machine.
+# (a) Allocations: BenchmarkRoundFused and the serve-shaped
+#     BenchmarkRoundBatch/batched-fused-b=32-n=16-m=64 must perform zero
+#     heap allocations per round at GOMAXPROCS 1 and 2: only with two or
+#     more Ps can a launch overtake its queued helpers, so a single-P
+#     run cannot see that path allocate. Observability must be free when
+#     off; this is where that promise is enforced.
 #
-# With no recorded baseline the guard warns and exits 0 (first run on a
-# fresh tree), so verify.sh stays runnable everywhere.
+# (b) Time, paired against a base tree: the base (HEAD by default, so
+#     the uncommitted change is judged against its parent commit;
+#     BENCH_GUARD_BASE=<ref> names another commit) is unpacked with
+#     `git archive` into a temporary directory, both trees' test
+#     binaries are built, and BenchmarkRoundFused/n=64/m=128 runs in
+#     alternation, base and change, for BENCH_GUARD_PAIRS pairs (the
+#     order flips every pair, so a drift in host speed falls on both
+#     sides). The guard fails when the median of the per-pair ratios
+#     change/base exceeds 1 + BENCH_GUARD_TOLERANCE percent (default 10,
+#     at most 20). Judging against the base on the same host, minutes
+#     apart, keeps the verdict independent of the host's speed, which on
+#     a shared 2-vCPU host swings by tens of percent from day to day.
+#
+# A paired gate cannot see slow drift across many changes, so the guard
+# also prints the change's median against the newest recorded
+# BENCH_*.json baseline. That line is a record, not a verdict.
 #
 # Usage: scripts/bench_guard.sh
+#   BENCH_GUARD_BASE       base commit (default HEAD)
+#   BENCH_GUARD_PAIRS      alternating pairs (default 15)
+#   BENCH_GUARD_TOLERANCE  allowed median slowdown, percent (default 10, max 20)
+#   BENCH_GUARD_BENCHTIME  -benchtime per paired run (default 300ms)
 set -eu
 
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
 
-TOLERANCE="${BENCH_GUARD_TOLERANCE:-20}"
-COUNT="${BENCH_GUARD_COUNT:-3}"
-BENCHTIME="${BENCH_GUARD_BENCHTIME:-1s}"
+BASE_REF="${BENCH_GUARD_BASE:-HEAD}"
+PAIRS="${BENCH_GUARD_PAIRS:-15}"
+TOLERANCE="${BENCH_GUARD_TOLERANCE:-10}"
+BENCHTIME="${BENCH_GUARD_BENCHTIME:-300ms}"
+FUSED='BenchmarkRoundFused$/^n=64$/^m=128$'
 
-# Newest recorded run that carries a fused-round number. "Newest" is
-# the highest PR number in the filename, NOT file mtime: not every PR
-# records a bench, so the BENCH_<n>.json numbering has gaps (e.g. only
-# BENCH_2 and BENCH_5), and a checkout or touch can reorder mtimes.
-# Non-numeric suffixes (BENCH_custom.json from BENCH_OUT) are ignored.
-BASELINE=""
+if awk -v t="$TOLERANCE" 'BEGIN { exit !(t + 0 > 20) }'; then
+	echo "bench_guard: BENCH_GUARD_TOLERANCE=$TOLERANCE is wider than the 20% ceiling" >&2
+	exit 2
+fi
+
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+trap 'exit 130' INT TERM
+
+go test -c -o "$TMP/change.test" .
+
+# --- (a) allocation leg ----------------------------------------------------
+
+# The default GOMAXPROCS joins the -cpu list when it is neither 1 nor 2.
+PROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}"
+CPUS="1,2"
+case "$PROCS" in 1 | 2) ;; *) CPUS="1,2,$PROCS" ;; esac
+
+# One second per line: shorter runs can catch the -cpu 2 lines' helper
+# pool still warming up and read a few allocs/op.
+"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundFused$' -test.benchtime 1s -test.cpu "$CPUS" -test.benchmem | tee "$TMP/allocs.txt"
+"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundBatch$/^batched-fused-b=32-n=16-m=64$' -test.benchtime 1s -test.cpu "$CPUS" -test.benchmem | tee -a "$TMP/allocs.txt"
+
+# Zero-allocation assertion, over every line: the rounds reuse every
+# buffer they touch, so any steady-state allocation is a leak into the
+# hot path.
+MAX_ALLOCS="$(awk '/^Benchmark/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") if ($(i-1) + 0 > max + 0) max = $(i-1) } END { print max + 0 }' "$TMP/allocs.txt")"
+LINES="$(grep -c '^Benchmark.*allocs/op' "$TMP/allocs.txt" || true)"
+if [ "$LINES" -eq 0 ]; then
+	echo "bench_guard: the allocation leg produced no benchmark lines" >&2
+	exit 1
+fi
+if [ "$MAX_ALLOCS" -gt 0 ]; then
+	echo "bench_guard: FAIL [allocs/op] — a round allocates $MAX_ALLOCS objects/op, want 0 (find the escape with \`go run ./cmd/esthera-vet -run noalloc ./...\`)" >&2
+	exit 1
+fi
+echo "bench_guard: fused and batched rounds allocs/op: 0 at -cpu $CPUS"
+
+# --- (b) paired time leg ---------------------------------------------------
+
+if ! git rev-parse --verify --quiet "$BASE_REF^{commit}" >/dev/null; then
+	echo "bench_guard: no base commit $BASE_REF to pair against; skipping the time leg" >&2
+	exit 0
+fi
+mkdir "$TMP/base"
+git archive "$BASE_REF" | tar -x -C "$TMP/base"
+(cd "$TMP/base" && go test -c -o "$TMP/base.test" .)
+
+# run <side> appends the side's ns/op for one run of the fused round.
+run() {
+	dir="$ROOT"
+	[ "$1" = base ] && dir="$TMP/base"
+	ns="$(cd "$dir" && "$TMP/$1.test" -test.run '^$' -test.timeout 5m -test.bench "$FUSED" -test.benchtime "$BENCHTIME" |
+		awk '/^BenchmarkRoundFused/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }')"
+	if [ -z "$ns" ]; then
+		echo "bench_guard: the $1 tree's BenchmarkRoundFused/n=64/m=128 produced no ns/op" >&2
+		exit 1
+	fi
+	echo "$ns" >>"$TMP/$1.ns"
+}
+
+# One unrecorded run per side first: a binary's first run after its
+# build reads slow on this kind of host.
+run base
+run change
+rm -f "$TMP/base.ns" "$TMP/change.ns"
+
+i=1
+while [ "$i" -le "$PAIRS" ]; do
+	if [ $((i % 2)) -eq 1 ]; then
+		run base
+		run change
+	else
+		run change
+		run base
+	fi
+	b="$(sed -n "${i}p" "$TMP/base.ns")"
+	c="$(sed -n "${i}p" "$TMP/change.ns")"
+	awk -v i="$i" -v b="$b" -v c="$c" 'BEGIN { printf "bench_guard: pair %d: base %.0f ns/op, change %.0f ns/op, ratio %.3f\n", i, b, c, c / b }'
+	echo "$c $b" | awk '{ print $1 / $2 }' >>"$TMP/ratio"
+	i=$((i + 1))
+done
+
+median() { sort -g "$1" | awk '{ v[NR] = $1 } END { if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+RATIO="$(median "$TMP/ratio")"
+CHANGE_NS="$(median "$TMP/change.ns")"
+BASE_NS="$(median "$TMP/base.ns")"
+
+# The record: newest recorded run that carries a fused-round number.
+# "Newest" is the highest PR number in the filename, not file mtime;
+# non-numeric suffixes (BENCH_custom.json from BENCH_OUT) are ignored.
+RECORD=""
 BEST=-1
 for f in BENCH_*.json; do
 	[ -f "$f" ] || continue
@@ -44,58 +143,22 @@ for f in BENCH_*.json; do
 	esac
 	if [ "$n" -gt "$BEST" ] && grep -q '"BenchmarkRoundFused' "$f"; then
 		BEST="$n"
-		BASELINE="$f"
+		RECORD="$f"
 	fi
 done
-if [ -z "$BASELINE" ]; then
-	echo "bench_guard: no BENCH_*.json baseline with BenchmarkRoundFused; skipping (run scripts/bench.sh to record one)" >&2
-	exit 0
+if [ -n "$RECORD" ]; then
+	# First match is the "current" section; the pattern skips the
+	# ".../m=128/metropolis" series some older records carry.
+	REC_NS="$(sed -n 's/.*"BenchmarkRoundFused\/n=64\/m=128[^/"]*": {"ns_per_op": \([0-9][0-9.e+]*\).*/\1/p' "$RECORD" | head -1)"
+	if [ -n "$REC_NS" ]; then
+		awk -v c="$CHANGE_NS" -v r="$REC_NS" -v src="$RECORD" 'BEGIN { printf "bench_guard: record: change median %.0f ns/op is %+.1f%% against %s (%.0f ns/op; host speed moves this line, no verdict)\n", c, (c - r) / r * 100, src, r }'
+	fi
 fi
 
-# First match is the "current" section (emitted before any merged-in
-# historical baseline section). Older baselines also record a
-# ".../m=128/metropolis" series of a since-deleted resampler; the
-# pattern skips it.
-BASE_NS="$(sed -n 's/.*"BenchmarkRoundFused\/[^"]*m=128[^/"]*": {"ns_per_op": \([0-9][0-9.e+]*\).*/\1/p' "$BASELINE" | head -1)"
-if [ -z "$BASE_NS" ]; then
-	echo "bench_guard: could not parse BenchmarkRoundFused ns/op from $BASELINE; skipping" >&2
-	exit 0
-fi
-
-# The default GOMAXPROCS joins the -cpu list when it is neither 1 nor 2.
-# go test names a benchmark line "<name>-<procs>", with no suffix at 1.
-PROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}"
-CPUS="1,2"
-case "$PROCS" in 1 | 2) ;; *) CPUS="1,2,$PROCS" ;; esac
-SUFFIX=""
-[ "$PROCS" -eq 1 ] || SUFFIX="-$PROCS"
-
-RAW="$(mktemp)"
-trap 'rm -f "$RAW"' EXIT
-go test -run '^$' -bench 'BenchmarkRoundFused$' -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$CPUS" -benchmem . | tee "$RAW"
-
-FRESH_NS="$(awk -v sfx="$SUFFIX" '/^BenchmarkRoundFused/ && $1 ~ ("m=128" sfx "$") { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i-1); if (best == "" || ns + 0 < best + 0) best = ns } END { print best }' "$RAW")"
-if [ -z "$FRESH_NS" ]; then
-	echo "bench_guard: BenchmarkRoundFused produced no ns/op at GOMAXPROCS $PROCS" >&2
-	exit 1
-fi
-
-# Zero-allocation assertion, over every -cpu line: the fused round
-# reuses every buffer it touches, so any steady-state allocation is a
-# leak into the hot path.
-MAX_ALLOCS="$(awk '/^BenchmarkRoundFused/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") if ($(i-1) + 0 > max + 0) max = $(i-1) } END { print max + 0 }' "$RAW")"
-if [ "$MAX_ALLOCS" -gt 0 ]; then
-	echo "bench_guard: FAIL [allocs/op] — fused round allocates $MAX_ALLOCS objects/op, want 0 (ns/op not at fault; find the escape with \`go run ./cmd/esthera-vet -run noalloc ./...\`)" >&2
-	exit 1
-fi
-echo "bench_guard: fused round allocs/op: 0 at -cpu $CPUS"
-
-awk -v fresh="$FRESH_NS" -v base="$BASE_NS" -v tol="$TOLERANCE" -v src="$BASELINE" 'BEGIN {
-	limit = base * (1 + tol / 100)
-	delta = (fresh - base) / base * 100
-	printf "bench_guard: fused round %.0f ns/op vs %.0f baseline (%s): %+.1f%% (tolerance +%s%%)\n", fresh, base, src, delta, tol
-	if (fresh > limit) {
-		printf "bench_guard: FAIL [ns/op] — fused round %.0f ns/op exceeds limit %.0f (baseline %.0f +%s%%); allocs/op already passed at 0\n", fresh, limit, base, tol
+awk -v ratio="$RATIO" -v tol="$TOLERANCE" -v c="$CHANGE_NS" -v b="$BASE_NS" -v ref="$BASE_REF" -v k="$PAIRS" 'BEGIN {
+	printf "bench_guard: fused round median %.0f ns/op against %.0f at %s over %d pairs: median ratio %.3f (%+.1f%%, tolerance +%s%%)\n", c, b, ref, k, ratio, (ratio - 1) * 100, tol
+	if (ratio > 1 + tol / 100) {
+		printf "bench_guard: FAIL [ns/op] — the change is %.1f%% slower than %s in the median pair; allocs/op already passed at 0\n", (ratio - 1) * 100, ref
 		exit 1
 	}
 	print "bench_guard: ok"
