@@ -3,42 +3,43 @@
 #
 # (a) Allocations: BenchmarkRoundFused and the serve-shaped
 #     BenchmarkRoundBatch/batched-fused-b=32-n=16-m=64 must perform zero
-#     heap allocations per round at GOMAXPROCS 1 and 2: only with two or
-#     more Ps can a launch overtake its queued helpers, so a single-P
-#     run cannot see that path allocate. Observability must be free when
-#     off; this is where that promise is enforced.
+#     heap allocations per round at GOMAXPROCS 1 and 2, in each of three
+#     runs: only with two or more Ps can a launch overtake its queued
+#     helpers, so a single-P run cannot see that path allocate, and such
+#     an allocation can show in one run of three. Observability must be
+#     free when off; this is where that promise is enforced.
 #
-# (b) Time, paired against a base tree: the base (HEAD by default, so
-#     the uncommitted change is judged against its parent commit;
-#     BENCH_GUARD_BASE=<ref> names another commit) is unpacked with
+# (b) Time, paired against a base tree: the base is unpacked with
 #     `git archive` into a temporary directory, both trees' test
 #     binaries are built, and BenchmarkRoundFused/n=64/m=128 runs in
-#     alternation, base and change, for BENCH_GUARD_PAIRS pairs (the
-#     order flips every pair, so a drift in host speed falls on both
-#     sides). The guard fails when the median of the per-pair ratios
-#     change/base exceeds 1 + BENCH_GUARD_TOLERANCE percent (default 10,
-#     at most 20). Judging against the base on the same host, minutes
-#     apart, keeps the verdict independent of the host's speed, which on
-#     a shared 2-vCPU host swings by tens of percent from day to day.
+#     alternation, base and change, for 15 pairs of 300 ms (the order
+#     flips every pair, so a drift in host speed falls on both sides).
+#     The guard fails when the median of the per-pair ratios change/base
+#     exceeds 1 + BENCH_GUARD_TOLERANCE percent (default 10, at most
+#     20). Judging against the base on the same host, minutes apart,
+#     keeps the verdict independent of the host's speed, which on a
+#     shared 2-vCPU host swings by tens of percent from day to day.
+#
+#     The base is HEAD while the working tree differs from it, so an
+#     uncommitted change is judged against its parent commit. On a clean
+#     tree the change is HEAD's own commit, judged against HEAD~1.
+#     BENCH_GUARD_BASE=<ref> names another base.
 #
 # A paired gate cannot see slow drift across many changes, so the guard
 # also prints the change's median against the newest recorded
 # BENCH_*.json baseline. That line is a record, not a verdict.
 #
 # Usage: scripts/bench_guard.sh
-#   BENCH_GUARD_BASE       base commit (default HEAD)
-#   BENCH_GUARD_PAIRS      alternating pairs (default 15)
+#   BENCH_GUARD_BASE       base commit (default HEAD, or HEAD~1 on a clean tree)
 #   BENCH_GUARD_TOLERANCE  allowed median slowdown, percent (default 10, max 20)
-#   BENCH_GUARD_BENCHTIME  -benchtime per paired run (default 300ms)
 set -eu
 
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 
-BASE_REF="${BENCH_GUARD_BASE:-HEAD}"
-PAIRS="${BENCH_GUARD_PAIRS:-15}"
 TOLERANCE="${BENCH_GUARD_TOLERANCE:-10}"
-BENCHTIME="${BENCH_GUARD_BENCHTIME:-300ms}"
+PAIRS=15
+BENCHTIME=300ms
 FUSED='BenchmarkRoundFused$/^n=64$/^m=128$'
 
 if awk -v t="$TOLERANCE" 'BEGIN { exit !(t + 0 > 20) }'; then
@@ -59,10 +60,10 @@ PROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}"
 CPUS="1,2"
 case "$PROCS" in 1 | 2) ;; *) CPUS="1,2,$PROCS" ;; esac
 
-# One second per line: shorter runs can catch the -cpu 2 lines' helper
-# pool still warming up and read a few allocs/op.
-"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundFused$' -test.benchtime 1s -test.cpu "$CPUS" -test.benchmem | tee "$TMP/allocs.txt"
-"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundBatch$/^batched-fused-b=32-n=16-m=64$' -test.benchtime 1s -test.cpu "$CPUS" -test.benchmem | tee -a "$TMP/allocs.txt"
+# Three runs of one second per line: shorter runs can catch the -cpu 2
+# lines' helper pool still warming up and read a few allocs/op.
+"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundFused$' -test.benchtime 1s -test.count 3 -test.cpu "$CPUS" -test.benchmem | tee "$TMP/allocs.txt"
+"$TMP/change.test" -test.run '^$' -test.timeout 5m -test.bench 'BenchmarkRoundBatch$/^batched-fused-b=32-n=16-m=64$' -test.benchtime 1s -test.count 3 -test.cpu "$CPUS" -test.benchmem | tee -a "$TMP/allocs.txt"
 
 # Zero-allocation assertion, over every line: the rounds reuse every
 # buffer they touch, so any steady-state allocation is a leak into the
@@ -77,10 +78,18 @@ if [ "$MAX_ALLOCS" -gt 0 ]; then
 	echo "bench_guard: FAIL [allocs/op] — a round allocates $MAX_ALLOCS objects/op, want 0 (find the escape with \`go run ./cmd/esthera-vet -run noalloc ./...\`)" >&2
 	exit 1
 fi
-echo "bench_guard: fused and batched rounds allocs/op: 0 at -cpu $CPUS"
+echo "bench_guard: fused and batched rounds allocs/op: 0 on all $LINES lines at -cpu $CPUS"
 
 # --- (b) paired time leg ---------------------------------------------------
 
+if [ -n "${BENCH_GUARD_BASE:-}" ]; then
+	BASE_REF="$BENCH_GUARD_BASE"
+elif [ -z "$(git status --porcelain 2>/dev/null)" ]; then
+	BASE_REF="HEAD~1"
+	echo "bench_guard: the working tree matches HEAD, so HEAD's commit is judged against HEAD~1"
+else
+	BASE_REF="HEAD"
+fi
 if ! git rev-parse --verify --quiet "$BASE_REF^{commit}" >/dev/null; then
 	echo "bench_guard: no base commit $BASE_REF to pair against; skipping the time leg" >&2
 	exit 0

@@ -52,8 +52,9 @@ go test -race -count=3 ./internal/shard/...
 # still run (not measuring them).
 go test -run '^$' -bench . -benchtime 1x ./...
 # Observability must be free when disabled: the fused and batched rounds
-# allocate nothing, and the fused round is no slower than at HEAD beyond
-# tolerance, judged in alternating runs of both trees on this host.
+# allocate nothing, and the fused round is no slower than at its base
+# commit (HEAD, or HEAD~1 on a clean tree) beyond tolerance, judged in
+# alternating runs of both trees on this host.
 scripts/bench_guard.sh
 # Sharded-serving chaos drill (router + replicas + kill/restore) is
 # opt-in: it builds three binaries and runs ~30s of wall-clock load.
