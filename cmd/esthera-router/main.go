@@ -2,8 +2,8 @@
 // serving surface: sessions are consistent-hashed onto shards, step
 // and estimate requests forward with the retrying client, and the
 // router live-migrates sessions between replicas — for failover when
-// a shard dies (detected by transport health probes) and for load
-// rebalancing when one shard runs hot.
+// a shard dies (detected by health probes) and for load rebalancing
+// when one shard runs hot.
 //
 // Each shard is named by three fields joined with "|":
 //
@@ -13,6 +13,11 @@
 //
 //	esthera-router -addr :8080 \
 //	  -shards 'a|http://127.0.0.1:8081|127.0.0.1:9081,b|http://127.0.0.1:8082|127.0.0.1:9082'
+//
+// transport-addr is the host:port of the replica's shard control
+// endpoints (esthera-serve -shard-addr): plain HTTP, like the session
+// API at http-base-url. Every router→replica request, session or
+// control, goes through one HTTP client.
 //
 // The HTTP surface is a superset of esthera-serve's (a serve client
 // works unchanged), plus:
@@ -24,9 +29,9 @@
 //	                                                  replicas serve their own /metrics)
 //
 // -snapshot periodically refreshes every session's failover-insurance
-// checkpoint over the transport, bounding how far a crash-failover can
-// roll a session back. On SIGINT/SIGTERM the router stops probing and
-// exits; replicas and their sessions are left running.
+// checkpoint through the replicas' session API, bounding how far a
+// crash-failover can roll a session back. On SIGINT/SIGTERM the router
+// stops probing and exits; replicas and their sessions are left running.
 package main
 
 import (
@@ -50,7 +55,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		shards    = flag.String("shards", "", "comma-separated shard specs: name|http-base-url|transport-addr")
 		vnodes    = flag.Int("vnodes", 0, "consistent-hash virtual nodes per shard (0 = 64)")
-		probe     = flag.Duration("probe", 0, "transport health probe interval (0 = 500ms, negative disables)")
+		probe     = flag.Duration("probe", 0, "health probe interval for shards with a transport-addr (0 = 500ms, negative disables)")
 		failAfter = flag.Int("fail-after", 0, "consecutive failures before a shard is marked down (0 = 3)")
 		rebalance = flag.Int("rebalance-threshold", 0, "migrate load when the busiest shard exceeds the idlest by more than this many sessions (0 = off)")
 		retryHint = flag.Duration("retry-hint", 0, "Retry-After hint on migration/failover 503s (0 = 15ms)")
@@ -131,9 +136,11 @@ func main() {
 }
 
 // parseShards splits "name|url|transport,name|url|transport" into
-// shard specs. The transport field may be empty (failover then
-// recreates from spec instead of restoring checkpoints, and liveness
-// rides only on step errors).
+// shard specs. The transport field may be empty: the shard is then
+// never probed and takes no part in migrations, failover recreates its
+// sessions from spec instead of restoring checkpoints, and liveness
+// rides only on step errors. Checkpoint reads and -snapshot work either
+// way.
 func parseShards(s string) ([]shard.ShardSpec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("-shards is required (name|http-base-url|transport-addr, comma-separated)")

@@ -31,11 +31,13 @@
 // per-session filter-health sampling. -pprof-addr serves net/http/pprof
 // on a separate address (off by default, never on the service port).
 //
-// -shard-addr additionally serves the binary shard transport there
-// (see internal/shard): health pings plus checkpoint export/restore,
-// which is what lets an esthera-router front this replica, fail over
-// its sessions, and live-migrate them bit-exactly. -shard-name sets
-// the replica's handshake name (default the listen address).
+// -shard-addr additionally serves the shard control endpoints there, as
+// plain HTTP (see internal/shard): POST /v1/shard/ping, /v1/shard/export
+// and /v1/shard/restore — health probes plus at-most-once checkpoint
+// export and restore, which is what lets an esthera-router probe this
+// replica, fail over its sessions, and live-migrate them bit-exactly.
+// -shard-name sets the replica's name in probe replies, traces and logs
+// (default -shard-addr in probe replies and -addr in traces and logs).
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops admitting
 // new steps (readiness goes 503 so load balancers route around it),
@@ -72,8 +74,8 @@ func main() {
 		trace    = flag.Bool("trace", false, "start with span recording enabled (toggle at runtime via POST /trace)")
 		stride   = flag.Int("health-stride", 0, "sample filter health every k rounds (0 = every round, <0 = off)")
 		pprof    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		shAddr   = flag.String("shard-addr", "", "serve the shard transport (pings, checkpoint transfer) on this address (empty = disabled)")
-		shName   = flag.String("shard-name", "", "replica name in shard transport handshakes (empty = -shard-addr)")
+		shAddr   = flag.String("shard-addr", "", "serve the shard control endpoints (HTTP ping, export, restore) on this address (empty = disabled)")
+		shName   = flag.String("shard-name", "", "replica name in probe replies, traces and logs (empty = -shard-addr in probe replies, -addr in traces and logs)")
 		logLevel = flag.String("log-level", "info", "structured log level: debug, info, warn, error, off (runtime via POST /logz)")
 		version  = flag.Bool("version", false, "print the build string and exit")
 	)
@@ -127,11 +129,11 @@ func main() {
 		}
 		tl := shard.NewListener(name, shard.NewAgent(name, s))
 		if err := tl.ListenAndServe(*shAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "esthera-serve shard transport: %v\n", err)
+			fmt.Fprintf(os.Stderr, "esthera-serve shard control: %v\n", err)
 			os.Exit(1)
 		}
 		defer tl.Close()
-		fmt.Fprintf(os.Stderr, "esthera-serve shard transport %q listening on %s\n", name, tl.Addr())
+		fmt.Fprintf(os.Stderr, "esthera-serve shard control %q listening on %s\n", name, tl.Addr())
 	}
 
 	srv := &http.Server{

@@ -20,18 +20,18 @@ var snapshotPackages = map[string]bool{
 }
 
 // snapshotName matches the type names that participate in a wire
-// format: kernels.Snapshot, serve.Checkpoint, rng.State, and the shard
-// transport's framed *Msg control structs (shard.ExportMsg,
+// format: kernels.Snapshot, serve.Checkpoint, rng.State, and the JSON
+// bodies of the shard agent's control endpoints (shard.ExportMsg,
 // shard.RestoreMsg, ...).
 var snapshotName = regexp.MustCompile(`(Snapshot|Checkpoint|State|Msg)$`)
 
 // CheckpointAnalyzer guards the wire formats: every exported field of
-// a snapshot/checkpoint/framed-message struct must carry an explicit
+// a snapshot/checkpoint/control-message struct must carry an explicit
 // wire tag — a json tag with a wire name (frozen independently of
 // Go-side renames), or `json:"-"` for state serialized out of band (the
 // base64 float encoding) or deliberately excluded. An untagged exported
 // field would silently join (or, renamed, silently leave) the wire
-// format, breaking the bit-exact checkpoint/restore and transport
+// format, breaking the bit-exact checkpoint/restore and shard control
 // contracts between versions.
 var CheckpointAnalyzer = &Analyzer{
 	Name: "checkpointcompat",
@@ -80,7 +80,7 @@ func runCheckpointCompat(pass *Pass) error {
 }
 
 // hasWireTag reports whether the field carries an explicit json wire
-// tag (the checkpoint and control-frame formats).
+// tag (the checkpoint and control-message formats).
 func hasWireTag(field *ast.Field) bool {
 	if field.Tag == nil {
 		return false

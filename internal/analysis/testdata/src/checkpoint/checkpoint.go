@@ -36,7 +36,7 @@ type EmbeddedSnapshot struct {
 	Extra        int `json:"extra"`
 }
 
-// FramedMsg matches the Msg$ naming rule: transport control frames are
+// FramedMsg matches the Msg$ naming rule: control-message bodies are
 // a wire format too.
 type FramedMsg struct {
 	ID    string `json:"id"`

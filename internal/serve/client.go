@@ -116,6 +116,23 @@ func (c *Client) Close(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, nil)
 }
 
+// Checkpoint reads session id's current checkpoint without closing it.
+func (c *Client) Checkpoint(ctx context.Context, id string) (*Checkpoint, error) {
+	var cp Checkpoint
+	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/checkpoint", nil, &cp); err != nil {
+		return nil, err
+	}
+	return &cp, nil
+}
+
+// Post sends in as a JSON body to path and decodes the reply into out,
+// under the same retry policy and trace propagation as the session
+// calls. The shard router reaches each replica's control endpoints
+// through it.
+func (c *Client) Post(ctx context.Context, path string, in, out any) error {
+	return c.do(ctx, http.MethodPost, path, in, out)
+}
+
 // Ready probes /readyz: nil while the server admits new steps.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)

@@ -194,15 +194,22 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Logf("client absorbed %d saturation rejections transparently", s.rejected.Load())
 	}
 
-	// Estimate and Close round-trip through the client too.
+	// Estimate, Checkpoint and Close round-trip through the client too.
 	est, err := c.Estimate(ctx, ids[0])
 	if err != nil || est.Step != steps {
 		t.Fatalf("estimate: %+v, %v", est, err)
+	}
+	cp, err := c.Checkpoint(ctx, ids[0])
+	if err != nil || cp.Step != steps {
+		t.Fatalf("checkpoint: %+v, %v", cp, err)
 	}
 	if err := c.Close(ctx, ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Estimate(ctx, ids[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("estimate after close: %v, want ErrNotFound", err)
+	}
+	if _, err := c.Checkpoint(ctx, ids[0]); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("checkpoint after close: %v, want ErrNotFound", err)
 	}
 }

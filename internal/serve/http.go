@@ -56,7 +56,7 @@ func NewHandler(s *Server) http.Handler {
 		}
 		id, err := s.Create(body.Spec)
 		if err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
@@ -67,7 +67,7 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		res, err := s.Estimate(r.PathValue("id"))
 		if err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, SanitizeResult(res))
@@ -86,14 +86,14 @@ func NewHandler(s *Server) http.Handler {
 		}
 		res, err := s.StepCtx(ctx, r.PathValue("id"), body.U, body.Z)
 		if err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, SanitizeResult(res))
 	})
 	mux.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Close(r.PathValue("id")); err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -101,7 +101,7 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		cp, err := s.Checkpoint(r.PathValue("id"))
 		if err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusOK, cp)
@@ -113,7 +113,7 @@ func NewHandler(s *Server) http.Handler {
 		}
 		id, err := s.Restore(&cp)
 		if err != nil {
-			httpError(w, s, err)
+			WriteError(w, s, err)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, map[string]string{"id": id})
@@ -215,7 +215,12 @@ func SetRetryAfter(w http.ResponseWriter, hint time.Duration) {
 	w.Header().Set("Retry-After-Ms", strconv.FormatInt(ms, 10))
 }
 
-func httpError(w http.ResponseWriter, s *Server, err error) {
+// WriteError answers err with the serve API's status mapping: 429 for
+// saturation and 503 for the session limit, draining and closed (both
+// with s's back-off hint), 404 for an unknown session, 499 and 504 for a
+// canceled or expired request, and 400 for anything else. The shard
+// agent answers its control endpoints through it too.
+func WriteError(w http.ResponseWriter, s *Server, err error) {
 	var sat *SaturatedError
 	switch {
 	case errors.As(err, &sat):

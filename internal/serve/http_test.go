@@ -522,7 +522,7 @@ func TestHTTPDrainingStepRejected(t *testing.T) {
 	}
 }
 
-// TestHTTPErrorMapping unit-tests httpError's status mapping, including
+// TestHTTPErrorMapping unit-tests WriteError's status mapping, including
 // the sub-millisecond Retry-After-Ms clamp and the retry hint on every
 // 503.
 func TestHTTPErrorMapping(t *testing.T) {
@@ -532,7 +532,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	check := func(err error, wantCode int) *httptest.ResponseRecorder {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		httpError(rec, s, err)
+		WriteError(rec, s, err)
 		if rec.Code != wantCode {
 			t.Fatalf("%v → status %d, want %d", err, rec.Code, wantCode)
 		}

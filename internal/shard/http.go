@@ -18,7 +18,7 @@ import (
 //	GET    /v1/sessions/{id}                                    → last estimate
 //	POST   /v1/sessions/{id}/step        {"u": [...], "z": [...]} → StepResult
 //	DELETE /v1/sessions/{id}                                    → 204
-//	GET    /v1/sessions/{id}/checkpoint                         → Checkpoint (over the shard transport)
+//	GET    /v1/sessions/{id}/checkpoint                         → Checkpoint (the replica's own checkpoint read)
 //	POST   /v1/sessions/{id}/migrate     {"target": "name"}     → {"shard": ...} ("" = least-loaded)
 //	POST   /v1/rebalance                                        → {"moved": n}
 //	GET    /v1/shards                                           → per-shard liveness/placement
@@ -164,8 +164,8 @@ func routerCollector(r *Router) telemetry.Collector {
 		e.Counter("esthera_router_sessions_restored_total", "Sessions rehomed from a checkpoint.", float64(st.Restored))
 		e.Counter("esthera_router_sessions_recreated_total", "Sessions rebuilt from spec (no checkpoint).", float64(st.Recreated))
 		e.Counter("esthera_router_sessions_rebalanced_total", "Sessions moved by load rebalancing.", float64(st.Rebalanced))
-		e.Counter("esthera_router_probes_total", "Transport health probes sent.", float64(st.Probes))
-		e.Counter("esthera_router_probe_failures_total", "Transport health probes failed.", float64(st.ProbeFailures))
+		e.Counter("esthera_router_probes_total", "Health probes sent to replica agents.", float64(st.Probes))
+		e.Counter("esthera_router_probe_failures_total", "Health probes to replica agents that failed.", float64(st.ProbeFailures))
 		for _, sh := range st.Shards {
 			up := 1.0
 			if sh.Down {
@@ -174,7 +174,7 @@ func routerCollector(r *Router) telemetry.Collector {
 			e.Gauge("esthera_router_shard_up", "Shard liveness (1 = accepting placements).", up, "shard", sh.Name)
 			e.Gauge("esthera_router_shard_sessions", "Sessions homed on the shard.", float64(sh.Sessions), "shard", sh.Name)
 			e.Gauge("esthera_router_shard_clock_offset_seconds", "EWMA of replica clock minus router clock (NTP-style probe estimate).", float64(sh.ClockOffsetNS)/1e9, "shard", sh.Name)
-			e.Gauge("esthera_router_shard_rtt_seconds", "EWMA of transport probe round-trip time.", float64(sh.RTTNS)/1e9, "shard", sh.Name)
+			e.Gauge("esthera_router_shard_rtt_seconds", "EWMA of health probe round-trip time.", float64(sh.RTTNS)/1e9, "shard", sh.Name)
 		}
 	}
 }

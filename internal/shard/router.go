@@ -1,3 +1,30 @@
+// Package shard turns the single-process serving stack into the
+// building block of a sharded, multi-process deployment — the
+// process-boundary scaling PPF (arXiv:1310.5045) demonstrates for the
+// paper's sub-filter design:
+//
+//   - A Router (ring.go, router.go, http.go) fronts N replicas:
+//     session ids consistent-hash onto shards, step/estimate requests
+//     forward through the retrying serve.Client, /metrics exposes the
+//     router's own counters and per-shard gauges (each replica serves
+//     its own), and live sessions migrate between replicas — drain
+//     at the source, checkpoint, restore at the target, repoint
+//     atomically — driven by health probes (failover) and per-shard
+//     load (rebalance).
+//   - An Agent (agent.go) gives every esthera-serve replica its control
+//     endpoints, plain HTTP on their own address: health pings, session
+//     export (checkpoint + close at a round boundary) and restore, with
+//     at-most-once migration semantics — a replayed transfer returns the
+//     original result instead of creating a second session.
+//
+// Router and replicas speak one protocol, JSON over HTTP, through one
+// http.Client (RouterConfig.HTTPClient). Checkpoints ride the exact
+// serve.Checkpoint wire format (base64 little-endian float64 bit
+// patterns), so a transfer is bit-exact by construction: a migrated
+// session's estimate stream is bit-identical to an unmigrated run,
+// because the checkpoint captures every particle, weight and
+// random-stream position, and export waits for the in-flight step, so
+// the cut always lands on a round boundary (TestMigrationDeterminism).
 package shard
 
 import (
@@ -18,9 +45,12 @@ import (
 	tlog "esthera/internal/telemetry/log"
 )
 
-// ShardSpec names one replica: its HTTP base URL (step/estimate
-// forwarding via the retrying serve.Client) and its transport address
-// (health pings, checkpoint transfer).
+// ShardSpec names one replica: its HTTP base URL (the session API:
+// create, step, read, checkpoint, delete) and the host:port its Agent
+// serves the control endpoints on (health pings, export and restore;
+// esthera-serve's -shard-addr). Without a TransportAddr the shard is
+// never probed and takes part in no migration, and failover recreates
+// its sessions from spec.
 type ShardSpec struct {
 	Name          string `json:"name"`
 	BaseURL       string `json:"base_url"`
@@ -35,9 +65,9 @@ type RouterConfig struct {
 	// Vnodes is the consistent-hash ring's virtual node count per shard
 	// (0 = DefaultVnodes).
 	Vnodes int
-	// ProbeInterval paces the health loop pinging every shard over the
-	// transport (0 = 500ms; negative disables the loop — liveness then
-	// moves only on step-path strikes).
+	// ProbeInterval paces the health loop pinging every shard's agent
+	// (0 = 500ms; negative disables the loop — liveness then moves only
+	// on step-path strikes).
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive failures (probe or step
 	// transport errors) mark a shard down and trigger failover (0 = 3).
@@ -50,15 +80,16 @@ type RouterConfig struct {
 	// RetryAfter is the back-off hint attached to retryable router
 	// errors — a migrating session, a shard mid-failover (0 = 15ms).
 	RetryAfter time.Duration
-	// HTTPClient is the forwarding transport (nil = a client the router
-	// owns, keeping idleConnsPerShard idle connections to each shard).
+	// HTTPClient carries every router→replica request, session forwards
+	// and control calls alike (nil = a client the router owns, keeping
+	// idleConnsPerShard idle connections to each shard).
 	HTTPClient *http.Client
-	// Name identifies the router in transport handshakes (0 = "router").
+	// Name identifies the router's process in its traces and logs
+	// ("" = "router").
 	Name string
 	// Trace enables span recording at router start (toggleable over
-	// POST /trace). Each forwarded step carries its trace downstream in
-	// a traceparent header; migrations and failovers carry theirs in
-	// the transport's control frames.
+	// POST /trace). Each forwarded step, migration and failover carries
+	// its trace downstream in a traceparent header.
 	Trace bool
 	// LogLevel / LogSink shape the router's structured log (drained
 	// over /logz; Sink mirrors warnings+ to a writer, typically stderr).
@@ -73,10 +104,10 @@ type RouterConfig struct {
 // forwards (http.DefaultClient keeps 2 per host).
 const idleConnsPerShard = 64
 
-// clientMaxAttempts bounds the serve.Client's per-forward retries
-// against one replica. The router keeps this short: a saturated
-// replica's hint is worth honoring a few times, but a dead one should
-// fail over, not stall the caller.
+// clientMaxAttempts bounds the serve.Client's per-call retries against
+// one replica. The router keeps this short: a saturated replica's hint
+// is worth honoring a few times, but a dead one should fail over, not
+// stall the caller.
 const clientMaxAttempts = 4
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -107,11 +138,18 @@ var (
 	ErrUnknownShard      = errors.New("shard: unknown shard")
 )
 
+// controlTimeout bounds one export or restore whose context carries no
+// earlier deadline, so a replica that accepts the request and then
+// hangs cannot hold a migration open forever.
+const controlTimeout = 30 * time.Second
+
 // shardState is one replica's runtime state.
 type shardState struct {
-	spec   ShardSpec
-	client *serve.Client
-	peer   *Peer
+	spec ShardSpec
+	// client reaches the session API at spec.BaseURL, control the
+	// agent at spec.TransportAddr (nil without one).
+	client  *serve.Client
+	control *serve.Client
 	// down flips after FailAfter consecutive strikes and back on a
 	// successful probe.
 	down    atomic.Bool
@@ -234,6 +272,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r.log = slog.New(r.logz)
 	r.tracer.SetEnabled(cfg.Trace)
 	r.tracer.SetProcess(cfg.Name)
+	newClient := func(base string) *serve.Client {
+		return serve.NewClient(serve.ClientConfig{BaseURL: base, HTTPClient: cfg.HTTPClient, MaxAttempts: clientMaxAttempts})
+	}
 	for _, sp := range cfg.Shards {
 		if sp.Name == "" || sp.BaseURL == "" {
 			return nil, fmt.Errorf("shard: shard spec needs name and base_url (got %+v)", sp)
@@ -241,15 +282,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if _, dup := r.shards[sp.Name]; dup {
 			return nil, fmt.Errorf("shard: duplicate shard name %q", sp.Name)
 		}
-		r.shards[sp.Name] = &shardState{
-			spec: sp,
-			client: serve.NewClient(serve.ClientConfig{
-				BaseURL:     sp.BaseURL,
-				HTTPClient:  cfg.HTTPClient,
-				MaxAttempts: clientMaxAttempts,
-			}),
-			peer: NewPeer(sp.TransportAddr, cfg.Name),
+		sh := &shardState{spec: sp, client: newClient(sp.BaseURL)}
+		if sp.TransportAddr != "" {
+			sh.control = newClient("http://" + sp.TransportAddr)
 		}
+		r.shards[sp.Name] = sh
 		r.names = append(r.names, sp.Name)
 		r.ring.Add(sp.Name)
 	}
@@ -261,8 +298,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-// Close stops the health loop and drops transport connections. It does
-// not touch the replicas or their sessions.
+// Close stops the health loop and, when the router built its own
+// client, drops its idle connections. It does not touch the replicas or
+// their sessions.
 func (r *Router) Close() {
 	select {
 	case <-r.quit:
@@ -270,9 +308,6 @@ func (r *Router) Close() {
 		close(r.quit)
 	}
 	r.wg.Wait()
-	for _, sh := range r.shards {
-		sh.peer.Close()
-	}
 	if r.ownClient {
 		r.cfg.HTTPClient.CloseIdleConnections()
 	}
@@ -447,16 +482,19 @@ func (r *Router) CloseSession(ctx context.Context, id string) error {
 	return nil
 }
 
-// Checkpoint exports the session's current checkpoint over the
-// transport without closing it, and refreshes the router's failover
-// insurance with it.
+// Checkpoint reads the session's current checkpoint through its
+// replica's session API (GET /v1/sessions/{id}/checkpoint) without
+// closing it, and refreshes the router's failover insurance with it.
+// Failures are classified like a step's: a replica that lost the
+// session parks and re-places the route, a transport error strikes the
+// shard.
 func (r *Router) Checkpoint(ctx context.Context, id string) (*serve.Checkpoint, error) {
 	shardName, remoteID, err := r.lookupRoute(id)
 	if err != nil {
 		return nil, err
 	}
 	sh := r.shards[shardName]
-	cp, err := r.exportFrom(ctx, sh, "", remoteID, false, "")
+	cp, err := sh.client.Checkpoint(ctx, remoteID)
 	if err != nil {
 		return nil, r.stepError(ctx, id, sh, remoteID, err)
 	}
@@ -509,20 +547,15 @@ func (r *Router) ShardOf(id string) (string, error) {
 	return rt.shard, nil
 }
 
-// exportFrom pulls a checkpoint over the transport. close selects the
-// atomic export (migration drain) versus a plain snapshot. trace (a
-// traceparent string, "" = untraced) rides the control frame so the
-// replica's export span joins the caller's trace.
-func (r *Router) exportFrom(ctx context.Context, sh *shardState, mid, remoteID string, close bool, trace string) (*serve.Checkpoint, error) {
-	t, payload, err := sh.peer.Call(ctx, FrameExport, marshal(ExportMsg{MigrationID: mid, SessionID: remoteID, Close: close, Trace: trace}))
-	if err != nil {
-		return nil, err
-	}
-	if t != FrameCheckpoint {
-		return nil, fmt.Errorf("shard: export reply was %s, want checkpoint", t)
-	}
+// exportFrom drains the session off sh's replica: the agent
+// checkpoints and closes it in one atomic section, at-most-once per
+// migration id. The trace context in ctx rides the traceparent header,
+// so the replica's export span joins the caller's trace.
+func (r *Router) exportFrom(ctx context.Context, sh *shardState, mid, remoteID string) (*serve.Checkpoint, error) {
+	ctx, cancel := context.WithTimeout(ctx, controlTimeout)
+	defer cancel()
 	var msg CheckpointMsg
-	if err := unmarshal(t, payload, &msg); err != nil {
+	if err := sh.control.Post(ctx, exportPath, ExportMsg{MigrationID: mid, SessionID: remoteID}, &msg); err != nil {
 		return nil, err
 	}
 	if msg.Checkpoint == nil {
@@ -531,20 +564,14 @@ func (r *Router) exportFrom(ctx context.Context, sh *shardState, mid, remoteID s
 	return msg.Checkpoint, nil
 }
 
-// restoreOn pushes a checkpoint over the transport and returns the
-// restored session's replica-local id. At-most-once per migration id:
-// a retry of a transfer the target already applied returns the
-// original id.
-func (r *Router) restoreOn(ctx context.Context, sh *shardState, mid string, cp *serve.Checkpoint, trace string) (string, error) {
-	t, payload, err := sh.peer.Call(ctx, FrameRestore, marshal(RestoreMsg{MigrationID: mid, Checkpoint: cp, Trace: trace}))
-	if err != nil {
-		return "", err
-	}
-	if t != FrameRestored {
-		return "", fmt.Errorf("shard: restore reply was %s, want restored", t)
-	}
+// restoreOn pushes a checkpoint to sh's agent and returns the restored
+// session's replica-local id. At-most-once per migration id: a retry of
+// a transfer the target already applied returns the original id.
+func (r *Router) restoreOn(ctx context.Context, sh *shardState, mid string, cp *serve.Checkpoint) (string, error) {
+	ctx, cancel := context.WithTimeout(ctx, controlTimeout)
+	defer cancel()
 	var msg RestoredMsg
-	if err := unmarshal(t, payload, &msg); err != nil {
+	if err := sh.control.Post(ctx, restorePath, RestoreMsg{MigrationID: mid, Checkpoint: cp}, &msg); err != nil {
 		return "", err
 	}
 	return msg.SessionID, nil
@@ -559,8 +586,8 @@ func (r *Router) restoreOn(ctx context.Context, sh *shardState, mid string, cp *
 //  2. Drain + export: the source replica checkpoints and closes the
 //     session atomically (serve.Export); the in-flight step finishes
 //     first, so the cut is a round boundary.
-//  3. Transfer + restore: the checkpoint crosses the TCP transport and
-//     restores on the target, deduplicated by migration id.
+//  3. Transfer + restore: the checkpoint is posted to the target's
+//     agent and restores there, deduplicated by migration id.
 //  4. Repoint: the route atomically points at the target and steps
 //     resume. The estimate stream is bit-identical to an unmigrated
 //     run.
@@ -572,8 +599,8 @@ func (r *Router) restoreOn(ctx context.Context, sh *shardState, mid string, cp *
 // The whole protocol runs under one trace: the caller's propagated
 // context or a freshly minted trace ID. The hold window (step 1 until
 // repoint) is the "migrate.hold" span; export and restore are child
-// spans, and the trace crosses the transport so both replicas' agent
-// spans land in the same trace.
+// spans, and the trace rides the control requests' traceparent header
+// so both replicas' agent spans land in the same trace.
 func (r *Router) Migrate(ctx context.Context, id, target string) error {
 	tc, traced := telemetry.TraceFromContext(ctx)
 	if !traced && r.tracer.Enabled() {
@@ -615,9 +642,9 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 		r.mu.Unlock()
 		return ErrShardDown
 	}
-	if r.shards[source].spec.TransportAddr == "" || tsh.spec.TransportAddr == "" {
+	if r.shards[source].control == nil || tsh.control == nil {
 		r.mu.Unlock()
-		return fmt.Errorf("shard: migration needs transport endpoints on both %q and %q", source, target)
+		return fmt.Errorf("shard: migration needs control endpoints (transport_addr) on both %q and %q", source, target)
 	}
 	rt.migrating = true
 	rt.epoch++
@@ -626,9 +653,8 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 	holdStart := time.Now()
 	r.mu.Unlock()
 
-	childTrace := ""
 	if traced {
-		childTrace = telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}.HeaderValue()
+		ctx = telemetry.ContextWithTrace(ctx, telemetry.TraceContext{Trace: tc.Trace, Span: migSpan})
 	}
 	holdSpan := func(failed bool) {
 		r.recordSpan("migrate.hold", tc, migSpan, tc.Span, holdStart, failed)
@@ -636,7 +662,7 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 
 	ssh := r.shards[source]
 	expStart := time.Now()
-	cp, err := r.exportFrom(ctx, ssh, mid, remoteID, true, childTrace)
+	cp, err := r.exportFrom(ctx, ssh, mid, remoteID)
 	r.recordSpan("migrate.export", tc, spanIf(traced), migSpan, expStart, err != nil)
 	if err != nil {
 		// Nothing moved: the source still owns the session (or lost it
@@ -648,15 +674,15 @@ func (r *Router) Migrate(ctx context.Context, id, target string) error {
 		r.migrationErrors.Add(1)
 		r.log.LogAttrs(ctx, slog.LevelWarn, "migrate export failed", tlog.Trace(telemetry.TraceContext{Trace: tc.Trace, Span: migSpan}),
 			slog.String("session", id), slog.String("source", source), slog.String("error", err.Error()))
-		var rerr *RemoteError
-		if !errors.As(err, &rerr) {
+		var api *serve.APIError
+		if !errors.As(err, &api) {
 			r.strike(ssh)
 		}
 		return fmt.Errorf("shard: migrate %s: export from %s: %w", id, source, err)
 	}
 
 	resStart := time.Now()
-	newID, err := r.restoreOn(ctx, tsh, mid, cp, childTrace)
+	newID, err := r.restoreOn(ctx, tsh, mid, cp)
 	r.recordSpan("migrate.restore", tc, spanIf(traced), migSpan, resStart, err != nil)
 	if err != nil {
 		// The source copy is closed and the target unreachable: park
@@ -820,8 +846,9 @@ func (r *Router) failoverShard(sh *shardState) {
 //
 // Placement runs under its own freshly minted trace (there is no
 // request to inherit one from — failover is the router's initiative),
-// carried through the restore frame so the surviving replica's
-// agent.restore span shares it: the cross-process failover trace.
+// carried in the restore request's traceparent header so the surviving
+// replica's agent.restore span shares it: the cross-process failover
+// trace.
 func (r *Router) placeRoute(id string) {
 	r.mu.Lock()
 	rt, ok := r.routes[id]
@@ -835,13 +862,14 @@ func (r *Router) placeRoute(id string) {
 	mid := id + "#" + strconv.Itoa(rt.epoch)
 	r.mu.Unlock()
 
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var tc telemetry.TraceContext
 	var span uint64
-	childTrace := ""
 	if r.tracer.Enabled() {
 		tc = telemetry.TraceContext{Trace: telemetry.NewTraceID()}
 		span = telemetry.NewSpanID()
-		childTrace = telemetry.TraceContext{Trace: tc.Trace, Span: span}.HeaderValue()
+		ctx = telemetry.ContextWithTrace(ctx, telemetry.TraceContext{Trace: tc.Trace, Span: span})
 	}
 	start := time.Now()
 
@@ -861,11 +889,9 @@ func (r *Router) placeRoute(id string) {
 		r.parked.Add(1)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	sh := r.shards[target]
-	if cp != nil && sh.spec.TransportAddr != "" {
-		if remoteID, err := r.restoreOn(ctx, sh, mid, cp, childTrace); err == nil {
+	if cp != nil && sh.control != nil {
+		if remoteID, err := r.restoreOn(ctx, sh, mid, cp); err == nil {
 			finish(target, remoteID, "restored")
 			r.restored.Add(1)
 			return
@@ -988,7 +1014,7 @@ func (r *Router) probeLoop() {
 		}
 		seq++
 		for _, name := range r.names {
-			if sh := r.shards[name]; sh.spec.TransportAddr != "" {
+			if sh := r.shards[name]; sh.control != nil {
 				r.probe(sh, seq)
 			}
 		}
@@ -1004,39 +1030,37 @@ func (r *Router) probe(sh *shardState, seq int64) {
 	r.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
+	var pong PongMsg
 	t0 := time.Now().UnixNano()
-	t, payload, err := sh.peer.Call(ctx, FramePing, marshal(PingMsg{Seq: seq, SentUnixNano: t0}))
+	err := sh.control.Post(ctx, pingPath, PingMsg{Seq: seq, SentUnixNano: t0}, &pong)
 	t3 := time.Now().UnixNano()
-	if err == nil && t == FramePong {
-		var pong PongMsg
-		if uerr := unmarshal(t, payload, &pong); uerr == nil {
-			if pong.RecvUnixNano > 0 && pong.SendUnixNano > 0 {
-				offset := ((pong.RecvUnixNano - t0) + (pong.SendUnixNano - t3)) / 2
-				rtt := (t3 - t0) - (pong.SendUnixNano - pong.RecvUnixNano)
-				sh.observeClock(offset, rtt)
-			}
-			sh.lastPong.Store(&pong)
-			sh.strikes.Store(0)
-			if sh.down.Swap(false) {
-				r.log.LogAttrs(ctx, slog.LevelInfo, "shard recovered", slog.String("shard", sh.spec.Name))
-				// The shard is back: give parked sessions a home and,
-				// if enabled, level load onto it.
-				r.wg.Add(1)
-				go func() {
-					defer r.wg.Done()
-					r.placeParked()
-					if r.cfg.RebalanceThreshold > 0 {
-						ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-						defer cancel()
-						r.Rebalance(ctx)
-					}
-				}()
-			}
-			return
-		}
+	if err != nil {
+		r.probeFailures.Add(1)
+		r.strike(sh)
+		return
 	}
-	r.probeFailures.Add(1)
-	r.strike(sh)
+	if pong.RecvUnixNano > 0 && pong.SendUnixNano > 0 {
+		offset := ((pong.RecvUnixNano - t0) + (pong.SendUnixNano - t3)) / 2
+		rtt := (t3 - t0) - (pong.SendUnixNano - pong.RecvUnixNano)
+		sh.observeClock(offset, rtt)
+	}
+	sh.lastPong.Store(&pong)
+	sh.strikes.Store(0)
+	if sh.down.Swap(false) {
+		r.log.LogAttrs(ctx, slog.LevelInfo, "shard recovered", slog.String("shard", sh.spec.Name))
+		// The shard is back: give parked sessions a home and, if
+		// enabled, level load onto it.
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.placeParked()
+			if r.cfg.RebalanceThreshold > 0 {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				r.Rebalance(ctx)
+			}
+		}()
+	}
 }
 
 // RetryAfter is the back-off hint the HTTP layer attaches to retryable

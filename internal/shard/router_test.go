@@ -26,43 +26,97 @@ func testModels() map[string]serve.ModelFactory {
 }
 
 // replica is one in-process esthera-serve stand-in: a serve.Server, its
-// HTTP front-end, and its shard transport endpoint. hits counts the
-// HTTP requests the front-end received, frames the transport request
-// frames its agent answered, by frame type.
+// HTTP session API and its agent's control listener. hits counts the
+// requests the session API received; calls counts the requests both
+// listeners received, by requestKind.
 type replica struct {
-	name   string
-	srv    *serve.Server
-	web    *httptest.Server
-	tl     *Listener
-	spec   ShardSpec
-	hits   atomic.Int64
-	frames [FrameRestored + 1]atomic.Int64
+	name string
+	srv  *serve.Server
+	web  *httptest.Server
+	tl   *Listener
+	spec ShardSpec
+	hits atomic.Int64
+
+	mu    sync.Mutex
+	kinds map[string]int
 }
 
 func startReplica(t *testing.T, name string) *replica {
 	t.Helper()
-	srv := serve.NewServer(serve.Config{Workers: 2}, testModels())
-	r := &replica{name: name, srv: srv}
-	agent := NewAgent(name, srv)
-	r.tl = NewListener(name, HandlerFunc(func(remote string, ft FrameType, payload []byte) (FrameType, []byte, error) {
-		r.frames[ft].Add(1)
-		return agent.HandleFrame(remote, ft, payload)
-	}))
-	api := serve.NewHandler(srv)
-	r.web = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		r.hits.Add(1)
-		api.ServeHTTP(w, req)
-	}))
-	if err := r.tl.ListenAndServe("127.0.0.1:0"); err != nil {
+	r := &replica{name: name, kinds: make(map[string]int)}
+	if err := r.start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	r.spec = ShardSpec{Name: name, BaseURL: r.web.URL, TransportAddr: r.tl.Addr().String()}
 	t.Cleanup(r.kill)
 	return r
 }
 
-// kill tears the replica down hard (idempotent): HTTP refused, transport
-// refused, device stopped.
+// start brings the replica up on the given session-API and control
+// addresses with a fresh server: no sessions, empty dedup logs.
+func (r *replica) start(webAddr, ctlAddr string) error {
+	ln, err := net.Listen("tcp", webAddr)
+	if err != nil {
+		return err
+	}
+	r.srv = serve.NewServer(serve.Config{Workers: 2}, testModels())
+	api := serve.NewHandler(r.srv)
+	r.web = httptest.NewUnstartedServer(r.count(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.hits.Add(1)
+		api.ServeHTTP(w, req)
+	})))
+	r.web.Listener.Close()
+	r.web.Listener = ln
+	r.web.Start()
+	r.tl = NewListener(r.name, r.count(NewAgent(r.name, r.srv)))
+	if err := r.tl.ListenAndServe(ctlAddr); err != nil {
+		r.kill()
+		return err
+	}
+	r.spec = ShardSpec{Name: r.name, BaseURL: r.web.URL, TransportAddr: r.tl.Addr().String()}
+	return nil
+}
+
+// count wraps h to tally each request by kind.
+func (r *replica) count(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.mu.Lock()
+		r.kinds[requestKind(req)]++
+		r.mu.Unlock()
+		h.ServeHTTP(w, req)
+	})
+}
+
+// calls reports how many requests of kind the replica has received.
+func (r *replica) calls(kind string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.kinds[kind]
+}
+
+// requestKind classifies a router→replica request: a session create,
+// step, read, delete or checkpoint read, or an agent probe, export or
+// restore.
+func requestKind(req *http.Request) string {
+	switch p := req.URL.Path; {
+	case p == pingPath:
+		return "probe"
+	case p == exportPath:
+		return "export"
+	case p == restorePath:
+		return "restore"
+	case p == "/v1/sessions" && req.Method == http.MethodPost:
+		return "create"
+	case strings.HasSuffix(p, "/step"):
+		return "step"
+	case strings.HasSuffix(p, "/checkpoint"):
+		return "checkpoint"
+	default:
+		return req.Method + " " + p
+	}
+}
+
+// kill tears the replica down hard (idempotent): session API refused,
+// control endpoints refused, device stopped.
 func (r *replica) kill() {
 	r.web.CloseClientConnections()
 	r.web.Close()
@@ -113,7 +167,7 @@ func sameResult(t *testing.T, k int, got, want serve.StepResult) {
 }
 
 // TestMigrationDeterminism is the tentpole acceptance test: a session
-// stepped K times on one replica, live-migrated over TCP to another,
+// stepped K times on one replica, live-migrated over HTTP to another,
 // and stepped K more must produce an estimate stream bit-identical to
 // the same spec stepped 2K times on one uninterrupted server.
 func TestMigrationDeterminism(t *testing.T) {
@@ -195,7 +249,8 @@ func TestMigrationDeterminism(t *testing.T) {
 
 // TestMigrationAtMostOnce covers the duplicate-migration paths: a
 // second Migrate while one is in flight is rejected at the router, and
-// a replayed transfer is deduplicated at the agent.
+// a replayed transfer, sequential or concurrent, is deduplicated at the
+// agent.
 func TestMigrationAtMostOnce(t *testing.T) {
 	a := startReplica(t, "a")
 	b := startReplica(t, "b")
@@ -230,20 +285,17 @@ func TestMigrationAtMostOnce(t *testing.T) {
 		src = b
 	}
 	remoteID := src.srv.Sessions()[0]
-	peer := NewPeer(src.spec.TransportAddr, "test")
-	defer peer.Close()
+	control := func(rep *replica) *serve.Client {
+		return serve.NewClient(serve.ClientConfig{BaseURL: "http://" + rep.spec.TransportAddr})
+	}
 
 	const mid = "t-x#9"
-	export := func() *CheckpointMsg {
-		ft, payload, err := peer.Call(ctx, FrameExport, marshal(ExportMsg{MigrationID: mid, SessionID: remoteID, Close: true}))
-		if err != nil || ft != FrameCheckpoint {
-			t.Fatalf("export: %v %v", ft, err)
-		}
+	export := func() CheckpointMsg {
 		var msg CheckpointMsg
-		if err := unmarshal(ft, payload, &msg); err != nil {
-			t.Fatal(err)
+		if err := control(src).Post(ctx, exportPath, ExportMsg{MigrationID: mid, SessionID: remoteID}, &msg); err != nil {
+			t.Fatalf("export: %v", err)
 		}
-		return &msg
+		return msg
 	}
 	cp1 := export()
 	cp2 := export() // the session is closed now; only the dedup log can answer
@@ -251,16 +303,10 @@ func TestMigrationAtMostOnce(t *testing.T) {
 		t.Fatal("replayed export did not return the original checkpoint")
 	}
 
-	tgtPeer := NewPeer(b.spec.TransportAddr, "test")
-	defer tgtPeer.Close()
 	restore := func() RestoredMsg {
-		ft, payload, err := tgtPeer.Call(ctx, FrameRestore, marshal(RestoreMsg{MigrationID: mid, Checkpoint: cp1.Checkpoint}))
-		if err != nil || ft != FrameRestored {
-			t.Fatalf("restore: %v %v", ft, err)
-		}
 		var msg RestoredMsg
-		if err := unmarshal(ft, payload, &msg); err != nil {
-			t.Fatal(err)
+		if err := control(b).Post(ctx, restorePath, RestoreMsg{MigrationID: mid, Checkpoint: cp1.Checkpoint}, &msg); err != nil {
+			t.Fatalf("restore: %v", err)
 		}
 		return msg
 	}
@@ -275,6 +321,39 @@ func TestMigrationAtMostOnce(t *testing.T) {
 	}
 	if after := len(b.srv.Sessions()); after != before+1 {
 		t.Fatalf("restore replay changed session count %d → %d, want +1", before, after)
+	}
+
+	// Concurrent replays of one new migration id: one installs the
+	// session, every other reply is that session's id marked duplicate.
+	const replays = 8
+	replies := make([]RestoredMsg, replays)
+	errs := make([]error, replays)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = control(b).Post(ctx, restorePath, RestoreMsg{MigrationID: mid + "-concurrent", Checkpoint: cp1.Checkpoint}, &replies[i])
+		}(i)
+	}
+	wg.Wait()
+	fresh := 0
+	for i, r := range replies {
+		if errs[i] != nil {
+			t.Fatalf("concurrent restore %d: %v", i, errs[i])
+		}
+		if r.SessionID != replies[0].SessionID {
+			t.Fatalf("concurrent restores installed %q and %q", replies[0].SessionID, r.SessionID)
+		}
+		if !r.Duplicate {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d of %d concurrent restores were not duplicates, want 1", fresh, replays)
+	}
+	if after := len(b.srv.Sessions()); after != before+2 {
+		t.Fatalf("concurrent restores changed session count %d → %d, want +2 in all", before, after)
 	}
 }
 
@@ -487,14 +566,50 @@ func TestRouterRebalance(t *testing.T) {
 	}
 }
 
-// TestRouterProbeFailover exercises the transport health loop end to
-// end: with probing enabled, killing a replica fails its sessions over
+// waitFor polls cond for up to ten seconds and fails the test, naming
+// what it waited for, if cond never holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRouterProbeFailover exercises the health loop end to end. Each
+// probe's pong lands in the shard's stats with the replica's name and
+// a clock exchange; then killing a replica fails its sessions over
 // without any step traffic provoking it.
 func TestRouterProbeFailover(t *testing.T) {
 	a := startReplica(t, "a")
 	b := startReplica(t, "b")
 	router := newTestRouter(t, RouterConfig{ProbeInterval: 25 * time.Millisecond, FailAfter: 2}, a, b)
 	ctx := context.Background()
+
+	waitFor(t, "a pong from every shard", func() bool {
+		for _, sh := range router.Stats().Shards {
+			if sh.LastPong == nil {
+				return false
+			}
+		}
+		return true
+	})
+	for _, sh := range router.Stats().Shards {
+		if sh.LastPong.Name != sh.Name {
+			t.Fatalf("shard %s: last pong names %q", sh.Name, sh.LastPong.Name)
+		}
+		if sh.RTTNS <= 0 {
+			t.Fatalf("shard %s: probe rtt %d ns, want > 0", sh.Name, sh.RTTNS)
+		}
+		// Router and replica share one clock here, so the NTP-style
+		// estimate must sit within a round trip of zero.
+		if off := sh.ClockOffsetNS; off < -sh.RTTNS || off > sh.RTTNS {
+			t.Fatalf("shard %s: clock offset %d ns on a shared clock (rtt %d ns)", sh.Name, off, sh.RTTNS)
+		}
+	}
 
 	id, err := router.Create(ctx, serve.FilterSpec{Model: "ungm", Seed: 31})
 	if err != nil {
@@ -507,17 +622,10 @@ func TestRouterProbeFailover(t *testing.T) {
 	}
 	victim.kill()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if sh, _ := router.ShardOf(id); sh == survivor.name {
-			break
-		}
-		if time.Now().After(deadline) {
-			sh, _ := router.ShardOf(id)
-			t.Fatalf("probe loop never failed the session over (still on %q)", sh)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "the probe loop to fail the session over", func() bool {
+		sh, _ := router.ShardOf(id)
+		return sh == survivor.name
+	})
 	if _, err := router.Step(ctx, id, nil, obs(0)); err != nil {
 		t.Fatalf("step after probe-driven failover: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 // Multi-process trace merging. Each process in a swarm drains its own
 // tracer; its raw trace file carries the tracer's epoch (wall clock)
 // and process name. The router additionally estimates every replica's
-// clock offset from transport pings (see shard.Router). Merging maps
+// clock offset from its health probes (see shard.Router). Merging maps
 // each process's epoch-relative timestamps onto the reference (router)
 // clock:
 //

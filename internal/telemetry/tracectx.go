@@ -18,8 +18,8 @@ import (
 //
 //	traceparent: 00-<32 hex trace id>-<16 hex span id>-01
 //
-// The same string rides in the HTTP header on router→replica forwards
-// and in the Trace field of ESHD export/restore control frames, so
+// The same header rides on every router→replica request — step
+// forwards and the agent's export and restore calls alike — so
 // migration and failover hops stay on the request's trace.
 
 // TraceID is a 16-byte request identity, zero when absent. It marshals

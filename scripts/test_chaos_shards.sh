@@ -1,7 +1,7 @@
 #!/bin/sh
 # Chaos drill for the sharded serving stack: build the three binaries,
-# start a router fronting 3 esthera-serve replicas (HTTP + shard
-# transport each), drive swarm load for the whole run, kill -9 one
+# start a router fronting 3 esthera-serve replicas (session API plus
+# shard control endpoints, both HTTP, each), drive swarm load for the whole run, kill -9 one
 # replica mid-run and restart it later. esthera-swarm judges the run:
 # it exits non-zero if any session saw a non-retryable error (the
 # failover must be absorbed by 503+Retry-After retries) or stepping p99
@@ -36,7 +36,8 @@ go build -o "$TMP/esthera-router" ./cmd/esthera-router
 go build -o "$TMP/esthera-swarm" ./cmd/esthera-swarm
 go build -o "$TMP/esthera-trace" ./cmd/esthera-trace
 
-# start_replica <index>: HTTP on PORT+i, shard transport on PORT+10+i.
+# start_replica <index>: session API on PORT+i, shard control endpoints
+# on PORT+10+i.
 # Prints the replica pid; logs append so a restart keeps history.
 # Tracing is on so the post-run merge can assert span continuity.
 start_replica() {

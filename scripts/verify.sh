@@ -22,8 +22,8 @@ go run ./cmd/esthera-vet -list
 # silently drops a load-bearing package from ./... coverage: telemetry
 # (the leaf package every hot path calls into, under the noalloc ratchet
 # for its disabled-path helpers) and telemetry/log (the slog ring
-# handler, whose Enabled level gate is under the same ratchet), shard (framed
-# wire structs under checkpointcompat), the //esthera:hotpath-annotated
+# handler, whose Enabled level gate is under the same ratchet), shard (the
+# control endpoints' *Msg bodies under checkpointcompat), the //esthera:hotpath-annotated
 # numeric core (kernels/sortnet/scan/rng/model under noalloc+bce, model
 # under draworder), and serve (lockorder).
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/telemetry/log,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
