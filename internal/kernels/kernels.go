@@ -148,7 +148,7 @@ func (p *Pipeline) sampleGroup(g *device.Group, s int, u, z []float64, k int, xi
 	dst := xout.sub[s]
 	vs, vd := p.vsrc[s], p.vdst[s]
 	lws := p.logw[off : off+m : off+m]
-	lls := p.ll[off : off+m : off+m]
+	lls := g.ScratchF64(m) // per-round log-likelihoods, read only below
 	g.StepVec(func(lo, hi int) {
 		for c := 0; c < dim; c++ {
 			vs[c] = src[c][lo:hi:hi]

@@ -169,7 +169,6 @@ type Pipeline struct {
 	vms []model.VecModel
 
 	// Host-side scratch reused across rounds.
-	ll         []float64     // N·m per-round log-likelihoods
 	vsrc, vdst [][][]float64 // per-sub-filter span views handed to VecModels
 	heads      []float64     // N sorted block-head log-weights
 	partial    []float64     // N·(dim+1) weighted partial sums
@@ -280,7 +279,6 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	p.estState = make([]float64, p.dim)
 	p.poolKeys = make([]float64, N*cfg.ExchangeCount)
 	p.poolIdx = make([]int, N*cfg.ExchangeCount)
-	p.ll = make([]float64, n)
 	p.vsrc = make([][][]float64, N)
 	p.vdst = make([][][]float64, N)
 	p.bufs = make([]*rng.Buffer, N)

@@ -38,22 +38,26 @@ func (r *Rand) FillNormals(dst []float64) {
 
 // fillNormalsBuffered draws as many whole Box-Muller pairs as fit in the
 // buffered block directly from its words (4 words per pair, identical
-// packing and 53-bit open-interval mapping as OpenFloat64 over Uint64).
-// It returns the next unfilled index; any remainder falls back to the
-// scalar path.
+// packing and 53-bit open-interval mapping as OpenFloat64 over Uint64),
+// a stack chunk at a time. It returns the next unfilled index; any
+// remainder falls back to the scalar path.
 //
 //esthera:hotpath noalloc bce
 func fillNormalsBuffered(dst []float64, i int, b *Buffer) int {
 	n := 4 * ((len(dst) - i) / 2)
-	if avail := len(b.bits) - b.pos; n > avail {
+	if avail := b.Remaining(); n > avail {
 		n = avail &^ 3
 	}
-	w := b.take(n)
-	for j := 0; j+4 <= len(w); j += 4 {
-		u1 := (float64((uint64(w[j])<<32|uint64(w[j+1]))>>11) + 0.5) * inv53
-		u2 := (float64((uint64(w[j+2])<<32|uint64(w[j+3]))>>11) + 0.5) * inv53
-		dst[i], dst[i+1] = BoxMuller(u1, u2)
-		i += 2
+	var chunk [bufferChunk]uint32
+	for n > 0 {
+		w := b.take(chunk[:], n)
+		n -= len(w)
+		for j := 0; j+4 <= len(w); j += 4 {
+			u1 := (float64((uint64(w[j])<<32|uint64(w[j+1]))>>11) + 0.5) * inv53
+			u2 := (float64((uint64(w[j+2])<<32|uint64(w[j+3]))>>11) + 0.5) * inv53
+			dst[i], dst[i+1] = BoxMuller(u1, u2)
+			i += 2
+		}
 	}
 	return i
 }
@@ -66,13 +70,17 @@ func (r *Rand) FillUniforms(dst []float64) {
 	i := 0
 	if b, ok := r.src.(*Buffer); ok {
 		n := 2 * len(dst)
-		if avail := len(b.bits) - b.pos; n > avail {
+		if avail := b.Remaining(); n > avail {
 			n = avail &^ 1
 		}
-		w := b.take(n)
-		for j := 0; j+2 <= len(w); j += 2 {
-			dst[i] = float64((uint64(w[j])<<32|uint64(w[j+1]))>>11) * inv53
-			i++
+		var chunk [bufferChunk]uint32
+		for n > 0 {
+			w := b.take(chunk[:], n)
+			n -= len(w)
+			for j := 0; j+2 <= len(w); j += 2 {
+				dst[i] = float64((uint64(w[j])<<32|uint64(w[j+1]))>>11) * inv53
+				i++
+			}
 		}
 	}
 	for ; i < len(dst); i++ {

@@ -1,6 +1,6 @@
 package rng
 
-// Buffer is a Source that serves pre-generated 32-bit words from a block,
+// Buffer is a Source that serves a block of 32-bit words per round,
 // falling back to an underlying stream when the block is exhausted.
 //
 // It realizes the paper's kernel split (§VI-A): a dedicated PRNG kernel
@@ -9,109 +9,113 @@ package rng
 // resampling kernels then consume words from the block. Refill is the
 // PRNG kernel's work; Uint64 is what the consumers see.
 //
-// Generation is lazy: Refill only repositions the block, and words are
-// materialized from the fallback on first read (in chunks for scalar
-// draws, exactly-sized for block draws). The observable 32-bit word
-// stream — which words land at which block positions, and where the
-// fallback stands at every consumption point — is identical to eager
-// generation; the unconsumed tail of a block is simply never computed,
-// its stream positions skipped at the next Refill. Sub-filter rounds
-// consume well under half their block in typical configurations, so
-// this halves PRNG work without moving a single draw.
+// The block is held as stream positions, not words. Philox is counter
+// based, so a block is a pure function of the fallback's state at its
+// first word: Refill copies that state (48 bytes) and rewinds the read
+// position, and draws then take the block's words straight from the
+// fallback in block order — bulk draws through a fixed stack chunk,
+// scalar draws one call at a time. The observable 32-bit word stream —
+// which words land at which block positions, and where the fallback
+// stands at every consumption point — is identical to generating the
+// whole block at Refill: the unread tail of a block is never computed,
+// its stream positions skipped at the next Refill, and SaveState
+// regenerates the block's words from the start copy. A restored block
+// is held exactly as restored until the next Refill, since a checkpoint
+// may carry words no start state regenerates.
 type Buffer struct {
-	bits     []uint32
-	pos      int // next unread word
-	gen      int // words of bits materialized since the last Refill
+	size int // block capacity in words
+	pos  int // next unread word
+	// lag is how many words the fallback trails the block's end: size
+	// minus pos while draws come from the fallback, 0 once an overflow
+	// draw has stepped it past the block, for a restored block and
+	// before the first Refill.
+	lag      int
+	start    Philox4x32 // the fallback at the block's first word
+	refilled bool       // a block has started; before that it reads as zeros
+	held     []uint32   // a restored block, served verbatim until the next Refill
 	fallback *Philox4x32
 }
 
-// bufferChunk is the scalar-path materialization granule: enough to
-// amortize the fallback call, small enough that the over-generated tail
-// (at most bufferChunk-1 words, skipped at the next Refill) stays cheap.
-const bufferChunk = 64
+// bufferChunk is the stack chunk bulk draws generate block words
+// through: a multiple of four, so every chunk holds whole Box–Muller
+// word quadruples and uniform pairs.
+const bufferChunk = 128
 
 // NewBuffer creates a buffer of capacity words backed by fallback, which
 // both refills the block and serves overflow draws. The buffer starts
 // exhausted; call Refill (the PRNG-kernel step) before drawing, or every
 // draw silently hits the fallback.
 func NewBuffer(capacity int, fallback *Philox4x32) *Buffer {
-	b := &Buffer{bits: make([]uint32, capacity), fallback: fallback}
-	b.pos = len(b.bits)
-	b.gen = len(b.bits)
-	return b
+	return &Buffer{size: capacity, pos: capacity, fallback: fallback}
 }
 
-// Refill starts a fresh block: the fallback is advanced past the
-// unmaterialized tail of the previous block (O(1): Philox jumps its
-// counter) and the read position rewinds. It returns the block capacity,
-// which the PRNG kernel accounts as work — the device-model cost of the
-// paper's PRNG kernel, independent of the lazy host-side realization.
+// Refill starts a fresh block: the fallback is advanced past the unread
+// tail of the previous block (O(1): Philox jumps its counter), its state
+// becomes the new block's start, and the read position rewinds. It
+// returns the block capacity, which the PRNG kernel accounts as work —
+// the device-model cost of the paper's PRNG kernel, independent of the
+// host-side realization.
 //
 //esthera:hotpath noalloc bce
 func (b *Buffer) Refill() int {
-	b.fallback.Skip(len(b.bits) - b.gen)
-	b.pos, b.gen = 0, 0
-	return len(b.bits)
+	b.fallback.Skip(b.lag)
+	b.start = *b.fallback
+	b.pos, b.lag = 0, b.size
+	b.refilled = true
+	b.held = nil
+	return b.size
 }
 
 // Remaining returns the unread words left in the block.
-func (b *Buffer) Remaining() int { return len(b.bits) - b.pos }
+func (b *Buffer) Remaining() int { return b.size - b.pos }
 
-// materializeTo generates block words up to position target (clamped to
-// capacity). Positions below gen are already materialized and never
-// regenerated, so every block word is produced at most once.
-func (b *Buffer) materializeTo(target int) {
-	if target > len(b.bits) {
-		target = len(b.bits)
-	}
-	if target <= b.gen {
-		return
-	}
-	b.fallback.Block(b.bits[b.gen:target])
-	b.gen = target
-}
-
-// take returns the next n block words (materializing them as needed) and
-// consumes them, or nil if fewer than n remain in the block. It is the
-// bulk-draw fast path used by Rand.FillNormals/FillUniforms.
+// take consumes the next min(n, len(chunk)) block words and returns
+// them: generated into chunk from the fallback, or sliced from a
+// restored block. The caller guarantees that n words remain. It is the
+// bulk-draw path of Rand.FillNormals/FillUniforms, which cut the
+// returned slice once per chunk, outside their per-element loops.
 //
 //esthera:hotpath noalloc bce
-func (b *Buffer) take(n int) []uint32 {
-	if b.pos+n > len(b.bits) {
-		return nil
+func (b *Buffer) take(chunk []uint32, n int) []uint32 {
+	n = min(n, len(chunk))
+	var w []uint32
+	if b.held != nil {
+		w = b.held[b.pos : b.pos+n : b.pos+n]
+	} else {
+		w = chunk[:n:n]
+		b.fallback.Block(w)
+		b.lag -= n
 	}
-	b.materializeTo(b.pos + n)
-	w := b.bits[b.pos : b.pos+n : b.pos+n]
 	b.pos += n
 	return w
 }
 
-// Uint64 serves two buffered words, or delegates to the fallback stream
+// Uint64 serves two block words, or delegates to the fallback stream
 // when fewer than two remain.
 //
 //esthera:hotpath noalloc bce
 func (b *Buffer) Uint64() uint64 {
-	if b.pos+2 <= len(b.bits) {
-		if b.pos+2 > b.gen {
-			b.materializeTo(b.pos + bufferChunk)
-		}
-		hi := uint64(b.bits[b.pos])
-		lo := uint64(b.bits[b.pos+1])
+	if b.pos+2 <= b.size {
 		b.pos += 2
-		return hi<<32 | lo
+		if b.held != nil {
+			w := b.held[b.pos-2 : b.pos : b.pos]
+			return uint64(w[0])<<32 | uint64(w[1])
+		}
+		b.lag -= 2
+		return b.fallback.Uint64()
 	}
-	// Overflow: the eager pipeline had generated the whole block before
-	// reaching the fallback, so materialize the tail to put the fallback
-	// at the same stream position before delegating.
-	b.materializeTo(len(b.bits))
+	// Overflow: a whole block would have been generated before the
+	// fallback was reached, so step past the unread tail first. The
+	// stranded odd word, if any, stays unread.
+	b.fallback.Skip(b.lag)
+	b.lag = 0
 	return b.fallback.Uint64()
 }
 
 // Seed reseeds the fallback stream and discards the buffered block.
 func (b *Buffer) Seed(seed uint64) {
 	b.fallback.Seed(seed)
-	b.pos = len(b.bits)
-	b.gen = len(b.bits)
+	b.pos, b.lag = b.size, 0
 }
 
 var _ Source = (*Buffer)(nil)

@@ -1,6 +1,213 @@
 package rng
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// wordBuffer is the Buffer as it was before blocks became stream
+// positions: it holds the block's words, materialized from the fallback
+// on first read (in 64-word chunks for scalar draws) and skipped past
+// at the next Refill when unread. It is kept as the reference the
+// positional Buffer must match word for word, position for position.
+type wordBuffer struct {
+	bits     []uint32
+	pos      int // next unread word
+	gen      int // words of bits materialized since the last Refill
+	fallback *Philox4x32
+}
+
+const wordBufferChunk = 64
+
+func newWordBuffer(capacity int, fallback *Philox4x32) *wordBuffer {
+	b := &wordBuffer{bits: make([]uint32, capacity), fallback: fallback}
+	b.pos = len(b.bits)
+	b.gen = len(b.bits)
+	return b
+}
+
+func (b *wordBuffer) Refill() int {
+	b.fallback.Skip(len(b.bits) - b.gen)
+	b.pos, b.gen = 0, 0
+	return len(b.bits)
+}
+
+func (b *wordBuffer) Remaining() int { return len(b.bits) - b.pos }
+
+func (b *wordBuffer) materializeTo(target int) {
+	if target > len(b.bits) {
+		target = len(b.bits)
+	}
+	if target <= b.gen {
+		return
+	}
+	b.fallback.Block(b.bits[b.gen:target])
+	b.gen = target
+}
+
+func (b *wordBuffer) Uint64() uint64 {
+	if b.pos+2 <= len(b.bits) {
+		if b.pos+2 > b.gen {
+			b.materializeTo(b.pos + wordBufferChunk)
+		}
+		hi := uint64(b.bits[b.pos])
+		lo := uint64(b.bits[b.pos+1])
+		b.pos += 2
+		return hi<<32 | lo
+	}
+	b.materializeTo(len(b.bits))
+	return b.fallback.Uint64()
+}
+
+func (b *wordBuffer) Seed(seed uint64) {
+	b.fallback.Seed(seed)
+	b.pos = len(b.bits)
+	b.gen = len(b.bits)
+}
+
+func (b *wordBuffer) SaveState() State {
+	b.materializeTo(len(b.bits))
+	w := make([]uint32, 0, len(b.bits)+1)
+	w = append(w, uint32(b.pos))
+	w = append(w, b.bits...)
+	return State{Kind: "buffer", Words: w, Sub: []State{b.fallback.SaveState()}}
+}
+
+func (b *wordBuffer) RestoreState(st State) error {
+	if len(st.Words) != len(b.bits)+1 || len(st.Sub) != 1 {
+		return fmt.Errorf("word buffer: state shape %d words, %d subs", len(st.Words), len(st.Sub))
+	}
+	if err := b.fallback.RestoreState(st.Sub[0]); err != nil {
+		return err
+	}
+	copy(b.bits, st.Words[1:])
+	b.pos = int(st.Words[0])
+	b.gen = len(b.bits)
+	return nil
+}
+
+// sameRandState compares two saved Rand-over-buffer states: the spare
+// cache, the read position, the block words (unless the block is dead:
+// after Seed and before the next Refill the reference keeps stale
+// words), and the fallback's key, counter, unread count, unread buffered
+// words and next draws. Buffered words the unread count marks dead are
+// not compared.
+func sameRandState(t *testing.T, ctx string, want, got State, deadBlock bool) {
+	t.Helper()
+	if fmt.Sprint(want.Words) != fmt.Sprint(got.Words) {
+		t.Fatalf("%s: rand words %v, want %v", ctx, got.Words, want.Words)
+	}
+	wb, gb := want.Sub[0], got.Sub[0]
+	if wb.Words[0] != gb.Words[0] {
+		t.Fatalf("%s: saved pos %d, want %d", ctx, gb.Words[0], wb.Words[0])
+	}
+	if !deadBlock {
+		for i := range wb.Words {
+			if wb.Words[i] != gb.Words[i] {
+				t.Fatalf("%s: saved block word %d = %x, want %x", ctx, i-1, gb.Words[i], wb.Words[i])
+			}
+		}
+	}
+	wp, gp := wb.Sub[0].Words, gb.Sub[0].Words
+	n := int(wp[10])
+	if fmt.Sprint(wp[:6], wp[10-n:]) != fmt.Sprint(gp[:6], gp[10-n:]) || gp[10] != wp[10] {
+		t.Fatalf("%s: fallback state %v, want %v", ctx, gp, wp)
+	}
+	var pw, pg Philox4x32
+	if err := pw.RestoreState(wb.Sub[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.RestoreState(gb.Sub[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if a, b := pg.Uint64(), pw.Uint64(); a != b {
+			t.Fatalf("%s: fallback draw %d = %x, want %x", ctx, i, a, b)
+		}
+	}
+}
+
+// TestBufferMatchesWordBuffer drives the positional Buffer and the
+// word-holding reference through the same random operation sequences —
+// refills, Uint64 draws across the block end, odd-length bulk normal
+// and uniform fills, saves mid-block, restores (from either side's
+// state) followed by draws, and reseeds — and requires the same words,
+// remaining counts and saved states throughout.
+func TestBufferMatchesWordBuffer(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		ops := rand.New(rand.NewPCG(seed, 7))
+		size := 1 + ops.IntN(48)
+		if ops.IntN(4) == 0 { // several bulk chunks per fill
+			size = 2*bufferChunk + ops.IntN(3*bufferChunk)
+		}
+		want := New(newWordBuffer(size, NewPhiloxStream(seed, 3)))
+		got := New(NewBuffer(size, NewPhiloxStream(seed, 3)))
+		deadBlock := false
+		for step := 0; step < 80; step++ {
+			ctx := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
+			switch ops.IntN(8) {
+			case 0:
+				if a, b := got.src.(*Buffer).Refill(), want.src.(*wordBuffer).Refill(); a != b {
+					t.Fatalf("%s: Refill = %d, want %d", ctx, a, b)
+				}
+				deadBlock = false
+			case 1:
+				for k := 1 + ops.IntN(8); k > 0; k-- {
+					if a, b := got.Uint64(), want.Uint64(); a != b {
+						t.Fatalf("%s: Uint64 = %x, want %x", ctx, a, b)
+					}
+				}
+			case 2:
+				n := ops.IntN(size/2 + 8)
+				a, b := make([]float64, n), make([]float64, n)
+				got.FillNormals(a)
+				want.FillNormals(b)
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s: normal %d of %d = %v, want %v", ctx, i, n, a[i], b[i])
+					}
+				}
+			case 3:
+				n := ops.IntN(size/2 + 8)
+				a, b := make([]float64, n), make([]float64, n)
+				got.FillUniforms(a)
+				want.FillUniforms(b)
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s: uniform %d of %d = %v, want %v", ctx, i, n, a[i], b[i])
+					}
+				}
+			case 4, 5:
+				sameRandState(t, ctx, want.SaveState(), got.SaveState(), deadBlock)
+			case 6:
+				st := want.SaveState()
+				if ops.IntN(2) == 0 {
+					st = got.SaveState()
+				}
+				want = New(newWordBuffer(size, NewPhilox(0)))
+				got = New(NewBuffer(size, NewPhilox(0)))
+				if err := want.RestoreState(st.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.RestoreState(st.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				deadBlock = false
+			case 7:
+				s := ops.Uint64()
+				got.Seed(s)
+				want.Seed(s)
+				deadBlock = true
+			}
+			if a, b := got.src.(*Buffer).Remaining(), want.src.(*wordBuffer).Remaining(); a != b {
+				t.Fatalf("%s: Remaining = %d, want %d", ctx, a, b)
+			}
+		}
+		sameRandState(t, fmt.Sprintf("seed %d end", seed), want.SaveState(), got.SaveState(), deadBlock)
+	}
+}
 
 func TestBufferServesBlockThenFallsBack(t *testing.T) {
 	// A buffer of 6 words serves 3 Uint64s from the block, then falls

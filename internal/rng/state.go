@@ -81,33 +81,43 @@ func (p *Philox4x32) RestoreState(st State) error {
 }
 
 // SaveState implements Stateful: the read position followed by the whole
-// buffered block, with the fallback stream as a sub-state. The block must
-// be captured verbatim — it was generated before the fallback's saved
-// position, so it cannot be regenerated from the sub-state alone. Lazy
-// materialization is forced to completion first, so the saved bytes (and
-// the fallback's saved position) are exactly what eager generation would
-// have produced.
+// block, with the fallback stream at the block's end (or past it, after
+// an overflow draw) as a sub-state. The block is captured verbatim — it
+// was generated before the fallback's saved position, so it cannot be
+// regenerated from the sub-state alone. Its words are regenerated from
+// the block's start state (a restored block is written as restored, and
+// before the first Refill the block is zeros), so the saved bytes are
+// exactly what generating the whole block at Refill would have produced.
 func (b *Buffer) SaveState() State {
-	b.materializeTo(len(b.bits))
-	w := make([]uint32, 0, len(b.bits)+1)
-	w = append(w, uint32(b.pos))
-	w = append(w, b.bits...)
-	return State{Kind: "buffer", Words: w, Sub: []State{b.fallback.SaveState()}}
+	w := make([]uint32, 1+b.size)
+	w[0] = uint32(b.pos)
+	end := b.fallback
+	switch {
+	case b.held != nil:
+		copy(w[1:], b.held)
+	case b.refilled:
+		s := b.start
+		s.Block(w[1:])
+		if b.lag > 0 {
+			end = &s
+		}
+	}
+	return State{Kind: "buffer", Words: w, Sub: []State{end.SaveState()}}
 }
 
 // RestoreState implements Stateful. The buffer's capacity must match the
-// saved block length.
+// saved block length; the restored block is held until the next Refill.
 func (b *Buffer) RestoreState(st State) error {
 	if st.Kind != "buffer" {
 		return fmt.Errorf("rng: cannot restore %q state into buffer", st.Kind)
 	}
-	if len(st.Words) != len(b.bits)+1 {
+	if len(st.Words) != b.size+1 {
 		return fmt.Errorf("rng: buffer state block is %d words, buffer capacity %d",
-			len(st.Words)-1, len(b.bits))
+			len(st.Words)-1, b.size)
 	}
 	pos := int(st.Words[0])
-	if pos < 0 || pos > len(b.bits) {
-		return fmt.Errorf("rng: buffer state position %d out of range [0,%d]", pos, len(b.bits))
+	if pos < 0 || pos > b.size {
+		return fmt.Errorf("rng: buffer state position %d out of range [0,%d]", pos, b.size)
 	}
 	if len(st.Sub) != 1 {
 		return fmt.Errorf("rng: buffer state has %d sub-states, want 1", len(st.Sub))
@@ -115,9 +125,9 @@ func (b *Buffer) RestoreState(st State) error {
 	if err := b.fallback.RestoreState(st.Sub[0]); err != nil {
 		return err
 	}
-	copy(b.bits, st.Words[1:])
-	b.pos = pos
-	b.gen = len(b.bits) // the restored block is fully materialized
+	b.held = append([]uint32(nil), st.Words[1:]...)
+	b.pos, b.lag = pos, 0
+	b.refilled = true
 	return nil
 }
 

@@ -96,6 +96,19 @@ type RestoredMsg struct {
 // migrations have completed is long past any retry window.
 const migrationLogCap = 4096
 
+// exportKeep is how long the dedup log holds an export's checkpoint.
+// The router sends an export only from Migrate, each attempt within one
+// call bounded by controlTimeout, and never reuses a migration id, so a
+// replay older than two such bounds cannot come from a live migration.
+// Past it only the id is kept (the checkpoint goes at the agent's next
+// export or restore), and a replay gets errExportExpired.
+const exportKeep = 2 * controlTimeout
+
+// errExportExpired answers a replayed export whose checkpoint is no
+// longer kept: the session was exported (and closed) once, and is not
+// exported again.
+var errExportExpired = errors.New("shard: export replayed after its checkpoint was dropped")
+
 // Agent is one replica's control endpoint, an http.Handler: it answers
 // health pings and performs the two halves of a live migration against
 // its local serve.Server — export (checkpoint + close at a round
@@ -121,15 +134,26 @@ type Agent struct {
 
 	mu sync.Mutex
 	// exports and restores are the migration dedup logs, keyed by
-	// migration id; order tracks insertion for eviction.
+	// migration id; order tracks insertion for eviction. An export's
+	// checkpoint is dropped, leaving a nil entry, at the first log
+	// access after it is older than keep (exportKeep; tests shorten
+	// it); aging lists the exports still holding one, oldest first.
 	exports  map[string]*CheckpointMsg
 	restores map[string]*RestoredMsg
 	order    []dedupKey
+	aging    []exported
+	keep     time.Duration
 }
 
 type dedupKey struct {
 	id      string
 	restore bool
+}
+
+// exported is one export whose checkpoint the dedup log still holds.
+type exported struct {
+	id string
+	at time.Time
 }
 
 // NewAgent builds the control endpoints for srv, identified as name in
@@ -141,6 +165,7 @@ func NewAgent(name string, srv *serve.Server) *Agent {
 		mux:      http.NewServeMux(),
 		exports:  make(map[string]*CheckpointMsg),
 		restores: make(map[string]*RestoredMsg),
+		keep:     exportKeep,
 	}
 	a.mux.HandleFunc("POST "+pingPath, func(w http.ResponseWriter, r *http.Request) {
 		// t1 (receive) is stamped as early as possible and t2 (send)
@@ -242,8 +267,12 @@ func (a *Agent) export(tc telemetry.TraceContext, req ExportMsg) (*CheckpointMsg
 		a.opMu.Lock()
 		defer a.opMu.Unlock()
 		a.mu.Lock()
+		a.dropStale()
 		if prev, ok := a.exports[req.MigrationID]; ok {
 			a.mu.Unlock()
+			if prev == nil {
+				return nil, fmt.Errorf("%w (migration %s)", errExportExpired, req.MigrationID)
+			}
 			return prev, nil
 		}
 		a.mu.Unlock()
@@ -299,12 +328,14 @@ func (a *Agent) restore(tc telemetry.TraceContext, req RestoreMsg) (*RestoredMsg
 func (a *Agent) record(mid string, cp *CheckpointMsg, rm *RestoredMsg) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.dropStale()
 	if cp != nil {
 		if _, ok := a.exports[mid]; ok {
 			return
 		}
 		a.exports[mid] = cp
 		a.order = append(a.order, dedupKey{id: mid})
+		a.aging = append(a.aging, exported{id: mid, at: time.Now()})
 	} else {
 		if prev, ok := a.restores[mid]; ok {
 			if prev.SessionID != rm.SessionID {
@@ -323,6 +354,18 @@ func (a *Agent) record(mid string, cp *CheckpointMsg, rm *RestoredMsg) {
 		} else {
 			delete(a.exports, old.id)
 		}
+	}
+}
+
+// dropStale drops the checkpoints of exports older than keep, keeping
+// their ids for dedup. Caller holds mu.
+func (a *Agent) dropStale() {
+	now := time.Now()
+	for len(a.aging) > 0 && now.Sub(a.aging[0].at) > a.keep {
+		if _, ok := a.exports[a.aging[0].id]; ok {
+			a.exports[a.aging[0].id] = nil
+		}
+		a.aging = a.aging[1:]
 	}
 }
 

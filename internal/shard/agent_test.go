@@ -2,11 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"esthera/internal/serve"
 )
@@ -67,5 +72,73 @@ func TestAgentRestoreDecodesStrictly(t *testing.T) {
 	}
 	if ids := srv.Sessions(); len(ids) != 1 || ids[0] != msg.SessionID {
 		t.Fatalf("sessions %v after restoring the unmodified checkpoint, want [%s]", ids, msg.SessionID)
+	}
+}
+
+// TestAgentExportReplayWindow pins how long the dedup log keeps an
+// exported checkpoint: a replay inside the window returns the original
+// checkpoint, and a replay after it answers errExportExpired's 400
+// without exporting again, while the migration id stays in the log.
+func TestAgentExportReplayWindow(t *testing.T) {
+	srv := serve.NewServer(serve.Config{Workers: 1}, testModels())
+	defer srv.Shutdown()
+	agent := NewAgent("a", srv)
+	web := httptest.NewServer(agent)
+	defer web.Close()
+	control := serve.NewClient(serve.ClientConfig{BaseURL: web.URL})
+	ctx := context.Background()
+	export := func(mid, session string) (*CheckpointMsg, error) {
+		var msg CheckpointMsg
+		err := control.Post(ctx, exportPath, ExportMsg{MigrationID: mid, SessionID: session}, &msg)
+		return &msg, err
+	}
+	create := func() string {
+		id, err := srv.Create(serve.FilterSpec{Model: "ungm", Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+
+	window := func(d time.Duration) { // record reads keep under mu
+		agent.mu.Lock()
+		agent.keep = d
+		agent.mu.Unlock()
+	}
+	window(time.Hour)
+	first := create()
+	cp1, err := export("t-1#2", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := export("t-1#2", first)
+	if err != nil {
+		t.Fatalf("replay inside the window: %v", err)
+	}
+	a, _ := json.Marshal(cp1.Checkpoint)
+	b, _ := json.Marshal(replay.Checkpoint)
+	if !bytes.Equal(a, b) {
+		t.Fatal("replay inside the window returned a different checkpoint")
+	}
+
+	window(10 * time.Millisecond)
+	second := create()
+	if _, err := export("t-2#2", second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	_, err = export("t-2#2", second)
+	var api *serve.APIError
+	if !errors.As(err, &api) || api.Status != http.StatusBadRequest || !strings.Contains(api.Message, errExportExpired.Error()) {
+		t.Fatalf("replay after the window: %v, want a 400 carrying %q", err, errExportExpired)
+	}
+	agent.mu.Lock()
+	kept, ok := agent.exports["t-2#2"]
+	agent.mu.Unlock()
+	if !ok || kept != nil {
+		t.Fatalf("after the window the log holds id %v with checkpoint %v, want the id alone", ok, kept)
+	}
+	if ids := srv.Sessions(); len(ids) != 0 {
+		t.Fatalf("sessions %v left after both exports, want none", ids)
 	}
 }

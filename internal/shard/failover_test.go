@@ -303,17 +303,7 @@ func TestProbeRecoversRestartedReplica(t *testing.T) {
 		t.Fatal("router ready with its only shard down")
 	}
 
-	// Rebinding races the OS releasing the ports, so retry briefly.
-	var err2 error
-	for i := 0; i < 50; i++ {
-		if err2 = a.start(webAddr, ctlAddr); err2 == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err2 != nil {
-		t.Skipf("could not rebind the replica's ports: %v", err2)
-	}
+	restart(t, a, webAddr, ctlAddr)
 	waitFor(t, "the session to be placed on the restarted replica", func() bool {
 		sh, _ := router.ShardOf(id)
 		return sh == "a"
@@ -325,6 +315,68 @@ func TestProbeRecoversRestartedReplica(t *testing.T) {
 	sameResult(t, 0, res, want[0]) // recreated from spec: step 0 again
 	if st := router.Stats(); st.Recreated != 1 || st.Shards[0].Down || !router.Ready() {
 		t.Fatalf("after restart: recreated %d, shard down %v, ready %v", st.Recreated, st.Shards[0].Down, router.Ready())
+	}
+}
+
+// restart brings a killed replica back on the given addresses with a
+// fresh server. Rebinding races the OS releasing the ports, so it
+// retries briefly, and skips the test if the ports stay taken.
+func restart(t *testing.T, rep *replica, webAddr, ctlAddr string) {
+	t.Helper()
+	var err error
+	for i := 0; i < 50; i++ {
+		if err = rep.start(webAddr, ctlAddr); err == nil {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Skipf("could not rebind the replica's ports: %v", err)
+}
+
+// TestProbeRecoversShardWithoutTransportAddr is the restart drill for a
+// shard with no control address: the probe loop checks it through its
+// session API's /readyz, so once the replica is back on the same
+// address the shard comes back up and the parked session is recreated
+// there.
+func TestProbeRecoversShardWithoutTransportAddr(t *testing.T) {
+	a := startReplica(t, "a")
+	router := newTestRouter(t, RouterConfig{
+		Shards:        []ShardSpec{{Name: "a", BaseURL: a.spec.BaseURL}},
+		ProbeInterval: 10 * time.Millisecond,
+		FailAfter:     1,
+	})
+	ctx := context.Background()
+
+	spec := serve.FilterSpec{Model: "ungm", Seed: 43}
+	want := referenceRun(t, spec, 2)
+	id, err := router.Create(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.Step(ctx, id, nil, obs(0)); err != nil {
+		t.Fatal(err)
+	}
+	webAddr := a.web.Listener.Addr().String()
+	a.kill()
+	if _, err := router.Step(ctx, id, nil, obs(1)); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("step against the dead replica: %v, want ErrShardDown", err)
+	}
+	waitFor(t, "the session to park", func() bool { return router.Stats().Parked == 1 })
+
+	restart(t, a, webAddr, "127.0.0.1:0")
+	waitFor(t, "the session to be placed on the restarted replica", func() bool {
+		sh, _ := router.ShardOf(id)
+		return sh == "a"
+	})
+	if st := router.Stats(); st.Shards[0].Down || !router.Ready() || st.Recreated != 1 {
+		t.Fatalf("after restart: shard down %v, ready %v, recreated %d", st.Shards[0].Down, router.Ready(), st.Recreated)
+	}
+	for k := 0; k < 2; k++ { // recreated from spec: steps start over
+		res, err := router.Step(ctx, id, nil, obs(k))
+		if err != nil {
+			t.Fatalf("step %d after restart: %v", k, err)
+		}
+		sameResult(t, k, res, want[k])
 	}
 }
 

@@ -164,8 +164,8 @@ func routerCollector(r *Router) telemetry.Collector {
 		e.Counter("esthera_router_sessions_restored_total", "Sessions rehomed from a checkpoint.", float64(st.Restored))
 		e.Counter("esthera_router_sessions_recreated_total", "Sessions rebuilt from spec (no checkpoint).", float64(st.Recreated))
 		e.Counter("esthera_router_sessions_rebalanced_total", "Sessions moved by load rebalancing.", float64(st.Rebalanced))
-		e.Counter("esthera_router_probes_total", "Health probes sent to replica agents.", float64(st.Probes))
-		e.Counter("esthera_router_probe_failures_total", "Health probes to replica agents that failed.", float64(st.ProbeFailures))
+		e.Counter("esthera_router_probes_total", "Health probes sent to replicas.", float64(st.Probes))
+		e.Counter("esthera_router_probe_failures_total", "Health probes to replicas that failed.", float64(st.ProbeFailures))
 		for _, sh := range st.Shards {
 			up := 1.0
 			if sh.Down {

@@ -49,8 +49,8 @@ import (
 // create, step, read, checkpoint, delete) and the host:port its Agent
 // serves the control endpoints on (health pings, export and restore;
 // esthera-serve's -shard-addr). Without a TransportAddr the shard is
-// never probed and takes part in no migration, and failover recreates
-// its sessions from spec.
+// probed through its session API's /readyz, takes part in no
+// migration, and failover recreates its sessions from spec.
 type ShardSpec struct {
 	Name          string `json:"name"`
 	BaseURL       string `json:"base_url"`
@@ -65,9 +65,10 @@ type RouterConfig struct {
 	// Vnodes is the consistent-hash ring's virtual node count per shard
 	// (0 = DefaultVnodes).
 	Vnodes int
-	// ProbeInterval paces the health loop pinging every shard's agent
-	// (0 = 500ms; negative disables the loop — liveness then moves only
-	// on step-path strikes).
+	// ProbeInterval paces the health loop probing every shard — its
+	// agent's ping, or its session API's /readyz without one (0 =
+	// 500ms; negative disables the loop — liveness then moves only on
+	// step-path strikes).
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive failures (probe or step
 	// transport errors) mark a shard down and trigger failover (0 = 3).
@@ -322,7 +323,9 @@ func (r *Router) isLive(name string) bool {
 // Create builds a session on the shard its id hashes to and returns
 // the router-scoped session id. It takes no checkpoint: until its first
 // step a session is a pure function of its spec, so failover before any
-// checkpoint recreates it from spec.
+// checkpoint recreates it from spec. A failure is classified like a
+// step's (forwardError): a replica that cannot be reached takes a
+// strike and the caller gets the retryable ErrShardDown.
 func (r *Router) Create(ctx context.Context, spec serve.FilterSpec) (string, error) {
 	r.mu.Lock()
 	r.nextID++
@@ -332,9 +335,10 @@ func (r *Router) Create(ctx context.Context, spec serve.FilterSpec) (string, err
 	if target == "" {
 		return "", ErrNoLiveShards
 	}
-	remoteID, err := r.shards[target].client.Create(ctx, spec)
+	sh := r.shards[target]
+	remoteID, err := sh.client.Create(ctx, spec)
 	if err != nil {
-		return "", err
+		return "", r.forwardError(ctx, sh, err)
 	}
 	rt := &route{spec: spec, shard: target, remoteID: remoteID, epoch: 1}
 	r.mu.Lock()
@@ -420,26 +424,36 @@ func (r *Router) Step(ctx context.Context, id string, u, z []float64) (serve.Ste
 	return serve.StepResult{}, r.stepError(ctx, id, sh, remoteID, err)
 }
 
-// stepError classifies a forwarded call's failure: context errors pass
-// through, replica replies pass through (except a 404, which means the
-// replica lost the session — a restart — and is handled like a dead
-// shard for that session), and transport errors strike the shard
-// toward failover.
+// stepError classifies a forwarded session call's failure as
+// forwardError does, except that a 404 means the replica lost the
+// session — a restart — and is handled like a dead shard for that
+// session alone: the route parks and is re-placed.
 func (r *Router) stepError(ctx context.Context, id string, sh *shardState, remoteID string, err error) error {
+	var api *serve.APIError
+	if ctx.Err() == nil && errors.As(err, &api) && api.Status == http.StatusNotFound {
+		r.parkRoute(id, sh.spec.Name, remoteID)
+		r.stepsRerouted.Add(1)
+		return ErrShardDown
+	}
+	err = r.forwardError(ctx, sh, err)
+	if errors.Is(err, ErrShardDown) {
+		r.stepsRerouted.Add(1)
+	}
+	return err
+}
+
+// forwardError classifies a forwarded call's failure: a context error
+// passes through, a replica's reply is relayed as is, and a transport
+// error strikes the shard toward failover and becomes the retryable
+// ErrShardDown.
+func (r *Router) forwardError(ctx context.Context, sh *shardState, err error) error {
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	var api *serve.APIError
-	if errors.As(err, &api) {
-		if api.Status == http.StatusNotFound {
-			r.parkRoute(id, sh.spec.Name, remoteID)
-			r.stepsRerouted.Add(1)
-			return ErrShardDown
-		}
+	if errors.As(err, new(*serve.APIError)) {
 		return err
 	}
 	r.strike(sh)
-	r.stepsRerouted.Add(1)
 	return ErrShardDown
 }
 
@@ -1014,37 +1028,27 @@ func (r *Router) probeLoop() {
 		}
 		seq++
 		for _, name := range r.names {
-			if sh := r.shards[name]; sh.control != nil {
-				r.probe(sh, seq)
-			}
+			r.probe(r.shards[name], seq)
 		}
 	}
 }
 
-// probe pings one shard once and applies the outcome to its liveness.
-// Each probe doubles as one NTP-style clock-offset exchange: t0/t3 are
-// the router clock around the call, t1/t2 the replica clock inside it
-// (PongMsg), and the derived offset/rtt feed the shard's EWMAs — the
-// alignment data `esthera-trace merge` uses.
+// probe checks one shard once and applies the outcome to its liveness.
+// A shard with control endpoints is pinged, and each ping doubles as
+// one NTP-style clock-offset exchange: t0/t3 are the router clock
+// around the call, t1/t2 the replica clock inside it (PongMsg), and the
+// derived offset/rtt feed the shard's EWMAs — the alignment data
+// `esthera-trace merge` uses. A shard without them is probed through
+// its session API's GET /readyz: liveness only, with no clock sample.
 func (r *Router) probe(sh *shardState, seq int64) {
 	r.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	var pong PongMsg
-	t0 := time.Now().UnixNano()
-	err := sh.control.Post(ctx, pingPath, PingMsg{Seq: seq, SentUnixNano: t0}, &pong)
-	t3 := time.Now().UnixNano()
-	if err != nil {
+	if err := r.ping(ctx, sh, seq); err != nil {
 		r.probeFailures.Add(1)
 		r.strike(sh)
 		return
 	}
-	if pong.RecvUnixNano > 0 && pong.SendUnixNano > 0 {
-		offset := ((pong.RecvUnixNano - t0) + (pong.SendUnixNano - t3)) / 2
-		rtt := (t3 - t0) - (pong.SendUnixNano - pong.RecvUnixNano)
-		sh.observeClock(offset, rtt)
-	}
-	sh.lastPong.Store(&pong)
 	sh.strikes.Store(0)
 	if sh.down.Swap(false) {
 		r.log.LogAttrs(ctx, slog.LevelInfo, "shard recovered", slog.String("shard", sh.spec.Name))
@@ -1061,6 +1065,28 @@ func (r *Router) probe(sh *shardState, seq int64) {
 			}
 		}()
 	}
+}
+
+// ping runs one probe's request: a timestamped ping to the shard's
+// agent, or the session API's readiness check when it has none.
+func (r *Router) ping(ctx context.Context, sh *shardState, seq int64) error {
+	if sh.control == nil {
+		return sh.client.Ready(ctx)
+	}
+	var pong PongMsg
+	t0 := time.Now().UnixNano()
+	err := sh.control.Post(ctx, pingPath, PingMsg{Seq: seq, SentUnixNano: t0}, &pong)
+	t3 := time.Now().UnixNano()
+	if err != nil {
+		return err
+	}
+	if pong.RecvUnixNano > 0 && pong.SendUnixNano > 0 {
+		offset := ((pong.RecvUnixNano - t0) + (pong.SendUnixNano - t3)) / 2
+		rtt := (t3 - t0) - (pong.SendUnixNano - pong.RecvUnixNano)
+		sh.observeClock(offset, rtt)
+	}
+	sh.lastPong.Store(&pong)
+	return nil
 }
 
 // RetryAfter is the back-off hint the HTTP layer attaches to retryable

@@ -526,6 +526,47 @@ func TestRouterRelaysRetryHint(t *testing.T) {
 	}
 }
 
+// TestCreateOnUnreachableShardIs503 closes one shard's session API
+// listener: a create that hashes to it cannot reach the replica, so the
+// router answers the retryable 503 with both retry headers, and the
+// shard takes a strike toward failover.
+func TestCreateOnUnreachableShardIs503(t *testing.T) {
+	a := startReplica(t, "a")
+	b := startReplica(t, "b")
+	router := newTestRouter(t, RouterConfig{}, a, b)
+	front := httptest.NewServer(NewRouterHandler(router))
+	defer front.Close()
+	b.web.Close()
+
+	for i := 0; ; i++ {
+		if i == 64 {
+			t.Fatal("no create hashed to the closed shard in 64 tries")
+		}
+		resp, err := http.Post(front.URL+"/v1/sessions", "application/json", strings.NewReader(`{"spec":{"model":"ungm"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusCreated {
+			continue
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("create on the closed shard: status %d, want 503", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" || resp.Header.Get("Retry-After-Ms") == "" {
+			t.Fatalf("503 without retry hints: %+v", resp.Header)
+		}
+		break
+	}
+	strikes := map[string]int{}
+	for _, sh := range router.Stats().Shards {
+		strikes[sh.Name] = sh.Strikes
+	}
+	if strikes["a"] != 0 || strikes["b"] != 1 {
+		t.Fatalf("strikes %v, want a:0 b:1", strikes)
+	}
+}
+
 // TestRouterRebalance piles sessions onto an imbalanced router and
 // checks Rebalance levels them with live migrations.
 func TestRouterRebalance(t *testing.T) {

@@ -23,6 +23,8 @@ import (
 
 const ringCap = 2048 // records kept; older ones are overwritten and counted as dropped
 
+const ringFirst = 64 // the ring's first allocation; it doubles up to ringCap as records arrive
+
 const levelOff = slog.Level(math.MaxInt32) // above every record's level: silences the log
 
 // Handler is the slog.Handler behind /logz; its ServeHTTP serves /logz.
@@ -37,7 +39,7 @@ type ring struct {
 	opts    slog.HandlerOptions
 	sink    slog.Handler // JSON onto the sink; nil without one
 	mu      sync.Mutex
-	recs    []slog.Record // ringCap records, allocated by New
+	recs    []slog.Record // the newest min(n, ringCap) records, grown as they arrive
 	n       int           // records handled since the last drain
 	dropped int64         // records overwritten before earlier drains
 }
@@ -45,7 +47,7 @@ type ring struct {
 // New builds the handler for process proc. It records at level and
 // above, and mirrors warn-and-above records to sink when it is non-nil.
 func New(proc string, level slog.Level, sink io.Writer) *Handler {
-	r := &ring{recs: make([]slog.Record, ringCap), opts: slog.HandlerOptions{ReplaceAttr: schema(proc)}}
+	r := &ring{opts: slog.HandlerOptions{ReplaceAttr: schema(proc)}}
 	r.level.Set(level)
 	if sink != nil {
 		r.sink = slog.NewJSONHandler(sink, &r.opts)
@@ -66,14 +68,31 @@ func (h *Handler) Handle(ctx context.Context, rec slog.Record) error {
 	if len(h.frames) > 0 {
 		rec = h.scoped(rec)
 	}
+	rec = rec.Clone()
 	h.mu.Lock()
-	h.recs[h.n%ringCap] = rec.Clone()
-	h.n++
+	h.put(rec)
 	h.mu.Unlock()
 	if h.sink != nil && rec.Level >= slog.LevelWarn {
 		return h.sink.Handle(ctx, rec)
 	}
 	return nil
+}
+
+// put stores rec: appended while the ring is filling (its storage
+// doubling up to ringCap), over the oldest record once it is full.
+// Caller holds mu.
+func (r *ring) put(rec slog.Record) {
+	switch {
+	case len(r.recs) == ringCap:
+		r.recs[r.n%ringCap] = rec
+	case len(r.recs) < cap(r.recs):
+		r.recs = append(r.recs, rec)
+	default:
+		grown := make([]slog.Record, len(r.recs), min(max(2*cap(r.recs), ringFirst), ringCap))
+		copy(grown, r.recs)
+		r.recs = append(grown, rec)
+	}
+	r.n++
 }
 
 // WithAttrs returns a handler whose records carry as.
@@ -107,11 +126,15 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodGet:
 		h.mu.Lock()
-		k := h.n % ringCap // the oldest record's slot once the ring has wrapped
-		recs := append(slices.Clone(h.recs[k:min(h.n, ringCap)]), h.recs[:k]...)
+		k := 0
+		if h.n > len(h.recs) { // wrapped: start at the oldest record's slot
+			k = h.n % ringCap
+		}
+		recs := append(slices.Clone(h.recs[k:]), h.recs[:k]...)
 		h.dropped += int64(h.n - len(recs))
 		w.Header().Set("X-Esthera-Log-Dropped", strconv.FormatInt(h.dropped, 10))
 		clear(h.recs)
+		h.recs = h.recs[:0]
 		h.n = 0
 		h.mu.Unlock()
 		w.Header().Set("Content-Type", "application/x-ndjson")

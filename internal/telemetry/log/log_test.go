@@ -107,6 +107,54 @@ func TestRingBufferAndDrain(t *testing.T) {
 	}
 }
 
+// TestRingGrowsOnDemand pins the ring's lazy storage: a new handler
+// holds no records, a part-filled ring grows only as far as its
+// records need and drains them oldest first, and a wrapped ring drains
+// in the same order at its full, reused capacity.
+func TestRingGrowsOnDemand(t *testing.T) {
+	h := New("", slog.LevelDebug, nil)
+	if c := cap(h.recs); c != 0 {
+		t.Fatalf("new handler holds %d record slots, want none", c)
+	}
+	l := slog.New(h)
+	order := func(n, first int) {
+		t.Helper()
+		got := drain(t, h)
+		if len(got) != n {
+			t.Fatalf("drained %d records, want %d", len(got), n)
+		}
+		for i, m := range got {
+			if v, _ := m["i"].(float64); int(v) != first+i {
+				t.Fatalf("record %d has i=%v, want %d", i, m["i"], first+i)
+			}
+		}
+	}
+	const part = ringFirst + 5
+	for i := 0; i < part; i++ {
+		l.Info("e", "i", i)
+	}
+	if c := cap(h.recs); c < part || c > 2*part {
+		t.Fatalf("%d records grew the ring to %d slots", part, c)
+	}
+	order(part, 0)
+	const extra = 37
+	for i := 0; i < ringCap+extra; i++ {
+		l.Info("e", "i", i)
+	}
+	if c := cap(h.recs); c != ringCap {
+		t.Fatalf("a full ring holds %d slots, want %d", c, ringCap)
+	}
+	full := &h.recs[0]
+	order(ringCap, extra)
+	for i := 0; i < ringCap+extra; i++ {
+		l.Info("e", "i", i)
+	}
+	if &h.recs[0] != full {
+		t.Fatal("refilling after a drain reallocated the ring")
+	}
+	order(ringCap, extra)
+}
+
 func TestLevelGateAndSetLevel(t *testing.T) {
 	h := New("", slog.LevelWarn, nil)
 	l := slog.New(h)

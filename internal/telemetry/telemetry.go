@@ -13,7 +13,8 @@
 // bit-identical whether tracing is enabled or not.
 //
 // Tracing is off by default and free when off: Begin/End/Record on a
-// nil or disabled Tracer read one atomic and allocate nothing.
+// nil or disabled Tracer read one atomic and allocate nothing, and a
+// tracer that was never enabled holds no ring memory.
 package telemetry
 
 import (
@@ -94,13 +95,15 @@ type Tracer struct {
 	ambient atomic.Pointer[TraceContext]
 	process atomic.Pointer[string]
 	shards  []shard
+	capEv   int       // events per ring
+	rings   sync.Once // allocates the rings at the first enable
 }
 
 // New builds a Tracer with one ring per P (the next power of two at or
 // above GOMAXPROCS, so contention-free recording gets roughly one per
 // recording goroutine) of 4096 events each; a full ring overwrites its
-// oldest event and counts it in Dropped. The tracer starts disabled;
-// flip it with SetEnabled.
+// oldest event and counts it in Dropped. The tracer starts disabled and
+// holds no ring memory until the first SetEnabled(true).
 func New() *Tracer { return newTracer(runtime.GOMAXPROCS(0), 4096) }
 
 // newTracer builds a Tracer with n rings (rounded up to a power of two)
@@ -110,21 +113,32 @@ func newTracer(n, capEv int) *Tracer {
 	for pow < n {
 		pow <<= 1
 	}
-	t := &Tracer{epoch: time.Now(), mask: uint32(pow - 1), shards: make([]shard, pow)}
+	t := &Tracer{epoch: time.Now(), mask: uint32(pow - 1), shards: make([]shard, pow), capEv: capEv}
 	for i := range t.shards {
 		t.shards[i].id = int32(i + 1)
-		t.shards[i].buf = make([]Event, 0, capEv)
 	}
 	return t
 }
 
 // SetEnabled turns recording on or off. Toggling is safe at any time
 // from any goroutine; spans begun while enabled but ended after
-// disabling are dropped.
+// disabling are dropped. The first enable allocates the rings before
+// recording starts; later toggles reuse them.
 func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
+	if t == nil {
+		return
 	}
+	if on {
+		t.rings.Do(func() {
+			for i := range t.shards {
+				sh := &t.shards[i]
+				sh.mu.Lock()
+				sh.buf = make([]Event, 0, t.capEv)
+				sh.mu.Unlock()
+			}
+		})
+	}
+	t.enabled.Store(on)
 }
 
 // Enabled reports whether recording is on. False for a nil Tracer.

@@ -35,6 +35,83 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTracerRingsAllocatedOnFirstEnable pins the ring lifecycle: a new
+// tracer holds no ring memory, the first enable allocates every ring
+// once, and disable → drain → enable records into the same storage
+// without allocating.
+func TestTracerRingsAllocatedOnFirstEnable(t *testing.T) {
+	tr := newTracer(2, 16)
+	for i := range tr.shards {
+		if c := cap(tr.shards[i].buf); c != 0 {
+			t.Fatalf("ring %d holds %d events before the first enable, want none", i, c)
+		}
+	}
+	tr.SetEnabled(true)
+	rings := make([]*Event, len(tr.shards))
+	for i := range tr.shards {
+		buf := tr.shards[i].buf
+		if cap(buf) != 16 {
+			t.Fatalf("ring %d capacity %d after enable, want 16", i, cap(buf))
+		}
+		rings[i] = &buf[:1][0]
+	}
+	for i := 0; i < 8; i++ {
+		tr.Record(Event{Name: "e", TS: time.Duration(i)})
+	}
+	tr.SetEnabled(false)
+	if got := tr.Drain(); len(got) != 8 {
+		t.Fatalf("drained %d events, want 8", len(got))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		tr.SetEnabled(true)
+		tr.Record(Event{Name: "again"})
+		tr.SetEnabled(false)
+	}); allocs != 0 {
+		t.Fatalf("re-enabling allocated %v per run, want 0", allocs)
+	}
+	for i := range tr.shards {
+		if buf := tr.shards[i].buf; cap(buf) != 16 || &buf[:1][0] != rings[i] {
+			t.Fatalf("ring %d was reallocated by a later enable", i)
+		}
+	}
+	if got := tr.Drain(); len(got) != 11 {
+		t.Fatalf("drained %d events after re-enabling, want 11", len(got))
+	}
+}
+
+// TestTracerConcurrentFirstEnable races the first enables against
+// recording, draining and disabling: whichever enable allocates the
+// rings, no goroutine records into a ring that is not there yet.
+func TestTracerConcurrentFirstEnable(t *testing.T) {
+	tr := newTracer(4, 64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tr.SetEnabled(i%10 != 9)
+				tr.Begin("c", "n").End()
+				tr.Record(Event{Name: "e"})
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			tr.Drain()
+			tr.Dropped()
+		}
+	}()
+	wg.Wait()
+	for i := range tr.shards {
+		if c := cap(tr.shards[i].buf); c != 64 {
+			t.Fatalf("ring %d capacity %d, want 64", i, c)
+		}
+	}
+}
+
 func TestTracerRecordsAndDrains(t *testing.T) {
 	tr := newTracer(1, 64)
 	tr.SetEnabled(true)

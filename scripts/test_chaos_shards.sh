@@ -64,10 +64,30 @@ fetch_traces() {
 	done
 }
 
+# wait_ready <name> <base url>: poll GET <base url>/readyz until it
+# answers 200, so the swarm never races a listener that is not up yet
+# (a refused create would fail the drill). Gives up after 10s.
+wait_ready() {
+	tries=0
+	until curl -sf -o /dev/null "$2/readyz" 2>/dev/null ||
+		wget -qO /dev/null "$2/readyz" 2>/dev/null; do
+		tries=$((tries + 1))
+		if [ "$tries" -ge 100 ]; then
+			echo "chaos: FAIL — $1 did not answer 200 on $2/readyz within 10s" >&2
+			tail -20 "$TMP/$1.log" >&2 || true
+			exit 1
+		fi
+		sleep 0.1
+	done
+}
+
 R1="$(start_replica 1)"
 R2="$(start_replica 2)"
 R3="$(start_replica 3)"
 PIDS="$R1 $R2 $R3"
+for i in 1 2 3; do
+	wait_ready "replica$i" "http://127.0.0.1:$((PORT + i))"
+done
 
 SPEC="r1|http://127.0.0.1:$((PORT + 1))|127.0.0.1:$((PORT + 11))"
 SPEC="$SPEC,r2|http://127.0.0.1:$((PORT + 2))|127.0.0.1:$((PORT + 12))"
@@ -81,6 +101,7 @@ SPEC="$SPEC,r3|http://127.0.0.1:$((PORT + 3))|127.0.0.1:$((PORT + 13))"
 	>"$TMP/router.log" 2>&1 &
 ROUTER=$!
 PIDS="$PIDS $ROUTER"
+wait_ready router "http://127.0.0.1:$PORT"
 
 # Periodic trace drains for the whole run: the span rings are
 # fixed-capacity and swarm load overwrites them in a couple of seconds,
