@@ -312,12 +312,12 @@ func BenchmarkTableIIDefaults(b *testing.B) {
 // (Pipeline.RoundFused) at the paper's default 128-lane work-groups. The
 // two are bit-identical (see internal/kernels golden-trace tests); the
 // ratio between them is pure launch/synchronization overhead, the cost
-// this PR's persistent pool + kernel fusion attack. UNGM keeps per-lane
-// model work small so the sub-filter kernels stay in the
-// launch-overhead-dominated regime of Fig. 4a's left edge.
-func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer int, algo kernels.Algo) {
+// this PR's persistent pool + kernel fusion attack. The launch-overhead
+// series pass UNGM, whose per-lane model work is small, so the
+// sub-filter kernels stay in the launch-overhead-dominated regime of
+// Fig. 4a's left edge.
+func benchRoundPath(b *testing.B, m model.Model, fused, traced bool, subFilters, particlesPer int, algo kernels.Algo) {
 	b.Helper()
-	m := model.NewUNGM()
 	dev := device.New(device.Config{LocalMemBytes: -1})
 	defer dev.Close()
 	top, err := exchange.NewTopology(exchange.Ring, subFilters)
@@ -373,7 +373,7 @@ func benchRoundPath(b *testing.B, fused, traced bool, subFilters, particlesPer i
 func BenchmarkRound(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run("n="+strconv.Itoa(n)+"/m=128", func(b *testing.B) {
-			benchRoundPath(b, false, false, n, 128, kernels.AlgoRWS)
+			benchRoundPath(b, model.NewUNGM(), false, false, n, 128, kernels.AlgoRWS)
 		})
 	}
 }
@@ -385,7 +385,26 @@ func BenchmarkRound(b *testing.B) {
 func BenchmarkRoundFused(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run("n="+strconv.Itoa(n)+"/m=128", func(b *testing.B) {
-			benchRoundPath(b, true, false, n, 128, kernels.AlgoRWS)
+			benchRoundPath(b, model.NewUNGM(), true, false, n, 128, kernels.AlgoRWS)
+		})
+	}
+}
+
+// BenchmarkRoundFusedScalarModels is the fused round for the served
+// models with no native VecModel, at the serve default 16×64 shape. The
+// per-lane adapter runs Step once per particle, so every transition
+// draw takes the block buffer's scalar Uint64 path instead of a bulk
+// fill; this is the number that path is held to.
+func BenchmarkRoundFusedScalarModels(b *testing.B) {
+	for _, c := range []struct {
+		name string // the serve registry's name
+		m    model.Model
+	}{
+		{"volatility", model.NewStochasticVolatility()},
+		{"vehicle", model.NewVehicle()},
+	} {
+		b.Run(c.name+"/n=16/m=64", func(b *testing.B) {
+			benchRoundPath(b, c.m, true, false, 16, 64, kernels.AlgoRWS)
 		})
 	}
 }
@@ -397,7 +416,7 @@ func BenchmarkRoundFused(b *testing.B) {
 func BenchmarkRoundFusedTraced(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run("n="+strconv.Itoa(n)+"/m=128", func(b *testing.B) {
-			benchRoundPath(b, true, true, n, 128, kernels.AlgoRWS)
+			benchRoundPath(b, model.NewUNGM(), true, true, n, 128, kernels.AlgoRWS)
 		})
 	}
 }

@@ -55,7 +55,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		shards    = flag.String("shards", "", "comma-separated shard specs: name|http-base-url|transport-addr")
 		vnodes    = flag.Int("vnodes", 0, "consistent-hash virtual nodes per shard (0 = 64)")
-		probe     = flag.Duration("probe", 0, "health probe interval: a transport-addr's ping, else the shard's /readyz (0 = 500ms, negative disables)")
+		probe     = flag.Duration("probe", 0, "health probe interval: a transport-addr's ping, else the shard's /healthz (0 = 500ms, negative disables)")
 		failAfter = flag.Int("fail-after", 0, "consecutive failures before a shard is marked down (0 = 3)")
 		rebalance = flag.Int("rebalance-threshold", 0, "migrate load when the busiest shard exceeds the idlest by more than this many sessions (0 = off)")
 		retryHint = flag.Duration("retry-hint", 0, "Retry-After hint on migration/failover 503s (0 = 15ms)")
@@ -137,7 +137,7 @@ func main() {
 
 // parseShards splits "name|url|transport,name|url|transport" into
 // shard specs. The transport field may be empty: the shard is then
-// probed through its session API's /readyz (liveness only, no clock
+// probed through its session API's /healthz (liveness only, no clock
 // sample), takes no part in migrations, and failover recreates its
 // sessions from spec instead of restoring checkpoints. Checkpoint reads
 // and -snapshot work either way.

@@ -14,7 +14,7 @@ package rng
 // first word: Refill copies that state (48 bytes) and rewinds the read
 // position, and draws then take the block's words straight from the
 // fallback in block order — bulk draws through a fixed stack chunk,
-// scalar draws one call at a time. The observable 32-bit word stream —
+// scalar draws through a 16-word run. The observable 32-bit word stream —
 // which words land at which block positions, and where the fallback
 // stands at every consumption point — is identical to generating the
 // whole block at Refill: the unread tail of a block is never computed,
@@ -22,19 +22,30 @@ package rng
 // regenerates the block's words from the start copy. A restored block
 // is held exactly as restored until the next Refill, since a checkpoint
 // may carry words no start state regenerates.
+//
+// The run is generated ahead of the scalar draws in one Block call,
+// four Philox blocks at a time, rather than one four-word block per
+// Uint64 call: models without a native VecModel draw every transition
+// through Uint64.
 type Buffer struct {
 	size int // block capacity in words
 	pos  int // next unread word
 	// lag is how many words the fallback trails the block's end: size
-	// minus pos while draws come from the fallback, 0 once an overflow
-	// draw has stepped it past the block, for a restored block and
-	// before the first Refill.
+	// minus pos minus ahead while draws come from the fallback, 0 once
+	// an overflow draw has stepped it past the block, for a restored
+	// block and before the first Refill.
 	lag      int
-	start    Philox4x32 // the fallback at the block's first word
-	refilled bool       // a block has started; before that it reads as zeros
-	held     []uint32   // a restored block, served verbatim until the next Refill
+	ahead    int               // unread words at the end of run; Refill empties it
+	run      [bufferRun]uint32 // block words generated ahead of scalar draws
+	start    Philox4x32        // the fallback at the block's first word
+	refilled bool              // a block has started; before that it reads as zeros
+	held     []uint32          // a restored block, served verbatim until the next Refill
 	fallback *Philox4x32
 }
+
+// bufferRun is the scalar-draw run length: four Philox blocks, the
+// span one four-way Block step generates.
+const bufferRun = 16
 
 // bufferChunk is the stack chunk bulk draws generate block words
 // through: a multiple of four, so every chunk holds whole Box–Muller
@@ -60,7 +71,7 @@ func NewBuffer(capacity int, fallback *Philox4x32) *Buffer {
 func (b *Buffer) Refill() int {
 	b.fallback.Skip(b.lag)
 	b.start = *b.fallback
-	b.pos, b.lag = 0, b.size
+	b.pos, b.lag, b.ahead = 0, b.size, 0
 	b.refilled = true
 	b.held = nil
 	return b.size
@@ -70,10 +81,11 @@ func (b *Buffer) Refill() int {
 func (b *Buffer) Remaining() int { return b.size - b.pos }
 
 // take consumes the next min(n, len(chunk)) block words and returns
-// them: generated into chunk from the fallback, or sliced from a
-// restored block. The caller guarantees that n words remain. It is the
-// bulk-draw path of Rand.FillNormals/FillUniforms, which cut the
-// returned slice once per chunk, outside their per-element loops.
+// them: the unread run words, then words generated into chunk from the
+// fallback, or a slice of a restored block. The caller guarantees that
+// n words remain. It is the bulk-draw path of Rand.FillNormals and
+// FillUniforms, which cut the returned slice once per chunk, outside
+// their per-element loops.
 //
 //esthera:hotpath noalloc bce
 func (b *Buffer) take(chunk []uint32, n int) []uint32 {
@@ -83,8 +95,10 @@ func (b *Buffer) take(chunk []uint32, n int) []uint32 {
 		w = b.held[b.pos : b.pos+n : b.pos+n]
 	} else {
 		w = chunk[:n:n]
-		b.fallback.Block(w)
-		b.lag -= n
+		k := copy(w, b.run[len(b.run)-b.ahead:])
+		b.ahead -= k
+		b.fallback.Block(w[k:])
+		b.lag -= n - k
 	}
 	b.pos += n
 	return w
@@ -101,8 +115,14 @@ func (b *Buffer) Uint64() uint64 {
 			w := b.held[b.pos-2 : b.pos : b.pos]
 			return uint64(w[0])<<32 | uint64(w[1])
 		}
-		b.lag -= 2
-		return b.fallback.Uint64()
+		if b.ahead >= 2 {
+			i := len(b.run) - b.ahead
+			b.ahead -= 2
+			w := b.run[i : i+2 : i+2]
+			return uint64(w[0])<<32 | uint64(w[1])
+		}
+		hi := b.word()
+		return uint64(hi)<<32 | uint64(b.word())
 	}
 	// Overflow: a whole block would have been generated before the
 	// fallback was reached, so step past the unread tail first. The
@@ -110,6 +130,25 @@ func (b *Buffer) Uint64() uint64 {
 	b.fallback.Skip(b.lag)
 	b.lag = 0
 	return b.fallback.Uint64()
+}
+
+// word consumes the next run word, generating the next run first when
+// the last one is spent. A run ends at the block's end, and a run that
+// starts inside a Philox block is cut short by the words the fallback
+// holds unread, so that the next one starts on a block boundary and
+// takes the four-way path.
+//
+//esthera:hotpath noalloc bce
+func (b *Buffer) word() uint32 {
+	if b.ahead == 0 {
+		n := min(b.lag, bufferRun-((4-b.fallback.n)&3))
+		b.fallback.Block(b.run[bufferRun-n:])
+		b.lag -= n
+		b.ahead = n
+	}
+	w := b.run[len(b.run)-b.ahead]
+	b.ahead--
+	return w
 }
 
 // Seed reseeds the fallback stream and discards the buffered block.

@@ -138,6 +138,12 @@ func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
 }
 
+// Live probes /healthz: nil while the server process answers, draining
+// or not.
+func (c *Client) Live(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+}
+
 // result converts the wire reply to a StepResult; the bits field is the
 // exact value (±Inf round-trips through it, which plain JSON forbids).
 func (r StepReply) result() StepResult {

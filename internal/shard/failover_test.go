@@ -335,7 +335,7 @@ func restart(t *testing.T, rep *replica, webAddr, ctlAddr string) {
 
 // TestProbeRecoversShardWithoutTransportAddr is the restart drill for a
 // shard with no control address: the probe loop checks it through its
-// session API's /readyz, so once the replica is back on the same
+// session API's /healthz, so once the replica is back on the same
 // address the shard comes back up and the parked session is recreated
 // there.
 func TestProbeRecoversShardWithoutTransportAddr(t *testing.T) {
@@ -377,6 +377,50 @@ func TestProbeRecoversShardWithoutTransportAddr(t *testing.T) {
 			t.Fatalf("step %d after restart: %v", k, err)
 		}
 		sameResult(t, k, res, want[k])
+	}
+}
+
+// TestProbeKeepsDrainingShardWithoutTransportAddr drains a replica that
+// has no control address: its /healthz still answers, as the agent's
+// ping would, so probing strikes nothing, the shard stays up and its
+// session is not recreated elsewhere.
+func TestProbeKeepsDrainingShardWithoutTransportAddr(t *testing.T) {
+	a := startReplica(t, "a")
+	b := startReplica(t, "b")
+	router := newTestRouter(t, RouterConfig{
+		Shards: []ShardSpec{
+			{Name: "a", BaseURL: a.spec.BaseURL},
+			{Name: "b", BaseURL: b.spec.BaseURL},
+		},
+		ProbeInterval: 10 * time.Millisecond,
+		FailAfter:     1,
+	})
+	ctx := context.Background()
+	id, err := router.Create(ctx, serve.FilterSpec{Model: "ungm", Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, _ := router.ShardOf(id)
+	rep := map[string]*replica{"a": a, "b": b}[home]
+	if err := rep.srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep.srv.Ready() {
+		t.Fatal("a drained replica still reports ready")
+	}
+	start := router.Stats().Probes
+	waitFor(t, "ten probe rounds", func() bool { return router.Stats().Probes >= start+20 })
+	st := router.Stats()
+	for _, sh := range st.Shards {
+		if sh.Down {
+			t.Fatalf("shard %s marked down while %s drains", sh.Name, home)
+		}
+	}
+	if st.ProbeFailures != 0 || st.Recreated != 0 {
+		t.Fatalf("probe failures %d, recreated %d; want 0 and 0", st.ProbeFailures, st.Recreated)
+	}
+	if sh, _ := router.ShardOf(id); sh != home {
+		t.Fatalf("session moved from %s to %s during the drain", home, sh)
 	}
 }
 

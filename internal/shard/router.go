@@ -49,7 +49,7 @@ import (
 // create, step, read, checkpoint, delete) and the host:port its Agent
 // serves the control endpoints on (health pings, export and restore;
 // esthera-serve's -shard-addr). Without a TransportAddr the shard is
-// probed through its session API's /readyz, takes part in no
+// probed through its session API's /healthz, takes part in no
 // migration, and failover recreates its sessions from spec.
 type ShardSpec struct {
 	Name          string `json:"name"`
@@ -66,7 +66,7 @@ type RouterConfig struct {
 	// (0 = DefaultVnodes).
 	Vnodes int
 	// ProbeInterval paces the health loop probing every shard — its
-	// agent's ping, or its session API's /readyz without one (0 =
+	// agent's ping, or its session API's /healthz without one (0 =
 	// 500ms; negative disables the loop — liveness then moves only on
 	// step-path strikes).
 	ProbeInterval time.Duration
@@ -1039,7 +1039,8 @@ func (r *Router) probeLoop() {
 // around the call, t1/t2 the replica clock inside it (PongMsg), and the
 // derived offset/rtt feed the shard's EWMAs — the alignment data
 // `esthera-trace merge` uses. A shard without them is probed through
-// its session API's GET /readyz: liveness only, with no clock sample.
+// its session API's GET /healthz: liveness only, with no clock sample,
+// so a draining replica stays up as it does under the ping.
 func (r *Router) probe(sh *shardState, seq int64) {
 	r.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -1068,10 +1069,10 @@ func (r *Router) probe(sh *shardState, seq int64) {
 }
 
 // ping runs one probe's request: a timestamped ping to the shard's
-// agent, or the session API's readiness check when it has none.
+// agent, or the session API's liveness check when it has none.
 func (r *Router) ping(ctx context.Context, sh *shardState, seq int64) error {
 	if sh.control == nil {
-		return sh.client.Ready(ctx)
+		return sh.client.Live(ctx)
 	}
 	var pong PongMsg
 	t0 := time.Now().UnixNano()
