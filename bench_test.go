@@ -393,8 +393,8 @@ func BenchmarkRoundFused(b *testing.B) {
 // BenchmarkRoundFusedScalarModels is the fused round for the served
 // models with no native VecModel, at the serve default 16×64 shape. The
 // per-lane adapter runs Step once per particle, so every transition
-// draw takes the block buffer's scalar Uint64 path instead of a bulk
-// fill; this is the number that path is held to.
+// draw takes the block buffer's scalar Uint64 path, which the UNGM
+// series, all bulk fills, barely touch.
 func BenchmarkRoundFusedScalarModels(b *testing.B) {
 	for _, c := range []struct {
 		name string // the serve registry's name
