@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -161,6 +162,36 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	q := newPipe(t, dev, 4, 16, 1)
 	if err := q.Restore(p.Snapshot()); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// TestRestoreRejectsMalformedStreamUntouched restores a snapshot whose
+// last stream state no buffer saves (its block end sits at its start).
+// Restore must fail, and the pipeline, whose earlier streams it had
+// already restored, must go on exactly as an untouched twin.
+func TestRestoreRejectsMalformedStreamUntouched(t *testing.T) {
+	dev := device.New(device.Config{Workers: 2, LocalMemBytes: -1})
+	p, twin := newPipe(t, dev, 8, 16, 3), newPipe(t, dev, 8, 16, 3)
+	src := newPipe(t, dev, 8, 16, 5)
+	u := []float64{}
+	for k := 1; k <= 3; k++ {
+		for _, q := range []*kernels.Pipeline{p, twin, src} {
+			q.Round(u, []float64{float64(k)}, k)
+		}
+	}
+	bad := src.Snapshot()
+	last := &bad.Rands[len(bad.Rands)-1].Sub[0] // the rand state's buffer
+	last.Sub[1] = last.Sub[0]
+	if err := p.Restore(bad); err == nil {
+		t.Fatal("a buffer state ending at its start was accepted")
+	}
+	for k := 4; k <= 8; k++ {
+		z := []float64{float64(k)}
+		ws, wlw := twin.Round(u, z, k)
+		gs, glw := p.Round(u, z, k)
+		if math.Float64bits(wlw) != math.Float64bits(glw) || math.Float64bits(ws[0]) != math.Float64bits(gs[0]) {
+			t.Fatalf("step %d: after a rejected restore the pipeline reads %v (%v), want %v (%v)", k, gs, glw, ws, wlw)
+		}
 	}
 }
 

@@ -76,8 +76,9 @@ func (p *Pipeline) Restore(s *Snapshot) error {
 	if s.Round < 0 {
 		return fmt.Errorf("kernels: negative snapshot round %d", s.Round)
 	}
-	// Validate every stream before mutating anything, so a malformed
-	// snapshot cannot leave the pipeline half-restored.
+	// Restore every stream, and roll them all back to their saved
+	// positions if one is malformed, so a malformed snapshot cannot
+	// leave the pipeline half-restored.
 	saved := make([]rng.State, len(p.rands))
 	for i, r := range p.rands {
 		saved[i] = r.SaveState()

@@ -67,11 +67,14 @@ func TestLazyBufferMatchesEager(t *testing.T) {
 	}
 }
 
-// TestLazyBufferSaveStateMatchesEager asserts checkpoint bytes are what
-// eager generation would have produced, even when the block is only
-// partially consumed at save time.
+// TestLazyBufferSaveStateMatchesEager asserts that a saved buffer state
+// describes the block eager generation would have produced, even when
+// the block is only partially consumed at save time: the compact state
+// expands to the eager block's words, its end sits at the post-block
+// position (past it after an overflow draw), and a buffer restored from
+// it replays identically.
 func TestLazyBufferSaveStateMatchesEager(t *testing.T) {
-	const capacity = 32
+	const capacity = 640 // a default UNGM sub-filter's block
 	lazy := NewBuffer(capacity, NewPhiloxStream(11, 4))
 	ref := NewPhiloxStream(11, 4)
 	refBits := make([]uint32, capacity)
@@ -80,36 +83,57 @@ func TestLazyBufferSaveStateMatchesEager(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		lazy.Uint64()
 	}
-	st := lazy.SaveState()
-	if got := int(st.Words[0]); got != 10 {
-		t.Fatalf("saved pos %d, want 10", got)
-	}
-	for i, w := range st.Words[1:] {
-		if w != refBits[i] {
-			t.Fatalf("saved block word %d = %x, want eager %x", i, w, refBits[i])
+	check := func(wantPos, overflow int) {
+		t.Helper()
+		st := lazy.SaveState()
+		if len(st.Words) != 1 || len(st.Sub) != 2 {
+			t.Fatalf("saved %d words and %d sub-states, want the compact 1 and 2", len(st.Words), len(st.Sub))
+		}
+		if got := int(st.Words[0]); got != wantPos {
+			t.Fatalf("saved pos %d, want %d", got, wantPos)
+		}
+		for i, w := range expandBufferState(t, st, capacity).Words[1:] {
+			if w != refBits[i] {
+				t.Fatalf("expanded block word %d = %x, want eager %x", i, w, refBits[i])
+			}
+		}
+		// The saved end must sit at the post-block position, plus
+		// the words overflow draws took from the fallback.
+		var end Philox4x32
+		if err := end.RestoreState(st.Sub[1]); err != nil {
+			t.Fatal(err)
+		}
+		post := *ref
+		post.Skip(overflow)
+		if next := post; end.Uint64() != next.Uint64() {
+			t.Fatal("restored end does not draw the stream past the block")
+		}
+		// And a restored buffer must replay what the eager buffer
+		// draws: the rest of its block, then the stream past it.
+		clone := NewBuffer(capacity, NewPhilox(0))
+		if err := clone.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		for p := wantPos; p < 2*capacity; p += 2 {
+			var want uint64
+			if p+2 <= capacity {
+				want = uint64(refBits[p])<<32 | uint64(refBits[p+1])
+			} else {
+				want = post.Uint64()
+			}
+			if got := clone.Uint64(); got != want {
+				t.Fatalf("restored draw at word %d: %x, want %x", p, got, want)
+			}
 		}
 	}
-	// The saved fallback must sit at the post-block position.
-	if len(st.Sub) != 1 {
-		t.Fatal("buffer state missing fallback sub-state")
+	check(10, 0)
+	for lazy.Remaining() > 0 {
+		lazy.Uint64()
 	}
-	var p Philox4x32
-	if err := p.RestoreState(st.Sub[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := p.Uint64(), ref.Uint64(); got != want {
-		t.Fatalf("restored fallback draw %x, want %x", got, want)
-	}
-	// And a restored buffer must replay identically to the original.
-	clone := NewBuffer(capacity, NewPhilox(0))
-	if err := clone.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < capacity; i++ {
-		if got, want := clone.Uint64(), lazy.Uint64(); got != want {
-			t.Fatalf("restored draw %d: %x, want %x", i, got, want)
-		}
-	}
+	check(capacity, 0)
+	lazy.Uint64()
+	lazy.Uint64()
+	check(capacity, 4)
 }
 
 func TestFillNormalsMatchesScalar(t *testing.T) {

@@ -18,10 +18,12 @@ package rng
 // which words land at which block positions, and where the fallback
 // stands at every consumption point — is identical to generating the
 // whole block at Refill: the unread tail of a block is never computed,
-// its stream positions skipped at the next Refill, and SaveState
-// regenerates the block's words from the start copy. A restored block
-// is held exactly as restored until the next Refill, since a checkpoint
-// may carry words no start state regenerates.
+// its stream positions skipped at the next Refill. SaveState writes
+// positions too, the start copy and the fallback at the block's end,
+// and RestoreState regenerates the block from them. A block restored
+// from a verbatim state (its words, as version 1 checkpoints carry them)
+// is held exactly as restored until the next Refill, since its words
+// need not be any start state's.
 //
 // The run is generated ahead of the scalar draws in one Block call,
 // four Philox blocks at a time, rather than one four-word block per
@@ -32,14 +34,14 @@ type Buffer struct {
 	pos  int // next unread word
 	// lag is how many words the fallback trails the block's end: size
 	// minus pos minus ahead while draws come from the fallback, 0 once
-	// an overflow draw has stepped it past the block, for a restored
-	// block and before the first Refill.
+	// an overflow draw has stepped it past the block, for a block
+	// restored verbatim and before the first Refill.
 	lag      int
 	ahead    int               // unread words at the end of run; Refill empties it
 	run      [bufferRun]uint32 // block words generated ahead of scalar draws
 	start    Philox4x32        // the fallback at the block's first word
-	refilled bool              // a block has started; before that it reads as zeros
-	held     []uint32          // a restored block, served verbatim until the next Refill
+	refilled bool              // a block has started; before that start is unset
+	held     []uint32          // a block restored verbatim, served as such until the next Refill
 	fallback *Philox4x32
 }
 
@@ -151,10 +153,12 @@ func (b *Buffer) word() uint32 {
 	return w
 }
 
-// Seed reseeds the fallback stream and discards the buffered block.
+// Seed reseeds the fallback stream and discards the buffered block: the
+// buffer is as NewBuffer left it.
 func (b *Buffer) Seed(seed uint64) {
 	b.fallback.Seed(seed)
-	b.pos, b.lag = b.size, 0
+	b.pos, b.lag, b.ahead = b.size, 0, 0
+	b.refilled, b.held = false, nil
 }
 
 var _ Source = (*Buffer)(nil)

@@ -129,13 +129,129 @@ func sameRandState(t *testing.T, ctx string, want, got State, deadBlock bool) {
 	}
 }
 
+// expandBufferState returns a compact buffer state in the verbatim form
+// a word-holding buffer saves: the read position, then the block's size
+// words generated from its start, with the end as the fallback. A
+// verbatim state is returned as it is.
+func expandBufferState(t *testing.T, st State, size int) State {
+	t.Helper()
+	if len(st.Sub) != 2 {
+		return st
+	}
+	var start Philox4x32
+	if err := start.RestoreState(st.Sub[0]); err != nil {
+		t.Fatal(err)
+	}
+	w := make([]uint32, 1+size)
+	w[0] = st.Words[0]
+	start.Block(w[1:])
+	return State{Kind: "buffer", Words: w, Sub: []State{st.Sub[1]}}
+}
+
+// expandRandState applies expandBufferState to a Rand-over-buffer state.
+func expandRandState(t *testing.T, st State, size int) State {
+	t.Helper()
+	out := st.Clone()
+	out.Sub[0] = expandBufferState(t, out.Sub[0], size)
+	return out
+}
+
+// saveKind names the point a buffer state was saved at: before the
+// first Refill, from a block restored verbatim, mid-block, at the
+// block's end, or after an overflow draw. It also checks the state's
+// form: verbatim for a held block, compact otherwise.
+func saveKind(t *testing.T, ctx string, b *Buffer, st State) string {
+	t.Helper()
+	if b.held != nil {
+		if len(st.Words) != b.size+1 || len(st.Sub) != 1 {
+			t.Fatalf("%s: held block saved as %d words and %d sub-states, want the verbatim form", ctx, len(st.Words), len(st.Sub))
+		}
+		return "verbatim"
+	}
+	if len(st.Words) != 1 || len(st.Sub) != 2 {
+		t.Fatalf("%s: block saved as %d words and %d sub-states, want the compact form", ctx, len(st.Words), len(st.Sub))
+	}
+	var start, end Philox4x32
+	if err := start.RestoreState(st.Sub[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := end.RestoreState(st.Sub[1]); err != nil {
+		t.Fatal(err)
+	}
+	start.Skip(b.size)
+	switch past, _ := offset(&start, &end); {
+	case !b.refilled:
+		return "before the first Refill"
+	case past > 0:
+		return "after an overflow draw"
+	case b.pos == b.size:
+		return "at the block's end"
+	default:
+		return "mid-block"
+	}
+}
+
+// sameRestoredDraws restores a saved state into a fresh Buffer, which
+// must save that state again word for word, and the reference's own
+// state into a fresh word buffer, then requires the same Remaining,
+// scalar and bulk draws through and past the rest of the block, and
+// scalar draws after a Refill.
+func sameRestoredDraws(t *testing.T, ctx string, st State, ref *Rand, size int) {
+	t.Helper()
+	got := New(NewBuffer(size, NewPhilox(0)))
+	want := New(newWordBuffer(size, NewPhilox(0)))
+	if err := got.RestoreState(st.Clone()); err != nil {
+		t.Fatalf("%s: restoring the saved state: %v", ctx, err)
+	}
+	if again := got.SaveState(); fmt.Sprint(again) != fmt.Sprint(st) {
+		t.Fatalf("%s: restored buffer saves %v, want the state it was restored from, %v", ctx, again, st)
+	}
+	if err := want.RestoreState(ref.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	remaining := func(when string) {
+		if a, b := got.src.(*Buffer).Remaining(), want.src.(*wordBuffer).Remaining(); a != b {
+			t.Fatalf("%s: restored Remaining %s = %d, want %d", ctx, when, a, b)
+		}
+	}
+	remaining("at restore")
+	for k := 0; k < 3; k++ {
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("%s: restored Uint64 %d = %x, want %x", ctx, k, a, b)
+		}
+	}
+	a, b := make([]float64, size/4+3), make([]float64, size/4+3)
+	got.FillNormals(a)
+	want.FillNormals(b)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: restored normal %d = %v, want %v", ctx, i, a[i], b[i])
+		}
+	}
+	remaining("after draws")
+	got.src.(*Buffer).Refill()
+	want.src.(*wordBuffer).Refill()
+	for k := 0; k < size/2+2; k++ {
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("%s: restored Uint64 %d after Refill = %x, want %x", ctx, k, a, b)
+		}
+	}
+	remaining("after Refill")
+}
+
 // TestBufferMatchesWordBuffer drives the positional Buffer and the
 // word-holding reference through the same random operation sequences —
 // refills, Uint64 draws across the block end, odd-length bulk normal
-// and uniform fills, saves mid-block, restores (from either side's
-// state) followed by draws, and reseeds — and requires the same words,
-// remaining counts and saved states throughout.
+// and uniform fills, saves, restores (from either side's state)
+// followed by draws, and reseeds — and requires the same words and
+// remaining counts throughout. Every save is compared twice: expanded
+// to the verbatim form, it must be the reference's saved state; and
+// restored into a fresh Buffer, it must be saved again word for word
+// and draw what the reference draws from its own state. The saves cover each point a state can be taken
+// at: before the first Refill, mid-block, at the block's end, after an
+// overflow draw, and from a block restored verbatim.
 func TestBufferMatchesWordBuffer(t *testing.T) {
+	kinds := map[string]int{}
 	for seed := uint64(1); seed <= 300; seed++ {
 		ops := rand.New(rand.NewPCG(seed, 7))
 		size := 1 + ops.IntN(48)
@@ -144,7 +260,10 @@ func TestBufferMatchesWordBuffer(t *testing.T) {
 		}
 		want := New(newWordBuffer(size, NewPhiloxStream(seed, 3)))
 		got := New(NewBuffer(size, NewPhiloxStream(seed, 3)))
-		deadBlock := false
+		// Before the first Refill, and after Seed, no block is
+		// readable: the reference holds zeros or stale words, and a
+		// saved read-out block the words before the fallback.
+		deadBlock := true
 		for step := 0; step < 80; step++ {
 			ctx := fmt.Sprintf("seed %d size %d step %d", seed, size, step)
 			switch ops.IntN(8) {
@@ -180,7 +299,12 @@ func TestBufferMatchesWordBuffer(t *testing.T) {
 					}
 				}
 			case 4, 5:
-				sameRandState(t, ctx, want.SaveState(), got.SaveState(), deadBlock)
+				st := got.SaveState()
+				kind := saveKind(t, ctx, got.src.(*Buffer), st.Sub[0])
+				kinds[kind]++
+				ctx += " (" + kind + ")"
+				sameRandState(t, ctx, want.SaveState(), expandRandState(t, st, size), deadBlock)
+				sameRestoredDraws(t, ctx, st, want, size)
 			case 6:
 				st := want.SaveState()
 				if ops.IntN(2) == 0 {
@@ -188,7 +312,7 @@ func TestBufferMatchesWordBuffer(t *testing.T) {
 				}
 				want = New(newWordBuffer(size, NewPhilox(0)))
 				got = New(NewBuffer(size, NewPhilox(0)))
-				if err := want.RestoreState(st.Clone()); err != nil {
+				if err := want.RestoreState(expandRandState(t, st, size)); err != nil {
 					t.Fatal(err)
 				}
 				if err := got.RestoreState(st.Clone()); err != nil {
@@ -205,8 +329,14 @@ func TestBufferMatchesWordBuffer(t *testing.T) {
 				t.Fatalf("%s: Remaining = %d, want %d", ctx, a, b)
 			}
 		}
-		sameRandState(t, fmt.Sprintf("seed %d end", seed), want.SaveState(), got.SaveState(), deadBlock)
+		sameRandState(t, fmt.Sprintf("seed %d end", seed), want.SaveState(), expandRandState(t, got.SaveState(), size), deadBlock)
 	}
+	for _, kind := range []string{"before the first Refill", "mid-block", "at the block's end", "after an overflow draw", "verbatim"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no state saved %s", kind)
+		}
+	}
+	t.Logf("saves by point: %v", kinds)
 }
 
 func TestBufferServesBlockThenFallsBack(t *testing.T) {

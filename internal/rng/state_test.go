@@ -134,3 +134,100 @@ func TestRandStateSamplerWord(t *testing.T) {
 		t.Fatalf("rand rejected its own state: %v", err)
 	}
 }
+
+// TestBufferRejectsMalformedCompactState feeds a buffer compact states
+// that no buffer saves. Each must be an error, and the buffer must go
+// on drawing exactly as an untouched twin does.
+func TestBufferRejectsMalformedCompactState(t *testing.T) {
+	const size = 64
+	mk := func() *Buffer {
+		b := NewBuffer(size, NewPhiloxStream(3, 2))
+		b.Refill()
+		for i := 0; i < 5; i++ {
+			b.Uint64()
+		}
+		return b
+	}
+	good := mk().SaveState()
+	startAt := func(skip int) State {
+		var p Philox4x32
+		if err := p.RestoreState(good.Sub[0]); err != nil {
+			t.Fatal(err)
+		}
+		p.Skip(skip)
+		return p.SaveState()
+	}
+	edit := func(f func(st *State)) State {
+		st := good.Clone()
+		f(&st)
+		return st
+	}
+	for name, st := range map[string]State{
+		"position past the block": edit(func(st *State) { st.Words[0] = size + 1 }),
+		"no position":             edit(func(st *State) { st.Words = nil }),
+		"missing end":             edit(func(st *State) { st.Sub = st.Sub[:1] }),
+		"three sub-states":        edit(func(st *State) { st.Sub = append(st.Sub, st.Sub[1]) }),
+		"end of another kind":     edit(func(st *State) { st.Sub[1].Kind = "rand" }),
+		"end with 12 words":       edit(func(st *State) { st.Sub[1].Words = append(st.Sub[1].Words, 0) }),
+		"start and end keys differ": edit(func(st *State) {
+			st.Sub[1].Words[0]++
+		}),
+		"end short of start + size": edit(func(st *State) { st.Sub[1] = startAt(size - 1) }),
+		"end at the start":          edit(func(st *State) { st.Sub[1] = startAt(0) }),
+		"end past the block with words left": edit(func(st *State) {
+			st.Sub[1] = startAt(size + 4)
+		}),
+		"end far past the block": edit(func(st *State) {
+			st.Words[0] = size
+			st.Sub[1].Words[5] ^= 1 << 31 // the counter's top word
+		}),
+	} {
+		b, twin := mk(), mk()
+		if err := b.RestoreState(st); err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		b.Refill()
+		twin.Refill()
+		for i := 0; i < size; i++ {
+			if b.Uint64() != twin.Uint64() {
+				t.Fatalf("%s: a rejected state moved the buffer's stream (draw %d)", name, i)
+			}
+		}
+	}
+	if err := mk().RestoreState(good); err != nil {
+		t.Fatalf("good state rejected: %v", err)
+	}
+}
+
+// TestPhiloxRewindUndoesSkip checks rewind against Skip at every offset
+// within a few blocks, from a fresh stream (where rewinding wraps the
+// counter below zero) and from a stream with buffered words.
+func TestPhiloxRewindUndoesSkip(t *testing.T) {
+	for _, drawn := range []int{0, 1, 6, 37} {
+		for n := 0; n < 20; n++ {
+			p := NewPhiloxStream(8, 1)
+			p.Skip(drawn)
+			q := *p
+			q.rewind(n)
+			if d, ok := offset(&q, p); !ok || d != int64(n) {
+				t.Fatalf("drawn %d: rewind(%d) lands %d words back (ok %v)", drawn, n, d, ok)
+			}
+			q.Skip(n)
+			for i := 0; i < 6; i++ {
+				if a, b := q.Uint32(), p.Uint32(); a != b {
+					t.Fatalf("drawn %d: rewind(%d) then Skip draws %x, want %x", drawn, n, a, b)
+				}
+			}
+		}
+	}
+	p := NewPhiloxStream(8, 1)
+	p.Skip(9)
+	want := p.Uint32()
+	q := NewPhiloxStream(8, 1)
+	q.Skip(12)
+	q.rewind(3)
+	if got := q.Uint32(); got != want {
+		t.Fatalf("rewind inside a block draws %x, want %x", got, want)
+	}
+}

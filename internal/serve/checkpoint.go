@@ -11,9 +11,12 @@ import (
 	"esthera/internal/rng"
 )
 
-// CheckpointVersion is the current checkpoint format version; Restore
-// rejects other versions.
-const CheckpointVersion = 1
+// CheckpointVersion is the checkpoint format version Checkpoint writes.
+// Version 2 saves each random stream's block as positions (its start and
+// end), where version 1 carried the block's words; Restore reads both
+// and rejects other versions, so a server that reads only version 1
+// refuses a version 2 checkpoint instead of misreading it.
+const CheckpointVersion = 2
 
 // Checkpoint is the deterministic serialization of one session: the
 // filter spec to rebuild it and the exact runtime state to resume it.
@@ -149,8 +152,8 @@ func (s *Server) Restore(cp *Checkpoint) (string, error) {
 	if cp == nil {
 		return "", fmt.Errorf("serve: nil checkpoint")
 	}
-	if cp.Version != CheckpointVersion {
-		return "", fmt.Errorf("serve: checkpoint version %d, this server reads %d", cp.Version, CheckpointVersion)
+	if cp.Version != 1 && cp.Version != CheckpointVersion {
+		return "", fmt.Errorf("serve: checkpoint version %d, this server reads 1 and %d", cp.Version, CheckpointVersion)
 	}
 	sp := cp.Spec.withDefaults()
 	if cp.SubFilters != sp.SubFilters || cp.ParticlesPer != sp.ParticlesPer {
@@ -173,6 +176,12 @@ func (s *Server) Restore(cp *Checkpoint) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	var lastState []float64
+	if cp.LastState != "" {
+		if lastState, err = decodeF64s(cp.LastState, -1); err != nil {
+			return "", err
+		}
+	}
 	err = f.Pipeline().Restore(&kernels.Snapshot{
 		SubFilters:   cp.SubFilters,
 		ParticlesPer: cp.ParticlesPer,
@@ -190,12 +199,6 @@ func (s *Server) Restore(cp *Checkpoint) (string, error) {
 	id, err := s.install(sp, f, mdl)
 	if err != nil {
 		return "", err
-	}
-	var lastState []float64
-	if cp.LastState != "" {
-		if lastState, err = decodeF64s(cp.LastState, -1); err != nil {
-			return "", err
-		}
 	}
 	if sess, lookupErr := s.lookup(id); lookupErr == nil {
 		sess.seedResult(int64(cp.Step), filter.Estimate{

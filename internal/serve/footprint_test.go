@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 )
@@ -70,5 +71,53 @@ func TestSessionFootprint(t *testing.T) {
 	t.Logf("a stepped 16x64 UNGM session retains %d bytes", per)
 	if per > footprintLimit {
 		t.Fatalf("a stepped 16x64 UNGM session retains %d bytes, want under %d", per, footprintLimit)
+	}
+}
+
+// TestCheckpointFootprint pins the size of a stepped default UNGM
+// session's checkpoint, the unit a fleet keeps and moves: the router
+// holds one per route and a replica's agent one per recent export. Its
+// random streams are saved as positions, about 23 words each, so the
+// particles and log-weights are most of it. The decoded copies are
+// what those holders retain.
+func TestCheckpointFootprint(t *testing.T) {
+	const (
+		jsonLimit    = 32 << 10
+		decodedLimit = 40 << 10
+		n            = 8
+	)
+	srv := NewServer(Config{Workers: 2}, testModels())
+	defer srv.Shutdown()
+	id, err := srv.Create(FilterSpec{Model: "ungm", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.StepCtx(context.Background(), id, nil, []float64{1.5}); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := srv.Checkpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := make([]*Checkpoint, n)
+	before := liveHeap()
+	for i := range copies {
+		copies[i] = new(Checkpoint)
+		if err := json.Unmarshal(blob, copies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (liveHeap() - before) / n
+	runtime.KeepAlive(copies)
+	t.Logf("a stepped 16x64 UNGM checkpoint is %d bytes of JSON and retains %d bytes decoded", len(blob), per)
+	if len(blob) > jsonLimit {
+		t.Errorf("checkpoint JSON is %d bytes, want at most %d", len(blob), jsonLimit)
+	}
+	if per > decodedLimit {
+		t.Errorf("a decoded checkpoint retains %d bytes, want at most %d", per, decodedLimit)
 	}
 }

@@ -45,8 +45,9 @@ func FuzzCreateSpec(f *testing.F) {
 
 // FuzzRestoreCheckpoint feeds corrupted checkpoints to Restore, as
 // POST /v1/restore and a migration receive them. The corpus is a real
-// checkpoint and its truncations; a restore must fail with an error or
-// yield a session that steps, never panic.
+// checkpoint, its truncations, and copies whose stream states no buffer
+// saves; a restore must fail with an error and leave no session behind,
+// or yield a session that steps, never panic.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	s := NewServer(Config{Workers: 2}, testModels())
 	f.Cleanup(s.Shutdown)
@@ -75,6 +76,17 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		for _, cut := range []int{1, len(blob) / 4, len(blob) / 2, len(blob) - 1} {
 			f.Add(blob[:cut])
 		}
+		badLast := *cp
+		badLast.LastState = "not base64"
+		bad := malformedStreams(f, cp)
+		bad["an undecodable last state"] = &badLast
+		for _, cp := range bad {
+			blob, err := json.Marshal(cp)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+		}
 		if err := s.Close(id); err != nil {
 			f.Fatal(err)
 		}
@@ -87,8 +99,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if cp.Spec.Model == "slow-ungm" {
 			return
 		}
+		before := len(s.Sessions())
 		id, err := s.Restore(&cp)
 		if err != nil {
+			if after := len(s.Sessions()); after != before {
+				t.Fatalf("a rejected restore (%v) changed the session count from %d to %d", err, before, after)
+			}
 			return
 		}
 		defer s.Close(id)

@@ -101,7 +101,8 @@ const migrationLogCap = 4096
 // call bounded by controlTimeout, and never reuses a migration id, so a
 // replay older than two such bounds cannot come from a live migration.
 // Past it only the id is kept (the checkpoint goes at the agent's next
-// export or restore), and a replay gets errExportExpired.
+// ping, export or restore, so the router's probes bound how long it
+// outlives the window), and a replay gets errExportExpired.
 const exportKeep = 2 * controlTimeout
 
 // errExportExpired answers a replayed export whose checkpoint is no
@@ -135,9 +136,10 @@ type Agent struct {
 	mu sync.Mutex
 	// exports and restores are the migration dedup logs, keyed by
 	// migration id; order tracks insertion for eviction. An export's
-	// checkpoint is dropped, leaving a nil entry, at the first log
-	// access after it is older than keep (exportKeep; tests shorten
-	// it); aging lists the exports still holding one, oldest first.
+	// checkpoint is dropped, leaving a nil entry, at the first ping or
+	// log access after it is older than keep (exportKeep; tests
+	// shorten it); aging lists the exports still holding one, oldest
+	// first.
 	exports  map[string]*CheckpointMsg
 	restores map[string]*RestoredMsg
 	order    []dedupKey
@@ -177,6 +179,9 @@ func NewAgent(name string, srv *serve.Server) *Agent {
 		if !serve.ReadJSON(w, r, &ping) {
 			return
 		}
+		a.mu.Lock()
+		a.dropStale()
+		a.mu.Unlock()
 		pong := a.pong(ping.Seq)
 		pong.RecvUnixNano = recv
 		pong.SendUnixNano = time.Now().UnixNano()

@@ -78,7 +78,9 @@ func TestAgentRestoreDecodesStrictly(t *testing.T) {
 // TestAgentExportReplayWindow pins how long the dedup log keeps an
 // exported checkpoint: a replay inside the window returns the original
 // checkpoint, and a replay after it answers errExportExpired's 400
-// without exporting again, while the migration id stays in the log.
+// without exporting again, while the migration id stays in the log. A
+// ping is enough to drop a checkpoint past the window, so a replica
+// that stops migrating does not keep its last exports.
 func TestAgentExportReplayWindow(t *testing.T) {
 	srv := serve.NewServer(serve.Config{Workers: 1}, testModels())
 	defer srv.Shutdown()
@@ -140,5 +142,29 @@ func TestAgentExportReplayWindow(t *testing.T) {
 	}
 	if ids := srv.Sessions(); len(ids) != 0 {
 		t.Fatalf("sessions %v left after both exports, want none", ids)
+	}
+
+	// A ping alone sweeps an expired checkpoint: with the window
+	// reopened after it, only the ping can have dropped the third
+	// export's checkpoint, and its replay still finds the id alone.
+	third := create()
+	if _, err := export("t-3#2", third); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	var pong PongMsg
+	if err := control.Post(ctx, pingPath, PingMsg{Seq: 1}, &pong); err != nil {
+		t.Fatal(err)
+	}
+	window(time.Hour)
+	agent.mu.Lock()
+	kept, ok = agent.exports["t-3#2"]
+	agent.mu.Unlock()
+	if !ok || kept != nil {
+		t.Fatalf("after a ping past the window the log holds id %v with checkpoint %v, want the id alone", ok, kept)
+	}
+	_, err = export("t-3#2", third)
+	if !errors.As(err, &api) || api.Status != http.StatusBadRequest || !strings.Contains(api.Message, errExportExpired.Error()) {
+		t.Fatalf("replay after a sweeping ping: %v, want a 400 carrying %q", err, errExportExpired)
 	}
 }

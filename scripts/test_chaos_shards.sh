@@ -106,12 +106,14 @@ wait_ready router "http://127.0.0.1:$PORT"
 # Periodic trace drains for the whole run: the span rings are
 # fixed-capacity and swarm load overwrites them in a couple of seconds,
 # so a single post-run drain would have lost the failover spans from
-# the kill. Draining every second bounds any span's time-at-risk to
-# one interval; same-named files land on the same merged track.
+# the kill. Draining every quarter second bounds any span's time-at-risk
+# to one interval, short enough that a busy replica does not fill its
+# 32,768-span ring within it; same-named files land on the same merged
+# track.
 (
 	n=0
 	while :; do
-		sleep 1
+		sleep 0.25
 		n=$((n + 1))
 		fetch_traces "p$n"
 	done

@@ -45,6 +45,10 @@ fi
 # concurrency: hammer it repeatedly under the race detector so
 # interleaving-dependent regressions surface before merge.
 go test -race -count=3 ./internal/serve/...
+# Restore decodes checkpoints that arrive from other processes (a
+# migration, a failover, POST /v1/restore), stream states included:
+# fuzz that decoder past its committed corpus for a bounded time.
+go test -run '^$' -fuzz FuzzRestoreCheckpoint -fuzztime 20s ./internal/serve
 # The router is concurrent the same way: failover recreates and restores
 # sessions while probes, steps and migrations run.
 go test -race -count=3 ./internal/shard/...
