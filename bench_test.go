@@ -10,6 +10,7 @@ package esthera_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -424,10 +425,16 @@ func BenchmarkRoundFusedTraced(b *testing.B) {
 // BenchmarkRoundBatch is the serve-path variant: B concurrent sessions'
 // rounds executed either as B independent unfused rounds (what serving
 // cost before cross-session batching) or as one fused batched round
-// (kernels.Batcher.Round, what the serve scheduler issues). The last
-// row is serve-busy's shape: 32 UNGM 16×64 ring t=1 sessions.
+// (kernels.Batcher.Round, what the serve scheduler issues). The
+// batched-fused-b=32 row is serve-busy's shape: 32 UNGM 16×64 ring t=1
+// sessions. The ceiling row runs the same 32 sessions on GOMAXPROCS
+// independent 1-worker devices, one goroutine each: what the host
+// allows without a shared device. Both ns/op are per round of all 32
+// sessions, so ceiling over batched is the device's scaling against
+// that limit (DESIGN.md §2.1).
 func BenchmarkRoundBatch(b *testing.B) {
-	mk := func(b *testing.B, dev *device.Device, sessions, subFilters, particlesPer int) []*kernels.Pipeline {
+	// mk builds sessions UNGM pipelines on dev, seeded seed+1 on.
+	mk := func(b *testing.B, dev *device.Device, seed, sessions, subFilters, particlesPer int) []*kernels.Pipeline {
 		b.Helper()
 		ps := make([]*kernels.Pipeline, sessions)
 		for i := range ps {
@@ -440,7 +447,7 @@ func BenchmarkRoundBatch(b *testing.B) {
 				ParticlesPer:  particlesPer,
 				ExchangeCount: 1,
 				Topology:      top,
-			}, uint64(i+1))
+			}, uint64(seed+i+1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -452,10 +459,34 @@ func BenchmarkRoundBatch(b *testing.B) {
 			b.ReportMetric(float64(b.N)*float64(particles)/sec, "particles/s")
 		}
 	}
+	// batchStep returns round i of a persistent Batcher with reused
+	// entries over mk's sessions: how a long-lived scheduler drives this
+	// path. The steady-state round is allocation-free (pinned by
+	// TestRoundBatchSteadyStateAllocs).
+	batchStep := func(b *testing.B, dev *device.Device, seed, sessions, subFilters, particlesPer int) func(i int) error {
+		ps := mk(b, dev, seed, sessions, subFilters, particlesPer)
+		batcher := kernels.NewBatcher(dev)
+		batch := make([]*kernels.BatchRound, sessions)
+		for j, p := range ps {
+			batch[j] = &kernels.BatchRound{P: p}
+		}
+		z := []float64{0}
+		return func(i int) error {
+			z[0] = 10 * math.Sin(float64(i)*0.3)
+			for _, e := range batch {
+				e.Z = z
+				e.K = i + 1
+			}
+			return batcher.Round(batch)
+		}
+	}
+	// Warm-up rounds grow the batchers' tables and the devices' Group
+	// stacks to steady state (see benchRoundPath).
+	const warm = 10
 	b.Run("sequential-unfused", func(b *testing.B) {
 		dev := device.New(device.Config{LocalMemBytes: -1})
 		defer dev.Close()
-		ps := mk(b, dev, 8, 16, 128)
+		ps := mk(b, dev, 0, 8, 16, 128)
 		z := []float64{0}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -470,42 +501,70 @@ func BenchmarkRoundBatch(b *testing.B) {
 	batched := func(b *testing.B, sessions, subFilters, particlesPer int) {
 		dev := device.New(device.Config{LocalMemBytes: -1})
 		defer dev.Close()
-		ps := mk(b, dev, sessions, subFilters, particlesPer)
-		// A persistent Batcher with reused entries is how a long-lived
-		// scheduler drives this path; the steady-state round is
-		// allocation-free (pinned by TestRoundBatchSteadyStateAllocs).
-		batcher := kernels.NewBatcher(dev)
-		batch := make([]*kernels.BatchRound, sessions)
-		for j, p := range ps {
-			batch[j] = &kernels.BatchRound{P: p}
-		}
-		z := []float64{0}
-		step := func(i int) {
-			z[0] = 10 * math.Sin(float64(i)*0.3)
-			for _, e := range batch {
-				e.Z = z
-				e.K = i + 1
-			}
-			if err := batcher.Round(batch); err != nil {
+		step := batchStep(b, dev, 0, sessions, subFilters, particlesPer)
+		for i := 0; i < warm; i++ {
+			if err := step(i); err != nil {
 				b.Fatal(err)
 			}
-		}
-		// Warm-up rounds grow the batcher's tables and the device's
-		// Group stack to steady state (see benchRoundPath).
-		const warm = 10
-		for i := 0; i < warm; i++ {
-			step(i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := warm; i < warm+b.N; i++ {
-			step(i)
+			if err := step(i); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		report(b, sessions*subFilters*particlesPer)
 	}
 	b.Run("batched-fused", func(b *testing.B) { batched(b, 8, 16, 128) })
 	b.Run("batched-fused-b=32-n=16-m=64", func(b *testing.B) { batched(b, 32, 16, 64) })
+	b.Run("ceiling-b=32-n=16-m=64", func(b *testing.B) {
+		const sessions = 32
+		p := runtime.GOMAXPROCS(0)
+		if p > sessions {
+			p = sessions
+		}
+		// Pipeline w gets an even share of the sessions, seeded as the
+		// batched row seeds them, so the two rows step the same filters.
+		steps := make([]func(int) error, p)
+		seed := 0
+		for w := range steps {
+			share := sessions / p
+			if w < sessions%p {
+				share++
+			}
+			dev := device.New(device.Config{Workers: 1, LocalMemBytes: -1})
+			defer dev.Close()
+			steps[w] = batchStep(b, dev, seed, share, 16, 64)
+			seed += share
+		}
+		for i := 0; i < warm; i++ {
+			for _, step := range steps {
+				if err := step(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for _, step := range steps {
+			wg.Add(1)
+			go func(step func(int) error) {
+				defer wg.Done()
+				for i := warm; i < warm+b.N; i++ {
+					if err := step(i); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(step)
+		}
+		wg.Wait()
+		b.StopTimer()
+		report(b, sessions*16*64)
+	})
 }
 
 func byteSize(n int) string {

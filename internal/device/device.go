@@ -191,11 +191,11 @@ type LaunchStats struct {
 	Count   Counters
 }
 
-// launchTask is one in-flight kernel launch. Work-groups are claimed via
-// the atomic next counter, so any number of compute units (plus the
-// launching goroutine) can cooperatively drain one grid; every counter
-// below is task-local, so concurrent launches never interleave their
-// accounting.
+// launchTask is one in-flight kernel launch. Work-groups are claimed in
+// contiguous runs from the atomic next counter (see claim), so any
+// number of compute units (plus the launching goroutine) can
+// cooperatively drain one grid; every counter below is task-local, so
+// concurrent launches never interleave their accounting.
 type launchTask struct {
 	dev    *Device
 	grid   Grid
@@ -220,6 +220,38 @@ type launchTask struct {
 	done chan struct{} // receives one token when pending reaches zero
 }
 
+// claimSplit sets the guided claim size (see claim).
+const claimSplit = 2
+
+// claim takes the next contiguous run [lo, hi) of unclaimed groups, or
+// an empty run once the grid is exhausted. It is guided
+// self-scheduling: a run is max(1, remaining/(claimSplit·workers))
+// groups, so the first claims are large and the last ones single
+// groups, which keeps the participants' finishing times within about
+// a group of each other. A run, rather than one group per claim, keeps
+// adjacent sub-filters on one core: their small per-group state
+// (sorting-network stages, stream positions, column headers, flags)
+// sits side by side in memory, and groups dealt out one at a time
+// bounce those cache lines between the cores at every launch.
+func (t *launchTask) claim() (lo, hi int64) {
+	groups := int64(t.grid.Groups)
+	split := int64(claimSplit * t.dev.workers)
+	for {
+		lo = t.next.Load()
+		left := groups - lo
+		if left <= 0 {
+			return lo, lo
+		}
+		n := left / split
+		if n < 1 {
+			n = 1
+		}
+		if t.next.CompareAndSwap(lo, lo+n) {
+			return lo, lo + n
+		}
+	}
+}
+
 // drain claims and executes work-groups until the grid is exhausted,
 // folding this participant's accounting into the task once at the end.
 func (t *launchTask) drain() {
@@ -229,16 +261,18 @@ func (t *launchTask) drain() {
 		ran   int64
 	)
 	for {
-		gid := int(t.next.Add(1)) - 1
-		if gid >= t.grid.Groups {
+		lo, hi := t.claim()
+		if lo == hi {
 			break
 		}
 		if g == nil {
 			g = t.dev.getGroup()
 			g.beginDrain(t.phases)
 		}
-		t.runGroup(g, gid, &local)
-		ran++
+		for gid := lo; gid < hi; gid++ {
+			t.runGroup(g, int(gid), &local)
+		}
+		ran += hi - lo
 	}
 	if ran == 0 {
 		return

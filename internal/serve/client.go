@@ -180,12 +180,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return err
 		}
 		if resp.StatusCode < 300 {
-			if out == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				return nil
+			var err error
+			if out != nil {
+				err = json.NewDecoder(resp.Body).Decode(out)
 			}
-			err := json.NewDecoder(resp.Body).Decode(out)
+			// Read to EOF before closing, or the transport drops the
+			// connection: a decoder stops at the value's end, short of
+			// the trailing newline and a chunked reply's last chunk.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			return err
 		}

@@ -28,14 +28,17 @@ func testModels() map[string]serve.ModelFactory {
 // replica is one in-process esthera-serve stand-in: a serve.Server, its
 // HTTP session API and its agent's control listener. hits counts the
 // requests the session API received; calls counts the requests both
-// listeners received, by requestKind.
+// listeners received, by requestKind; webConns and ctlConns count the
+// connections each listener accepted.
 type replica struct {
-	name string
-	srv  *serve.Server
-	web  *httptest.Server
-	tl   *Listener
-	spec ShardSpec
-	hits atomic.Int64
+	name     string
+	srv      *serve.Server
+	web      *httptest.Server
+	tl       *Listener
+	spec     ShardSpec
+	hits     atomic.Int64
+	webConns atomic.Int64
+	ctlConns atomic.Int64
 
 	mu    sync.Mutex
 	kinds map[string]int
@@ -66,14 +69,25 @@ func (r *replica) start(webAddr, ctlAddr string) error {
 	})))
 	r.web.Listener.Close()
 	r.web.Listener = ln
+	r.web.Config.ConnState = countNew(&r.webConns)
 	r.web.Start()
 	r.tl = NewListener(r.name, r.count(NewAgent(r.name, r.srv)))
+	r.tl.srv.ConnState = countNew(&r.ctlConns)
 	if err := r.tl.ListenAndServe(ctlAddr); err != nil {
 		r.kill()
 		return err
 	}
 	r.spec = ShardSpec{Name: r.name, BaseURL: r.web.URL, TransportAddr: r.tl.Addr().String()}
 	return nil
+}
+
+// countNew returns a ConnState hook that counts accepted connections.
+func countNew(n *atomic.Int64) func(net.Conn, http.ConnState) {
+	return func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			n.Add(1)
+		}
+	}
 }
 
 // count wraps h to tally each request by kind.
@@ -852,11 +866,7 @@ func TestRouterDefaultClientKeepsConnections(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		api.ServeHTTP(w, req)
 	}))
-	web.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			dials.Add(1)
-		}
-	}
+	web.Config.ConnState = countNew(&dials)
 	web.Start()
 	t.Cleanup(func() {
 		web.Close()
@@ -903,5 +913,74 @@ func TestRouterDefaultClientKeepsConnections(t *testing.T) {
 	if limit := int64(sessions + 4); n > limit {
 		t.Fatalf("%d routed steps over %d sessions dialed %d connections, want at most %d",
 			sessions*steps, sessions, n, limit)
+	}
+}
+
+// TestLargeRepliesKeepConnections reads a session's checkpoint ten times
+// through the router, then migrates it back and forth ten times, and
+// counts the connections the replicas accept after a warm-up. A
+// checkpoint or export reply is over 2 KB, so it is sent chunked, and a
+// client that closes it before reading to EOF (past the decoded value's
+// end, through the last chunk) loses the connection and dials again for
+// the next call. Every call here runs after the previous one returned,
+// so each listener needs one connection.
+func TestLargeRepliesKeepConnections(t *testing.T) {
+	const calls = 10
+	a := startReplica(t, "a")
+	b := startReplica(t, "b")
+	router := newTestRouter(t, RouterConfig{}, a, b)
+	ctx := context.Background()
+	id, err := router.Create(ctx, serve.FilterSpec{Model: "ungm", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.Step(ctx, id, nil, obs(0)); err != nil {
+		t.Fatal(err)
+	}
+	other := map[string]string{"a": "b", "b": "a"}
+	conns := func() int64 {
+		return a.webConns.Load() + a.ctlConns.Load() + b.webConns.Load() + b.ctlConns.Load()
+	}
+
+	// Warm-up: one read, and a migration each way, open a connection to
+	// the session API and to both agents.
+	if _, err := router.Checkpoint(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		src, err := router.ShardOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := router.Migrate(ctx, id, other[src]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := conns()
+	for i := 0; i < calls; i++ {
+		if _, err := router.Checkpoint(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns() - before; n != 0 {
+		t.Errorf("%d checkpoint reads opened %d connections, want 0", calls, n)
+	}
+
+	before = conns()
+	for i := 0; i < calls; i++ {
+		src, err := router.ShardOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := router.Migrate(ctx, id, other[src]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns() - before; n != 0 {
+		t.Errorf("%d migrations (an export and a restore each) opened %d connections, want 0", calls, n)
+	}
+	if st := router.Stats(); st.Migrations != calls+2 {
+		t.Fatalf("migrations = %d, want %d", st.Migrations, calls+2)
 	}
 }

@@ -47,8 +47,10 @@ fi
 go test -race -count=3 ./internal/serve/...
 # Restore decodes checkpoints that arrive from other processes (a
 # migration, a failover, POST /v1/restore), stream states included:
-# fuzz that decoder past its committed corpus for a bounded time.
-go test -run '^$' -fuzz FuzzRestoreCheckpoint -fuzztime 20s ./internal/serve
+# fuzz that decoder past its committed corpus for a bounded time. Each
+# new input is minimized for at most 2 s: at the 60 s default the
+# coordinator spends the leg minimizing after its first few seconds.
+go test -run '^$' -fuzz FuzzRestoreCheckpoint -fuzztime 20s -fuzzminimizetime 2s ./internal/serve
 # The router is concurrent the same way: failover recreates and restores
 # sessions while probes, steps and migrations run.
 go test -race -count=3 ./internal/shard/...
